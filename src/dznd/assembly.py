@@ -5,45 +5,40 @@ The solvers advance a real state vector of length 2mn laid out as
 coincides exactly with stacking real and imaginary parts of the complex
 column vec(X); there is only one state layout.
 
+Both models share one real operator, the embedding of
+L(Z) = Z F - A conj(Z).  With U = (F^T kron I_m) and V = (I_n kron A),
+
+    W = [[U_re - V_re, -(U_im + V_im)],
+         [U_im - V_im,   U_re + V_re ]]
+
+and :func:`real_operator` writes its entries straight into place by
+index scatter, without forming either Kronecker product.
+
 Two assemblies are provided for a problem at a sample time tau:
 
-* :func:`assemble_dznd1` linearizes the complex-field zeroing dynamics.
-  With U = (F^T kron I_m) and V = (I_n kron A), the complex relation
-  U vec(Xdot) - V vec(conj(Xdot)) = G becomes W z = b with
-
-      W = [[U_re - V_re, -(U_im + V_im)],
-           [U_im - V_im,   U_re + V_re ]]
-
-  and b the stacked parts of G = vec(Cdot + Adot conj(X) - X Fdot)
+* :func:`assemble_dznd1` linearizes the complex-field zeroing dynamics:
+  the relation U vec(Xdot) - V vec(conj(Xdot)) = G becomes W z = b,
+  with b the stacked parts of G = vec(Cdot + Adot conj(X) - X Fdot)
   minus gamma times the stacked equation error, where a complex gamma
   multiplies the error in the complex field before the split.
 
 * :func:`assemble_dznd2` embeds the equation itself over the reals:
-  W x = b with K-blocks built from the parts of F and A, plus the same
-  construction applied to the derivatives (w_dot, b_dot).
+  W x = b, plus the same operator built from the derivatives
+  (w_dot, b_dot).
 
-Both W matrices are algebraically identical; the models differ in how
-they form the right-hand drive.
+The models differ only in how they form the right-hand drive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import (
-    RealMatrix,
-    RealVector,
-    SplitComplexMatrix,
-    conjugate,
-    identity,
-    kron,
-    transpose,
-    vec,
-)
+from .linalg import RealMatrix, RealVector, SplitComplexMatrix, conjugate, vec
 from .problems import SylvesterConjugateProblem
 
 
@@ -61,6 +56,8 @@ class ComplexGain:
     def __post_init__(self):
         object.__setattr__(self, "re", float(self.re))
         object.__setattr__(self, "im", float(self.im))
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError(f"gain must be finite, got {self.re}+{self.im}i")
         if not self.re > 0:
             raise ValueError(f"gain real part must be positive, got {self.re}")
 
@@ -138,6 +135,34 @@ def _stack_column(col: SplitComplexMatrix) -> RealVector:
     return np.concatenate([col.re.ravel(), col.im.ravel()])
 
 
+def real_operator(f: SplitComplexMatrix, a: SplitComplexMatrix) -> RealMatrix:
+    """The 2mn x 2mn real matrix W of Z -> Z F - A conj(Z) (module
+    docstring), for F n x n and A m x m.
+
+    Row and column (p, t, s) index part p (0 real, 1 imaginary) of
+    vec entry t*m + s.  The F terms, F[t', t] at s = s', are set first;
+    the A terms, A[s, s'] at t = t', are then added or subtracted where
+    they land, so every entry is the same single sum the Kronecker
+    formula computes.
+    """
+    n, m = f.rows, a.rows
+    w = np.zeros((2, n, m, 2, n, m))
+    s_idx, t_idx = np.arange(m), np.arange(n)
+    # Advanced indices split by slices index the leading axis: ft[t, t']
+    # lands at w[p, t, s, p', t', s] for every s.
+    ft_re, ft_im = f.re.T, f.im.T
+    w[0, :, s_idx, 0, :, s_idx] = ft_re
+    w[0, :, s_idx, 1, :, s_idx] = -ft_im
+    w[1, :, s_idx, 0, :, s_idx] = ft_im
+    w[1, :, s_idx, 1, :, s_idx] = ft_re
+    # a[s, s'] lands at w[p, t, s, p', t, s'] for every t.
+    w[0, t_idx, :, 0, t_idx, :] -= a.re
+    w[0, t_idx, :, 1, t_idx, :] -= a.im
+    w[1, t_idx, :, 0, t_idx, :] -= a.im
+    w[1, t_idx, :, 1, t_idx, :] += a.re
+    return w.reshape(2 * m * n, 2 * m * n)
+
+
 def assemble_dznd1(
     problem: SylvesterConjugateProblem,
     state: RealVector,
@@ -150,16 +175,7 @@ def assemble_dznd1(
     fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
     x = matrix_from_state(state, m, n)
 
-    # conj(F^H) is the plain transpose of F, so U carries unconjugated entries.
-    u = kron(transpose(f), identity(m))
-    v = kron(identity(n), a)
-    w = np.block(
-        [
-            [u.re - v.re, -(u.im + v.im)],
-            [u.im - v.im, u.re + v.re],
-        ]
-    )
-
+    w = real_operator(f, a)
     err = vec(x @ f - a @ conjugate(x) - c)
     drift = vec(cd + ad @ conjugate(x) - x @ fd)
     # gamma multiplies the error in the complex field before the split.
@@ -167,15 +183,6 @@ def assemble_dznd1(
     g_im = drift.im - (gain.re * err.im + gain.im * err.re)
     b = np.concatenate([g_re.ravel(), g_im.ravel()])
     return AssembledSystem(w=w, b=b, tau=tau)
-
-
-def _real_embedding(f: SplitComplexMatrix, a: SplitComplexMatrix, m: int, n: int):
-    eye_m, eye_n = np.eye(m), np.eye(n)
-    k11 = np.kron(f.re.T, eye_m) - np.kron(eye_n, a.re)
-    k12 = -(np.kron(f.im.T, eye_m) + np.kron(eye_n, a.im))
-    k21 = np.kron(f.im.T, eye_m) - np.kron(eye_n, a.im)
-    k22 = np.kron(f.re.T, eye_m) + np.kron(eye_n, a.re)
-    return np.block([[k11, k12], [k21, k22]])
 
 
 def assemble_dznd2(
@@ -189,10 +196,10 @@ def assemble_dznd2(
     f, a, c = _checked_coefficients(problem, tau, problem.coefficients)
     fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
     return AssembledSystem(
-        w=_real_embedding(f, a, m, n),
+        w=real_operator(f, a),
         b=_stack_column(vec(c)),
         tau=tau,
-        w_dot=_real_embedding(fd, ad, m, n),
+        w_dot=real_operator(fd, ad),
         b_dot=_stack_column(vec(cd)),
     )
 

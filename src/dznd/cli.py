@@ -43,7 +43,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--divergence-threshold", type=float, default=1e12,
                      help="equation-residual level that flags divergence")
     sub.add_argument("--pinv-tolerance", type=float, default=None,
-                     help="relative singular-value cutoff (default: eps*max(m,n))")
+                     help="relative singular-value cutoff (default: eps*2mn)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +90,6 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
             gamma=ComplexGain.parse(args.gamma),
             epsilon=args.epsilon,
             duration=args.duration,
-            seed=args.seed,
             pinv_tolerance=args.pinv_tolerance,
             divergence_threshold=args.divergence_threshold,
         )
@@ -98,7 +97,8 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
 
-    trajectory = run(problem, config, random_initial_state(problem, args.seed))
+    initial = random_initial_state(problem, args.seed)
+    trajectory = run(problem, config, initial)
 
     out = Path(args.out)
     try:
@@ -106,7 +106,9 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         write_trajectory_csv(
             out / "trajectory.csv", trajectory, problem.m, problem.n
         )
-        write_run_summary(out / "summary.txt", args.problem, config, trajectory)
+        write_run_summary(
+            out / "summary.txt", args.problem, config, initial.seed, trajectory
+        )
         write_residual_svg(out / "residual.svg", args.problem, config, trajectory)
     except OSError as exc:
         print(f"error: cannot write outputs under {out}: {exc}", file=sys.stderr)
@@ -136,6 +138,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             SolverConfig(
                 model=Model.DZND1_2I, gamma=ComplexGain(1.0), epsilon=eps,
                 duration=args.duration,
+                pinv_tolerance=args.pinv_tolerance,
                 divergence_threshold=args.divergence_threshold,
             ).validate()
     except (KeyError, ValueError) as exc:

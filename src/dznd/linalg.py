@@ -10,8 +10,9 @@ Conventions, fixed repo-wide:
 * real blocks are C-contiguous (row-major) float64 numpy arrays;
 * ``vec`` stacks columns (column-major traversal);
 * non-finite values propagate through the arithmetic kernels; they are
-  never masked, so divergence stays observable to the caller.  The one
-  exception is :func:`pinv`, which needs a finite matrix to factor.
+  never masked, so divergence stays observable to the caller.  The
+  exceptions are :func:`pinv` and :func:`pinv_solve`, which need a
+  finite matrix to factor.
 """
 
 from __future__ import annotations
@@ -174,13 +175,9 @@ def frobenius_norm(m: SplitComplexMatrix) -> float:
     return float(np.sqrt(np.sum(m.re * m.re) + np.sum(m.im * m.im)))
 
 
-def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
-    """Moore-Penrose pseudo-inverse of a real matrix via SVD.
-
-    Singular values at or below ``tolerance`` times the largest singular
-    value are treated as zero.  The default tolerance is
-    ``eps * max(rows, cols)``, the usual SVD cutoff.
-    """
+def _checked_pinv_input(w, tolerance: float | None) -> tuple[RealMatrix, float]:
+    """``w`` as a finite 2-D float64 matrix and the relative singular-value
+    cutoff that :func:`pinv` applies to it."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError(f"pinv expects a 2-D matrix, got ndim={w.ndim}")
@@ -194,6 +191,17 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
             f"non-finite entries (nan={int(np.isnan(w).sum())}, "
             f"inf={int(np.isinf(w).sum())})"
         )
+    return w, tolerance
+
+
+def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
+    """Moore-Penrose pseudo-inverse of a real matrix via SVD.
+
+    Singular values at or below ``tolerance`` times the largest singular
+    value are treated as zero.  The default tolerance is
+    ``eps * max(rows, cols)``, the usual SVD cutoff.
+    """
+    w, tolerance = _checked_pinv_input(w, tolerance)
     try:
         u, s, vt = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -206,3 +214,37 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (vt.T * s_inv) @ u.T
+
+
+def pinv_solve(
+    w: RealMatrix, b, tolerance: float | None = None
+) -> tuple[np.ndarray, bool]:
+    """``pinv(w, tolerance) @ b``, and whether the SVD pseudo-inverse had
+    to be formed to get it.
+
+    For a square N x N ``w`` the inverse is tried first.  Since
+    kappa_2 <= N * kappa_1, the certificate
+    N * ||w||_1 * ||w^-1||_1 * tolerance < 1/2 proves that the smallest
+    singular value exceeds ``tolerance`` times the largest, so
+    :func:`pinv` would cut none and equals the inverse; the half leaves
+    room for the rounding in the computed inverse.  Without that
+    certificate (singular ``w``, a non-finite condition number, a failed
+    test, or a non-square ``w``) the result is :func:`pinv`'s, unchanged.
+    Non-finite entries raise :class:`NumericError` either way.
+    """
+    w, cutoff = _checked_pinv_input(w, tolerance)
+    rows, cols = w.shape
+    if rows == cols > 0:
+        try:
+            w_inv = np.linalg.inv(w)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # Python floats: an overflow reads inf, inf * 0 reads nan, and
+            # neither passes the test below or warns.
+            kappa = float(np.linalg.norm(w, 1)) * float(
+                np.linalg.norm(w_inv, 1)
+            )
+            if rows * kappa * cutoff < 0.5:
+                return w_inv @ b, False
+    return pinv(w, tolerance) @ b, True

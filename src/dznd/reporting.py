@@ -69,8 +69,11 @@ def write_run_summary(
     path: Path,
     problem_name: str,
     config: SolverConfig,
+    seed: int,
     trajectory: Trajectory,
 ) -> None:
+    """Write the human-readable run summary; ``seed`` is the seed of the
+    initial state the run started from."""
     modulus = scalar_error_modulus(config.gamma, config.epsilon)
     prediction = "divergence" if modulus > 1.0 else "convergence"
     lines = [
@@ -79,9 +82,10 @@ def write_run_summary(
         f"outcome: {trajectory.outcome.value}",
         f"k: {config.step_count}",
         f"records: {len(trajectory)}",
+        f"pinv_fallback_steps: {trajectory.pinv_fallback_steps}",
         f"epsilon: {_fmt(config.epsilon)}",
         f"gamma: {config.gamma}",
-        f"seed: {config.seed}",
+        f"seed: {seed}",
         f"duration: {_fmt(config.duration)}",
         f"divergence_threshold: {_fmt(config.divergence_threshold)}",
         f"final_equation_residual: {_fmt(trajectory.equation_residuals[-1])}",
@@ -188,7 +192,6 @@ def run_sweep(
                     gamma=gamma,
                     epsilon=epsilon,
                     duration=duration,
-                    seed=seed,
                     pinv_tolerance=pinv_tolerance,
                     divergence_threshold=divergence_threshold,
                 )

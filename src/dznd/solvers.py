@@ -1,12 +1,18 @@
 """Fixed-step trajectory integration for the two solver models.
 
 Both models advance the stacked real state by an explicit one-step
-update x(tau_{k+1}) = x(tau_k) + epsilon * d(tau_k):
+update x(tau_{k+1}) = x(tau_k) + epsilon * d(tau_k), where d = W^+ g
+solves the shared real operator W against a model-specific drive g:
 
-* dznd1-2i forms d = W^+ b from :func:`~dznd.assembly.assemble_dznd1`,
+* dznd1-2i takes g = b from :func:`~dznd.assembly.assemble_dznd1`,
   where b already folds the gain times the current equation error;
-* dznd2-2i forms d = W^+ (b_dot - W_dot x - gamma (W x - b)) from the
+* dznd2-2i takes g = b_dot - W_dot x - gamma (W x - b) from the
   state-independent :func:`~dznd.assembly.assemble_dznd2` blocks.
+
+Each solve goes through :func:`~dznd.linalg.pinv_solve`: the inverse of
+W whenever its condition number proves the pseudo-inverse would cut no
+singular value, and the SVD pseudo-inverse otherwise.  A run counts the
+steps that needed the latter.
 
 A run records, at every sample time, the state together with the
 equation residual ||X F - A conj(X) - C||_F and the solution error
@@ -32,7 +38,7 @@ from .assembly import (
     state_from_matrix,
 )
 from .errors import CapabilityError, ConfigError, ShapeError
-from .linalg import RealVector, pinv
+from .linalg import RealMatrix, RealVector, pinv_solve
 from .problems import (
     InitialState,
     SylvesterConjugateProblem,
@@ -71,7 +77,6 @@ class SolverConfig:
     gamma: ComplexGain
     epsilon: float
     duration: float = 10.0
-    seed: int = 42
     pinv_tolerance: Optional[float] = None
     divergence_threshold: float = 1e12
 
@@ -85,10 +90,12 @@ class SolverConfig:
             raise ConfigError(
                 f"step size epsilon must lie in (0, 1), got {self.epsilon}"
             )
-        if not self.duration > 0.0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         ratio = self.duration / self.epsilon
-        k = round(ratio)
+        k = round(ratio) if math.isfinite(ratio) else 0
         if k < 1 or abs(ratio - k) > _STEP_COUNT_SLACK * max(1.0, abs(ratio)):
             raise ConfigError(
                 f"duration/epsilon = {ratio!r} is not an integral step count"
@@ -102,9 +109,12 @@ class SolverConfig:
                 f"divergence threshold must be positive, got "
                 f"{self.divergence_threshold}"
             )
-        if self.pinv_tolerance is not None and self.pinv_tolerance < 0:
+        if self.pinv_tolerance is not None and not (
+            0.0 <= self.pinv_tolerance < math.inf
+        ):
             raise ConfigError(
-                f"pinv tolerance must be nonnegative, got {self.pinv_tolerance}"
+                f"pinv tolerance must be nonnegative and finite, got "
+                f"{self.pinv_tolerance}"
             )
 
 
@@ -115,6 +125,8 @@ class Trajectory:
     Record i holds step index ``steps[i]``, sample time ``taus[i]``
     (= steps[i] * epsilon), the stacked state ``states[i]``, both
     residuals, and whether everything was still finite.
+    ``pinv_fallback_steps`` counts the steps whose solve needed the SVD
+    pseudo-inverse because the inverse of W could not be certified.
     """
 
     steps: np.ndarray
@@ -125,6 +137,7 @@ class Trajectory:
     finite: np.ndarray
     outcome: Outcome
     diverged_at: Optional[int] = None
+    pinv_fallback_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -152,6 +165,53 @@ def scalar_error_modulus(gamma: ComplexGain, epsilon: float) -> float:
     return math.hypot(1.0 - epsilon * gamma.re, epsilon * gamma.im)
 
 
+def _drive_dznd1(
+    problem: SylvesterConjugateProblem,
+    state: RealVector,
+    gamma: ComplexGain,
+    tau: float,
+) -> tuple[RealMatrix, RealVector]:
+    system = assemble_dznd1(problem, state, gamma, tau)
+    return system.w, system.b
+
+
+def _drive_dznd2(
+    problem: SylvesterConjugateProblem,
+    state: RealVector,
+    gamma: ComplexGain,
+    tau: float,
+) -> tuple[RealMatrix, RealVector]:
+    if not gamma.is_real:
+        raise CapabilityError(
+            f"model dznd2-2i is defined for real gains only, got {gamma}"
+        )
+    system = assemble_dznd2(problem, tau)
+    drive = (
+        system.b_dot
+        - system.w_dot @ state
+        - gamma.re * (system.w @ state - system.b)
+    )
+    return system.w, drive
+
+
+_DRIVES = {Model.DZND1_2I: _drive_dznd1, Model.DZND2_2I: _drive_dznd2}
+
+
+def _step(
+    model: Model,
+    problem: SylvesterConjugateProblem,
+    state: RealVector,
+    gamma: ComplexGain,
+    tau: float,
+    epsilon: float,
+    pinv_tolerance: Optional[float],
+) -> tuple[RealVector, bool]:
+    """One update of ``model``, and whether its solve fell back to pinv."""
+    w, drive = _DRIVES[model](problem, state, gamma, tau)
+    direction, fell_back = pinv_solve(w, drive, pinv_tolerance)
+    return state + epsilon * direction, fell_back
+
+
 def step_dznd1(
     problem: SylvesterConjugateProblem,
     state: RealVector,
@@ -161,8 +221,9 @@ def step_dznd1(
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
     """One update of the complex-field model from the pre-step state."""
-    system = assemble_dznd1(problem, state, gamma, tau)
-    return state + epsilon * (pinv(system.w, pinv_tolerance) @ system.b)
+    return _step(
+        Model.DZND1_2I, problem, state, gamma, tau, epsilon, pinv_tolerance
+    )[0]
 
 
 def step_dznd2(
@@ -174,20 +235,9 @@ def step_dznd2(
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
     """One update of the real-field model from the pre-step state."""
-    if not gamma.is_real:
-        raise CapabilityError(
-            f"model dznd2-2i is defined for real gains only, got {gamma}"
-        )
-    system = assemble_dznd2(problem, tau)
-    drive = (
-        system.b_dot
-        - system.w_dot @ state
-        - gamma.re * (system.w @ state - system.b)
-    )
-    return state + epsilon * (pinv(system.w, pinv_tolerance) @ drive)
-
-
-_STEPPERS = {Model.DZND1_2I: step_dznd1, Model.DZND2_2I: step_dznd2}
+    return _step(
+        Model.DZND2_2I, problem, state, gamma, tau, epsilon, pinv_tolerance
+    )[0]
 
 
 def run(
@@ -207,7 +257,6 @@ def run(
             f"initial state shape {initial.x0.shape} does not match problem "
             f"dimensions ({problem.m}, {problem.n})"
         )
-    stepper = _STEPPERS[config.model]
     has_solution = problem.theoretical_solution is not None
     k_total = config.step_count
 
@@ -216,6 +265,7 @@ def run(
     eq_residuals, sol_errors, finite_flags = [], [], []
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
+    fallback_steps = 0
 
     for k in range(k_total + 1):
         tau = k * config.epsilon
@@ -237,10 +287,11 @@ def run(
             break
         if k == k_total:
             break
-        state = stepper(
-            problem, state, config.gamma, tau, config.epsilon,
+        state, fell_back = _step(
+            config.model, problem, state, config.gamma, tau, config.epsilon,
             config.pinv_tolerance,
         )
+        fallback_steps += fell_back
 
     return Trajectory(
         steps=np.array(steps, dtype=np.int64),
@@ -251,4 +302,5 @@ def run(
         finite=np.array(finite_flags, dtype=bool),
         outcome=outcome,
         diverged_at=diverged_at,
+        pinv_fallback_steps=fallback_steps,
     )

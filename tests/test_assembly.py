@@ -18,6 +18,7 @@ from dznd import (
     vec,
     zero_stability_roots,
 )
+from dznd.assembly import real_operator
 from dznd.problems import SylvesterConjugateProblem
 from helpers import make_trig_problem, random_split
 
@@ -45,6 +46,18 @@ class TestComplexGain:
     def test_is_real(self):
         assert ComplexGain(10.0).is_real
         assert not ComplexGain(10.0, 20.0).is_real
+
+    @pytest.mark.parametrize("re,im", [
+        (np.inf, 0.0), (10.0, np.inf), (10.0, -np.inf), (10.0, np.nan),
+    ])
+    def test_non_finite_parts_rejected(self, re, im):
+        with pytest.raises(ValueError, match="finite"):
+            ComplexGain(re, im)
+
+    @pytest.mark.parametrize("text", ["1e400", "10+1e400i", "inf", "nan"])
+    def test_parse_rejects_non_finite(self, text):
+        with pytest.raises(ValueError):
+            ComplexGain.parse(text)
 
     def test_str_round_trips(self):
         for g in (ComplexGain(10.0), ComplexGain(10.0, 20.0), ComplexGain(3.0, -4.0)):
@@ -207,6 +220,24 @@ class TestAssembleDznd2:
         w1 = assemble_dznd1(p, state, ComplexGain(10.0), 2.0).w
         w2 = assemble_dznd2(p, 2.0).w
         np.testing.assert_allclose(w1, w2, atol=1e-14)
+
+
+def _kron_operator(f, a):
+    """The real operator W written with Kronecker products."""
+    eye_m, eye_n = np.eye(a.rows), np.eye(f.rows)
+    k11 = np.kron(f.re.T, eye_m) - np.kron(eye_n, a.re)
+    k12 = -(np.kron(f.im.T, eye_m) + np.kron(eye_n, a.im))
+    k21 = np.kron(f.im.T, eye_m) - np.kron(eye_n, a.im)
+    k22 = np.kron(f.re.T, eye_m) + np.kron(eye_n, a.re)
+    return np.block([[k11, k12], [k21, k22]])
+
+
+class TestRealOperator:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 2), (4, 4)])
+    def test_equals_kronecker_formula(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        f, a = random_split(rng, n, n), random_split(rng, m, m)
+        np.testing.assert_array_equal(real_operator(f, a), _kron_operator(f, a))
 
 
 class TestZeroStability:

@@ -26,7 +26,8 @@ class TestRunCommand:
 
         summary = (tmp_path / "summary.txt").read_text()
         for needle in ("outcome: COMPLETED", "k: 100", "epsilon: 0.1",
-                       "gamma: 10.0", "seed: 42", "scalar_error_modulus"):
+                       "gamma: 10.0", "seed: 42", "pinv_fallback_steps: 0",
+                       "scalar_error_modulus"):
             assert needle in summary
 
         svg = (tmp_path / "residual.svg").read_text()
@@ -125,6 +126,17 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--epsilon", "0.3", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag,value", [
+    ("--duration", "inf"), ("--gamma", "1e400"), ("--pinv-tolerance", "nan"),
+])
+def test_non_finite_input_is_usage_error(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--epsilon", "0.1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -12,6 +12,7 @@ from dznd import (
     identity,
     kron,
     pinv,
+    pinv_solve,
     transpose,
     unvec,
     vec,
@@ -259,3 +260,37 @@ class TestPinv:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             pinv(np.eye(2), tolerance=-1.0)
+
+
+class TestPinvSolve:
+    @pytest.mark.parametrize("size", [8, 12, 192])
+    def test_matches_pinv_on_well_conditioned_matrices(self, size):
+        rng = np.random.default_rng(size)
+        w = rng.normal(size=(size, size)) + 2.0 * np.sqrt(size) * np.eye(size)
+        b = rng.normal(size=size)
+        x, fell_back = pinv_solve(w, b)
+        expected = pinv(w) @ b
+        assert not fell_back
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_singular_matrix_falls_back_to_pinv(self):
+        w, b = np.diag([2.0, 0.0]), np.array([1.0, 3.0])
+        x, fell_back = pinv_solve(w, b)
+        assert fell_back
+        np.testing.assert_array_equal(x, pinv(w) @ b)
+
+    def test_tolerance_cut_falls_back_to_pinv(self):
+        # pinv drops 1e-8 at tolerance 1e-6, so the inverse is not pinv.
+        w, b = np.diag([1.0, 1e-8]), np.array([1.0, 1.0])
+        x, fell_back = pinv_solve(w, b, tolerance=1e-6)
+        assert fell_back
+        np.testing.assert_array_equal(x, pinv(w, tolerance=1e-6) @ b)
+        # At 1e-10 nothing is cut and the inverse is certified.
+        x, fell_back = pinv_solve(w, b, tolerance=1e-10)
+        assert not fell_back
+        np.testing.assert_allclose(x, [1.0, 1e8], rtol=1e-12)
+
+    def test_non_finite_input_raises_numeric_error(self):
+        w = np.array([[1.0, np.inf], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="non-finite"):
+            pinv_solve(w, np.ones(2))

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dznd
 from dznd import (
     CapabilityError,
     ComplexGain,
@@ -10,6 +14,8 @@ from dznd import (
     Model,
     Outcome,
     SolverConfig,
+    SplitComplexMatrix,
+    SylvesterConjugateProblem,
     equation_residual,
     example1,
     example2,
@@ -76,6 +82,22 @@ class TestSolverConfig:
     def test_duration_must_be_positive(self):
         with pytest.raises(ConfigError, match="duration"):
             _config(duration=-1.0).validate()
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_duration_must_be_finite(self, duration):
+        with pytest.raises(ConfigError, match="duration"):
+            _config(duration=duration).validate()
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.inf, math.nan])
+    def test_pinv_tolerance_must_be_nonnegative_and_finite(self, tolerance):
+        # nan or inf would make pinv cut every singular value, so the
+        # state would never move.
+        with pytest.raises(ConfigError, match="pinv tolerance"):
+            _config(pinv_tolerance=tolerance).validate()
+
+    def test_overflowing_step_count_is_rejected(self):
+        with pytest.raises(ConfigError, match="step count"):
+            _config(epsilon=1e-10, duration=1e300).validate()
 
     def test_model_lookup(self):
         assert Model.from_name("dznd1-2i") is Model.DZND1_2I
@@ -231,6 +253,55 @@ class TestRun:
             tails[model] = tail_max_solution_error(trajectory, 5.0)
         ratio = tails[Model.DZND1_2I] / tails[Model.DZND2_2I]
         assert 0.1 <= ratio <= 10.0
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("factory", [example1, example2])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_examples_never_fall_back_to_pinv(self, factory, model):
+        problem = factory()
+        trajectory = run(problem, _config(model=model),
+                         random_initial_state(problem, 42))
+        assert len(trajectory) == 101
+        assert trajectory.pinv_fallback_steps == 0
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_zero_operator_falls_back_every_step(self, model):
+        # F = A = C = 0 makes W = 0: pinv gives the zero direction.
+        zero = SplitComplexMatrix.from_real(np.zeros((2, 2)))
+        problem = SylvesterConjugateProblem(
+            m=2, n=2,
+            coefficients=lambda tau: (zero, zero, zero),
+            derivatives=lambda tau: (zero, zero, zero),
+        )
+        config = _config(model=model, duration=1.0)
+        trajectory = run(problem, config, random_initial_state(problem, 3))
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert trajectory.pinv_fallback_steps == config.step_count == 10
+        np.testing.assert_array_equal(
+            trajectory.states, np.broadcast_to(trajectory.states[0],
+                                               trajectory.states.shape)
+        )
+
+
+def test_running_both_models_does_not_import_scipy():
+    # scipy's import cost would show in the benchmark's set-up time and
+    # peak memory.
+    code = (
+        "import sys, dznd\n"
+        "p = dznd.example2()\n"
+        "for model in dznd.Model:\n"
+        "    c = dznd.SolverConfig(model=model, gamma=dznd.ComplexGain(10.0),\n"
+        "                          epsilon=0.1, duration=0.1)\n"
+        "    assert len(dznd.run(p, c, dznd.random_initial_state(p, 0))) == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dznd.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestTailHelpers:
