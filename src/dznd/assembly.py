@@ -1,45 +1,34 @@
-"""Real 2mn-dimensional linear systems driving each solver model.
+"""The stacked real state, the real operator, and the gain.
 
 The solvers advance a real state vector of length 2mn laid out as
 ``[vec(X_re); vec(X_im)]``.  Because ``vec`` acts part by part, this
 coincides exactly with stacking real and imaginary parts of the complex
-column vec(X); there is only one state layout.
+column vec(X); there is only one state layout, and this module alone
+knows it: :func:`stack`/:func:`unstack` convert complex128 arrays, and
+:func:`state_from_matrix`/:func:`matrix_from_state` convert split
+matrices through them.
 
-Both models share one real operator, the embedding of
-L(Z) = Z F - A conj(Z).  With U = (F^T kron I_m) and V = (I_n kron A),
+Both models solve, at every step, one operator
+L(Z) = Z F - A conj(Z) for their update direction.  Over the reals it
+is the 2mn x 2mn matrix W with W stack(Z) = stack(L(Z)); with
+U = (F^T kron I_m) and V = (I_n kron A),
 
     W = [[U_re - V_re, -(U_im + V_im)],
          [U_im - V_im,   U_re + V_re ]]
 
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
-
-Two assemblies are provided for a problem at a sample time tau:
-
-* :func:`assemble_dznd1` linearizes the complex-field zeroing dynamics:
-  the relation U vec(Xdot) - V vec(conj(Xdot)) = G becomes W z = b,
-  with b the stacked parts of G = vec(Cdot + Adot conj(X) - X Fdot)
-  minus gamma times the stacked equation error, where a complex gamma
-  multiplies the error in the complex field before the split.
-
-* :func:`assemble_dznd2` embeds the equation itself over the reals:
-  W x = b, plus the same operator built from the derivatives
-  (w_dot, b_dot).
-
-The models differ only in how they form the right-hand drive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import RealMatrix, RealVector, SplitComplexMatrix, conjugate, vec
-from .problems import SylvesterConjugateProblem
+from .linalg import RealMatrix, RealVector, SplitComplexMatrix
 
 
 @dataclass(frozen=True)
@@ -83,61 +72,39 @@ class ComplexGain:
         return f"{self.re!r}{sign}{abs(self.im)!r}i"
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
-    """The real system defining one model's update direction at time tau.
-
-    ``w`` is 2mn x 2mn and ``b`` has length 2mn.  The derivative blocks
-    ``w_dot``/``b_dot`` are populated only by the dznd2 assembly.
-    """
-
-    w: RealMatrix
-    b: RealVector
-    tau: float
-    w_dot: Optional[RealMatrix] = None
-    b_dot: Optional[RealVector] = None
+def stack(z: np.ndarray) -> RealVector:
+    """The state vector [vec(Z_re); vec(Z_im)] of a complex matrix."""
+    z = z.reshape(-1, order="F")
+    return np.concatenate([z.real, z.imag])
 
 
-def state_from_matrix(x: SplitComplexMatrix) -> RealVector:
-    """Stack a split matrix into the solver state layout
-    [vec(X_re); vec(X_im)]."""
-    return np.concatenate(
-        [x.re.reshape(-1, order="F"), x.im.reshape(-1, order="F")]
-    )
-
-
-def matrix_from_state(state: RealVector, m: int, n: int) -> SplitComplexMatrix:
-    """Rebuild the m x n split matrix from a stacked state vector."""
+def unstack(state: RealVector, m: int, n: int) -> np.ndarray:
+    """The complex128 m x n matrix whose state vector is ``state``."""
     state = np.asarray(state, dtype=np.float64)
     mn = m * n
     if state.shape != (2 * mn,):
         raise ShapeError(
             f"state of shape {state.shape} does not match 2mn = {2 * mn}"
         )
-    return SplitComplexMatrix(
-        state[:mn].reshape(m, n, order="F"),
-        state[mn:].reshape(m, n, order="F"),
-    )
+    z = np.empty(mn, dtype=np.complex128)
+    z.real, z.imag = state[:mn], state[mn:]
+    return z.reshape(m, n, order="F")
 
 
-def _checked_coefficients(problem: SylvesterConjugateProblem, tau: float, provider):
-    f, a, c = provider(tau)
-    m, n = problem.m, problem.n
-    if f.shape != (n, n) or a.shape != (m, m) or c.shape != (m, n):
-        raise ShapeError(
-            f"provider returned shapes F{f.shape}, A{a.shape}, C{c.shape}; "
-            f"expected F({n},{n}), A({m},{m}), C({m},{n})"
-        )
-    return f, a, c
+def state_from_matrix(x: SplitComplexMatrix) -> RealVector:
+    """Stack a split matrix into the solver state layout
+    [vec(X_re); vec(X_im)]."""
+    return stack(x.to_complex())
 
 
-def _stack_column(col: SplitComplexMatrix) -> RealVector:
-    return np.concatenate([col.re.ravel(), col.im.ravel()])
+def matrix_from_state(state: RealVector, m: int, n: int) -> SplitComplexMatrix:
+    """Rebuild the m x n split matrix from a stacked state vector."""
+    return SplitComplexMatrix.from_complex(unstack(state, m, n))
 
 
-def real_operator(f: SplitComplexMatrix, a: SplitComplexMatrix) -> RealMatrix:
+def real_operator(f: np.ndarray, a: np.ndarray) -> RealMatrix:
     """The 2mn x 2mn real matrix W of Z -> Z F - A conj(Z) (module
-    docstring), for F n x n and A m x m.
+    docstring), for complex F n x n and A m x m.
 
     Row and column (p, t, s) index part p (0 real, 1 imaginary) of
     vec entry t*m + s.  The F terms, F[t', t] at s = s', are set first;
@@ -145,63 +112,23 @@ def real_operator(f: SplitComplexMatrix, a: SplitComplexMatrix) -> RealMatrix:
     they land, so every entry is the same single sum the Kronecker
     formula computes.
     """
-    n, m = f.rows, a.rows
+    n, m = f.shape[0], a.shape[0]
     w = np.zeros((2, n, m, 2, n, m))
     s_idx, t_idx = np.arange(m), np.arange(n)
     # Advanced indices split by slices index the leading axis: ft[t, t']
     # lands at w[p, t, s, p', t', s] for every s.
-    ft_re, ft_im = f.re.T, f.im.T
+    ft_re, ft_im = f.real.T, f.imag.T
     w[0, :, s_idx, 0, :, s_idx] = ft_re
     w[0, :, s_idx, 1, :, s_idx] = -ft_im
     w[1, :, s_idx, 0, :, s_idx] = ft_im
     w[1, :, s_idx, 1, :, s_idx] = ft_re
     # a[s, s'] lands at w[p, t, s, p', t, s'] for every t.
-    w[0, t_idx, :, 0, t_idx, :] -= a.re
-    w[0, t_idx, :, 1, t_idx, :] -= a.im
-    w[1, t_idx, :, 0, t_idx, :] -= a.im
-    w[1, t_idx, :, 1, t_idx, :] += a.re
+    a_re, a_im = a.real, a.imag
+    w[0, t_idx, :, 0, t_idx, :] -= a_re
+    w[0, t_idx, :, 1, t_idx, :] -= a_im
+    w[1, t_idx, :, 0, t_idx, :] -= a_im
+    w[1, t_idx, :, 1, t_idx, :] += a_re
     return w.reshape(2 * m * n, 2 * m * n)
-
-
-def assemble_dznd1(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    gain: ComplexGain,
-    tau: float,
-) -> AssembledSystem:
-    """Assemble (W, b) for the complex-field model at the pre-step state."""
-    m, n = problem.m, problem.n
-    f, a, c = _checked_coefficients(problem, tau, problem.coefficients)
-    fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
-    x = matrix_from_state(state, m, n)
-
-    w = real_operator(f, a)
-    err = vec(x @ f - a @ conjugate(x) - c)
-    drift = vec(cd + ad @ conjugate(x) - x @ fd)
-    # gamma multiplies the error in the complex field before the split.
-    g_re = drift.re - (gain.re * err.re - gain.im * err.im)
-    g_im = drift.im - (gain.re * err.im + gain.im * err.re)
-    b = np.concatenate([g_re.ravel(), g_im.ravel()])
-    return AssembledSystem(w=w, b=b, tau=tau)
-
-
-def assemble_dznd2(
-    problem: SylvesterConjugateProblem, tau: float
-) -> AssembledSystem:
-    """Assemble (W, b) and their time derivatives for the real-field model.
-
-    Depends only on tau, never on the solver state.
-    """
-    m, n = problem.m, problem.n
-    f, a, c = _checked_coefficients(problem, tau, problem.coefficients)
-    fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
-    return AssembledSystem(
-        w=real_operator(f, a),
-        b=_stack_column(vec(c)),
-        tau=tau,
-        w_dot=real_operator(fd, ad),
-        b_dot=_stack_column(vec(cd)),
-    )
 
 
 # ---------------------------------------------------------------------------

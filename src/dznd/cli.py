@@ -30,6 +30,19 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
 
+def _seed(text: str) -> int:
+    """argparse type for ``--seed``: numpy takes only non-negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--problem", default="example2", choices=sorted(PROBLEMS),
@@ -37,7 +50,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--duration", type=float, default=10.0,
                      help="simulated seconds (default 10)")
-    sub.add_argument("--seed", type=int, default=42,
+    sub.add_argument("--seed", type=_seed, default=42,
                      help="seed for the random initial state (default 42)")
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--divergence-threshold", type=float, default=1e12,
@@ -77,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=_cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run the built-in property checks")
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=_seed, default=0)
     verify_p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -80,7 +80,11 @@ class SplitComplexMatrix:
         return cls(z.real, z.imag)
 
     def to_complex(self) -> npt.NDArray[np.complex128]:
-        return self.re + 1j * self.im
+        # Part by part: re + 1j * im would turn an infinite imaginary
+        # part into a nan real part (0 * inf).
+        z = np.empty(self.shape, dtype=np.complex128)
+        z.real, z.imag = self.re, self.im
+        return z
 
     def __add__(self, other: "SplitComplexMatrix") -> "SplitComplexMatrix":
         if self.shape != other.shape:

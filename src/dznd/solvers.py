@@ -1,13 +1,19 @@
 """Fixed-step trajectory integration for the two solver models.
 
-Both models advance the stacked real state by an explicit one-step
-update x(tau_{k+1}) = x(tau_k) + epsilon * d(tau_k), where d = W^+ g
-solves the shared real operator W against a model-specific drive g:
+Both models drive the equation error E = X F - A conj(X) - C along
+dE/dt = -gamma E.  Each step forms, in complex128,
 
-* dznd1-2i takes g = b from :func:`~dznd.assembly.assemble_dznd1`,
-  where b already folds the gain times the current equation error;
-* dznd2-2i takes g = b_dot - W_dot x - gamma (W x - b) from the
-  state-independent :func:`~dznd.assembly.assemble_dznd2` blocks.
+    E = X F - A conj(X) - C,
+    G = Cdot + Adot conj(X) - X Fdot - gamma E,
+
+solves L(D) = D F - A conj(D) = G for the direction D through the real
+operator W of :func:`~dznd.assembly.real_operator`, and updates the
+stacked real state as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
+
+Written over the reals, dznd2-2i's drive b_dot - W_dot x - gamma (W x - b)
+is the same G, so the two models take the same step; they differ only
+in the gains they admit: dznd1-2i also takes a complex gain, which
+multiplies E in the complex field, and dznd2-2i only a real one.
 
 Each solve goes through :func:`~dznd.linalg.pinv_solve`: the inverse of
 W whenever its condition number proves the pseudo-inverse would cut no
@@ -15,10 +21,11 @@ singular value, and the SVD pseudo-inverse otherwise.  A run counts the
 steps that needed the latter.
 
 A run records, at every sample time, the state together with the
-equation residual ||X F - A conj(X) - C||_F and the solution error
-||X - X*||_F (nan when the problem has no known solution), and stops
-early when the state goes non-finite or the residual passes the
-divergence threshold.
+equation residual ||E||_F and the solution error ||X - X*||_F (nan when
+the problem has no known solution), and stops early when the state goes
+non-finite or the residual passes the divergence threshold.  The
+coefficients are evaluated once per record: the E behind the residual
+is the E of the drive.
 """
 
 from __future__ import annotations
@@ -32,19 +39,14 @@ import numpy as np
 
 from .assembly import (
     ComplexGain,
-    assemble_dznd1,
-    assemble_dznd2,
-    matrix_from_state,
+    real_operator,
+    stack,
     state_from_matrix,
+    unstack,
 )
 from .errors import CapabilityError, ConfigError, ShapeError
-from .linalg import RealMatrix, RealVector, pinv_solve
-from .problems import (
-    InitialState,
-    SylvesterConjugateProblem,
-    equation_residual,
-    solution_error,
-)
+from .linalg import RealVector, pinv_solve
+from .problems import InitialState, SylvesterConjugateProblem
 
 
 class Model(enum.Enum):
@@ -165,50 +167,45 @@ def scalar_error_modulus(gamma: ComplexGain, epsilon: float) -> float:
     return math.hypot(1.0 - epsilon * gamma.re, epsilon * gamma.im)
 
 
-def _drive_dznd1(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    gamma: ComplexGain,
-    tau: float,
-) -> tuple[RealMatrix, RealVector]:
-    system = assemble_dznd1(problem, state, gamma, tau)
-    return system.w, system.b
-
-
-def _drive_dznd2(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    gamma: ComplexGain,
-    tau: float,
-) -> tuple[RealMatrix, RealVector]:
-    if not gamma.is_real:
-        raise CapabilityError(
-            f"model dznd2-2i is defined for real gains only, got {gamma}"
+def _checked_coefficients(problem: SylvesterConjugateProblem, tau: float, provider):
+    """``provider(tau)`` as three complex128 arrays, after checking the
+    shapes of F, A and C against the problem."""
+    f, a, c = provider(tau)
+    m, n = problem.m, problem.n
+    if f.shape != (n, n) or a.shape != (m, m) or c.shape != (m, n):
+        raise ShapeError(
+            f"provider returned shapes F{f.shape}, A{a.shape}, C{c.shape}; "
+            f"expected F({n},{n}), A({m},{m}), C({m},{n})"
         )
-    system = assemble_dznd2(problem, tau)
-    drive = (
-        system.b_dot
-        - system.w_dot @ state
-        - gamma.re * (system.w @ state - system.b)
-    )
-    return system.w, drive
+    return f.to_complex(), a.to_complex(), c.to_complex()
 
 
-_DRIVES = {Model.DZND1_2I: _drive_dznd1, Model.DZND2_2I: _drive_dznd2}
+def _equation_error(
+    problem: SylvesterConjugateProblem, state: RealVector, tau: float
+):
+    """(X, F, A, E) at ``state`` and ``tau``, with E = X F - A conj(X) - C."""
+    x = unstack(state, problem.m, problem.n)
+    f, a, c = _checked_coefficients(problem, tau, problem.coefficients)
+    return x, f, a, x @ f - a @ np.conj(x) - c
 
 
 def _step(
-    model: Model,
     problem: SylvesterConjugateProblem,
     state: RealVector,
-    gamma: ComplexGain,
+    error,
+    gamma: complex,
     tau: float,
     epsilon: float,
     pinv_tolerance: Optional[float],
 ) -> tuple[RealVector, bool]:
-    """One update of ``model``, and whether its solve fell back to pinv."""
-    w, drive = _DRIVES[model](problem, state, gamma, tau)
-    direction, fell_back = pinv_solve(w, drive, pinv_tolerance)
+    """One update from ``state``, whose :func:`_equation_error` is
+    ``error``, and whether its solve fell back to pinv."""
+    x, f, a, e = error
+    fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
+    drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
+    direction, fell_back = pinv_solve(
+        real_operator(f, a), stack(drive), pinv_tolerance
+    )
     return state + epsilon * direction, fell_back
 
 
@@ -221,8 +218,10 @@ def step_dznd1(
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
     """One update of the complex-field model from the pre-step state."""
+    error = _equation_error(problem, state, tau)
     return _step(
-        Model.DZND1_2I, problem, state, gamma, tau, epsilon, pinv_tolerance
+        problem, state, error, complex(gamma.re, gamma.im), tau, epsilon,
+        pinv_tolerance,
     )[0]
 
 
@@ -234,10 +233,24 @@ def step_dznd2(
     epsilon: float,
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
-    """One update of the real-field model from the pre-step state."""
-    return _step(
-        Model.DZND2_2I, problem, state, gamma, tau, epsilon, pinv_tolerance
-    )[0]
+    """One update of the real-field model from the pre-step state: the
+    dznd1-2i update, for real gains only."""
+    if not gamma.is_real:
+        raise CapabilityError(
+            f"model dznd2-2i is defined for real gains only, got {gamma}"
+        )
+    return step_dznd1(problem, state, gamma, tau, epsilon, pinv_tolerance)
+
+
+def _solution_error(problem: SylvesterConjugateProblem, x, tau: float) -> float:
+    """||X - X*(tau)||_F, after checking the shape of X*."""
+    exact = problem.theoretical_solution(tau)
+    if exact.shape != x.shape:
+        raise ShapeError(
+            f"theoretical solution shape {exact.shape} does not match "
+            f"problem dimensions {x.shape}"
+        )
+    return float(np.linalg.norm(x - exact.to_complex()))
 
 
 def run(
@@ -261,6 +274,7 @@ def run(
     k_total = config.step_count
 
     state = state_from_matrix(initial.x0)
+    gamma = complex(config.gamma.re, config.gamma.im)
     steps, taus, states = [], [], []
     eq_residuals, sol_errors, finite_flags = [], [], []
     outcome = Outcome.COMPLETED
@@ -269,9 +283,10 @@ def run(
 
     for k in range(k_total + 1):
         tau = k * config.epsilon
-        x = matrix_from_state(state, problem.m, problem.n)
-        eq = equation_residual(problem, x, tau)
-        sol = solution_error(problem, x, tau) if has_solution else math.nan
+        error = _equation_error(problem, state, tau)
+        x, _, _, e = error
+        eq = float(np.linalg.norm(e))
+        sol = _solution_error(problem, x, tau) if has_solution else math.nan
         finite = bool(np.isfinite(state).all() and np.isfinite(eq))
 
         steps.append(k)
@@ -288,7 +303,7 @@ def run(
         if k == k_total:
             break
         state, fell_back = _step(
-            config.model, problem, state, config.gamma, tau, config.epsilon,
+            problem, state, error, gamma, tau, config.epsilon,
             config.pinv_tolerance,
         )
         fallback_steps += fell_back

@@ -3,23 +3,24 @@ import pytest
 
 from dznd import (
     ComplexGain,
+    Model,
     ShapeError,
+    SolverConfig,
     SplitComplexMatrix,
-    assemble_dznd1,
-    assemble_dznd2,
     characteristic_roots,
-    conjugate,
     euler_forward_characteristic,
-    example1,
     example2,
     is_zero_stable,
     matrix_from_state,
+    run,
     state_from_matrix,
+    step_dznd1,
+    step_dznd2,
     vec,
     zero_stability_roots,
 )
-from dznd.assembly import real_operator
-from dznd.problems import SylvesterConjugateProblem
+from dznd.assembly import real_operator, stack, unstack
+from dznd.problems import InitialState, SylvesterConjugateProblem
 from helpers import make_trig_problem, random_split
 
 
@@ -84,142 +85,24 @@ class TestStateLayout:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             matrix_from_state(np.zeros(10), 3, 2)
+        with pytest.raises(ShapeError):
+            unstack(np.zeros(10), 3, 2)
 
-
-def _complex_gamma_times(gain, e):
-    return complex(gain.re, gain.im) * e
-
-
-class TestAssembleDznd1:
-    def test_dimensions_on_example1(self):
-        p = example1()
-        state = state_from_matrix(p.theoretical_solution(0.0))
-        system = assemble_dznd1(p, state, ComplexGain(10.0), 0.0)
-        assert system.w.shape == (12, 12)
-        assert system.b.shape == (12,)
-        assert system.w_dot is None and system.b_dot is None
-
-    def test_rhs_vanishes_at_fixed_point_of_constant_problem(self):
-        p = example1()
-        state = state_from_matrix(p.theoretical_solution(0.0))
-        system = assemble_dznd1(p, state, ComplexGain(10.0), 0.0)
-        assert np.abs(system.b).max() <= 1e-12
-
-    @pytest.mark.parametrize("gamma", [ComplexGain(10.0), ComplexGain(10.0, 20.0)])
-    @pytest.mark.parametrize("factory,seed", [
-        (example2, 0),
-        (lambda: make_trig_problem(2, 3, 7), 1),
-        (lambda: make_trig_problem(3, 3, 8), 2),
-        (lambda: make_trig_problem(1, 2, 9), 3),
-    ])
-    def test_matches_direct_complex_dynamics(self, gamma, factory, seed):
-        # For any candidate derivative V: W*stack(V) - b must equal the
-        # stacked parts of  V F - A conj(V) - (Cdot + Adot conj(X) - X Fdot)
-        #                   + gamma (X F - A conj(X) - C)
-        # evaluated with plain complex arithmetic.
-        problem = factory()
-        tau = 0.5
-        rng = np.random.default_rng(seed)
-        x = random_split(rng, problem.m, problem.n, scale=2.0)
-        xdot = random_split(rng, problem.m, problem.n, scale=2.0)
-        system = assemble_dznd1(problem, state_from_matrix(x), gamma, tau)
-        lhs = system.w @ state_from_matrix(xdot) - system.b
-
-        f, a, c = (m.to_complex() for m in problem.coefficients(tau))
-        fd, ad, cd = (m.to_complex() for m in problem.derivatives(tau))
-        xc, vc = x.to_complex(), xdot.to_complex()
-        direct = (
-            vc @ f
-            - a @ np.conj(vc)
-            - (cd + ad @ np.conj(xc) - xc @ fd)
-            + _complex_gamma_times(gamma, xc @ f - a @ np.conj(xc) - c)
-        ).flatten(order="F")
-        stacked = np.concatenate([direct.real, direct.imag])
-        assert np.abs(lhs - stacked).max() <= 1e-10
-
-    def test_real_gain_matches_scalar_reference_exactly(self):
-        problem = example2()
-        rng = np.random.default_rng(4)
-        x = random_split(rng, 2, 2)
-        tau = 1.25
-        system = assemble_dznd1(problem, state_from_matrix(x), ComplexGain(10.0), tau)
-
-        f, a, c = problem.coefficients(tau)
-        fd, ad, cd = problem.derivatives(tau)
-        err = vec(x @ f - a @ conjugate(x) - c)
-        drift = vec(cd + ad @ conjugate(x) - x @ fd)
-        reference = np.concatenate(
-            [(drift.re - 10.0 * err.re).ravel(), (drift.im - 10.0 * err.im).ravel()]
+    def test_complex_pair_matches_split_pair(self):
+        rng = np.random.default_rng(2)
+        x = random_split(rng, 3, 2)
+        np.testing.assert_array_equal(stack(x.to_complex()), state_from_matrix(x))
+        np.testing.assert_array_equal(
+            unstack(state_from_matrix(x), 3, 2), x.to_complex()
         )
-        np.testing.assert_array_equal(system.b, reference)
 
-    def test_provider_shape_mismatch(self):
-        p = example2()
-        broken = SylvesterConjugateProblem(
-            m=3, n=3, coefficients=p.coefficients, derivatives=p.derivatives
-        )
-        with pytest.raises(ShapeError, match="expected"):
-            assemble_dznd1(broken, np.zeros(18), ComplexGain(10.0), 0.0)
-
-
-class TestAssembleDznd2:
-    @pytest.mark.parametrize("tau", [0.0, 3.0, 10.0])
-    def test_exact_solution_solves_the_real_system(self, tau):
-        p = example2()
-        system = assemble_dznd2(p, tau)
-        x = state_from_matrix(p.theoretical_solution(tau))
-        assert np.abs(system.w @ x - system.b).max() <= 1e-10
-
-    def test_constant_problem_has_zero_derivative_blocks(self):
-        system = assemble_dznd2(example1(), 2.0)
-        np.testing.assert_array_equal(system.w_dot, np.zeros((12, 12)))
-        np.testing.assert_array_equal(system.b_dot, np.zeros(12))
-
-    def test_derivative_blocks_match_finite_differences(self):
-        p = example2()
-        tau, h = 1.0, 1e-6
-        system = assemble_dznd2(p, tau)
-        lo = assemble_dznd2(p, tau - h)
-        hi = assemble_dznd2(p, tau + h)
-        assert np.abs((hi.w - lo.w) / (2 * h) - system.w_dot).max() <= 1e-5
-        assert np.abs((hi.b - lo.b) / (2 * h) - system.b_dot).max() <= 1e-5
-
-    @pytest.mark.parametrize("factory,seed", [
-        (example2, 0),
-        (lambda: make_trig_problem(2, 3, 17), 1),
-        (lambda: make_trig_problem(3, 3, 18), 2),
-        (lambda: make_trig_problem(3, 1, 19), 3),
-    ])
-    def test_residual_matches_direct_complex_arithmetic(self, factory, seed):
-        problem = factory()
-        tau = 0.75
-        rng = np.random.default_rng(seed)
-        x = random_split(rng, problem.m, problem.n, scale=3.0)
-        system = assemble_dznd2(problem, tau)
-        lhs = system.w @ state_from_matrix(x) - system.b
-
-        f, a, c = (m.to_complex() for m in problem.coefficients(tau))
-        direct = (x.to_complex() @ f - a @ np.conj(x.to_complex()) - c).flatten(
-            order="F"
-        )
-        stacked = np.concatenate([direct.real, direct.imag])
-        assert np.abs(lhs - stacked).max() <= 1e-10
-
-    def test_depends_only_on_tau(self):
-        p = example2()
-        first = assemble_dznd2(p, 1.5)
-        second = assemble_dznd2(p, 1.5)
-        np.testing.assert_array_equal(first.w, second.w)
-        np.testing.assert_array_equal(first.b, second.b)
-        np.testing.assert_array_equal(first.w_dot, second.w_dot)
-
-    def test_same_w_as_dznd1_assembly(self):
-        # Both embeddings realize the same real operator.
-        p = example2()
-        state = np.zeros(8)
-        w1 = assemble_dznd1(p, state, ComplexGain(10.0), 2.0).w
-        w2 = assemble_dznd2(p, 2.0).w
-        np.testing.assert_allclose(w1, w2, atol=1e-14)
+    def test_non_finite_parts_stay_in_place(self):
+        x = SplitComplexMatrix([[np.inf, 1.0]], [[2.0, -np.inf]])
+        state = state_from_matrix(x)
+        np.testing.assert_array_equal(state, [np.inf, 1.0, 2.0, -np.inf])
+        back = matrix_from_state(state, 1, 2)
+        np.testing.assert_array_equal(back.re, x.re)
+        np.testing.assert_array_equal(back.im, x.im)
 
 
 def _kron_operator(f, a):
@@ -237,7 +120,83 @@ class TestRealOperator:
     def test_equals_kronecker_formula(self, m, n):
         rng = np.random.default_rng(10 * m + n)
         f, a = random_split(rng, n, n), random_split(rng, m, m)
-        np.testing.assert_array_equal(real_operator(f, a), _kron_operator(f, a))
+        np.testing.assert_array_equal(
+            real_operator(f.to_complex(), a.to_complex()), _kron_operator(f, a)
+        )
+
+    @pytest.mark.parametrize("tau", [0.0, 3.0, 10.0])
+    def test_exact_solution_solves_the_real_system(self, tau):
+        p = example2()
+        f, a, c = (m.to_complex() for m in p.coefficients(tau))
+        x_star = p.theoretical_solution(tau).to_complex()
+        assert np.abs(real_operator(f, a) @ stack(x_star) - stack(c)).max() <= 1e-10
+
+
+_STEP_CASES = [
+    (example2, 0),
+    (lambda: make_trig_problem(2, 3, 7), 1),
+    (lambda: make_trig_problem(3, 3, 8), 2),
+    (lambda: make_trig_problem(1, 2, 9), 3),
+]
+
+
+class TestStepOracle:
+    """Each stepper against x + epsilon * solve(W, g) with W from the
+    Kronecker formula and g from the model's own defining formula."""
+
+    tau, epsilon = 0.5, 0.01
+
+    @pytest.mark.parametrize("gamma", [ComplexGain(10.0), ComplexGain(10.0, 20.0)])
+    @pytest.mark.parametrize("factory,seed", _STEP_CASES)
+    def test_dznd1_complex_field_drive(self, gamma, factory, seed):
+        # g stacks Cdot + Adot conj(X) - X Fdot - gamma (X F - A conj(X) - C),
+        # with gamma multiplying the error in the complex field.
+        problem = factory()
+        rng = np.random.default_rng(seed)
+        x = random_split(rng, problem.m, problem.n, scale=2.0)
+        f, a, c = problem.coefficients(self.tau)
+        fd, ad, cd = (m.to_complex() for m in problem.derivatives(self.tau))
+        xc = x.to_complex()
+        g = (
+            cd + ad @ np.conj(xc) - xc @ fd
+            - complex(gamma.re, gamma.im)
+            * (xc @ f.to_complex() - a.to_complex() @ np.conj(xc) - c.to_complex())
+        ).flatten(order="F")
+        direction = np.linalg.solve(
+            _kron_operator(f, a), np.concatenate([g.real, g.imag])
+        )
+        expected = state_from_matrix(x) + self.epsilon * direction
+        got = step_dznd1(problem, state_from_matrix(x), gamma, self.tau, self.epsilon)
+        assert np.abs(got - expected).max() <= 1e-10
+
+    @pytest.mark.parametrize("factory,seed", _STEP_CASES)
+    def test_dznd2_real_field_drive(self, factory, seed):
+        # g = b_dot - W_dot x - gamma (W x - b), the equation embedded over
+        # the reals (W x = b) and differentiated in time.
+        problem = factory()
+        gamma = ComplexGain(10.0)
+        rng = np.random.default_rng(seed)
+        x = random_split(rng, problem.m, problem.n, scale=2.0)
+        f, a, c = problem.coefficients(self.tau)
+        fd, ad, cd = problem.derivatives(self.tau)
+        w, w_dot = _kron_operator(f, a), _kron_operator(fd, ad)
+        b, b_dot = state_from_matrix(c), state_from_matrix(cd)
+        state = state_from_matrix(x)
+        g = b_dot - w_dot @ state - gamma.re * (w @ state - b)
+        expected = state + self.epsilon * np.linalg.solve(w, g)
+        got = step_dznd2(problem, state, gamma, self.tau, self.epsilon)
+        assert np.abs(got - expected).max() <= 1e-10
+
+
+def test_provider_shape_mismatch_raises_through_run():
+    p = example2()
+    broken = SylvesterConjugateProblem(
+        m=3, n=3, coefficients=p.coefficients, derivatives=p.derivatives
+    )
+    initial = InitialState(x0=random_split(np.random.default_rng(0), 3, 3), seed=0)
+    config = SolverConfig(model=Model.DZND1_2I, gamma=ComplexGain(10.0), epsilon=0.1)
+    with pytest.raises(ShapeError, match="expected"):
+        run(broken, config, initial)
 
 
 class TestZeroStability:

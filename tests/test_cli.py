@@ -131,6 +131,7 @@ class TestSweepCommand:
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("flag,value", [
     ("--duration", "inf"), ("--gamma", "1e400"), ("--pinv-tolerance", "nan"),
+    ("--seed", "-1"),
 ])
 def test_non_finite_input_is_usage_error(tmp_path, capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -140,6 +141,12 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, command, flag, value)
 
 
 class TestVerifyCommand:
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_fresh_checkout_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from dznd import (
     ConfigError,
     Model,
     Outcome,
+    ShapeError,
     SolverConfig,
     SplitComplexMatrix,
     SylvesterConjugateProblem,
@@ -23,6 +25,7 @@ from dznd import (
     random_initial_state,
     run,
     scalar_error_modulus,
+    solution_error,
     state_from_matrix,
     step_dznd1,
     step_dznd2,
@@ -253,6 +256,53 @@ class TestRun:
             tails[model] = tail_max_solution_error(trajectory, 5.0)
         ratio = tails[Model.DZND1_2I] / tails[Model.DZND2_2I]
         assert 0.1 <= ratio <= 10.0
+
+
+class TestRecordLoop:
+    """One coefficient evaluation per record, one derivative evaluation
+    per step, and records equal to the public residual functions."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_providers_are_called_once_per_record_or_step(self, model):
+        p = example2()
+        calls = {"coefficients": 0, "derivatives": 0, "theoretical_solution": 0}
+
+        def counting(name):
+            def provider(tau):
+                calls[name] += 1
+                return getattr(p, name)(tau)
+            return provider
+
+        counted = dataclasses.replace(p, **{name: counting(name) for name in calls})
+        trajectory = run(counted, _config(model=model, epsilon=0.1),
+                         random_initial_state(p, 42))
+        records = len(trajectory)
+        assert records == 101
+        assert calls == {"coefficients": records, "derivatives": records - 1,
+                         "theoretical_solution": records}
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_records_match_public_residuals(self, model):
+        p = example2()
+        trajectory = run(p, _config(model=model, epsilon=0.01),
+                         random_initial_state(p, 42))
+        for state, tau, eq, sol in zip(trajectory.states, trajectory.taus,
+                                       trajectory.equation_residuals,
+                                       trajectory.solution_errors):
+            x = matrix_from_state(state, p.m, p.n)
+            assert eq == pytest.approx(equation_residual(p, x, tau), rel=1e-12)
+            assert sol == pytest.approx(solution_error(p, x, tau), rel=1e-12)
+
+    def test_wrong_solution_shape_is_rejected(self):
+        # Without the check, numpy broadcasting would accept a 1 x n solution.
+        p = example2()
+        broken = dataclasses.replace(
+            p, theoretical_solution=lambda tau: SplitComplexMatrix.from_real(
+                np.zeros((1, 2))
+            ),
+        )
+        with pytest.raises(ShapeError, match="theoretical solution shape"):
+            run(broken, _config(), random_initial_state(p, 42))
 
 
 class TestSolvePath:
