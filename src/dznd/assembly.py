@@ -18,17 +18,37 @@ U = (F^T kron I_m) and V = (I_n kron A),
 
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
+
+:func:`solve_operator` solves L(D) = G.  From mn =
+:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up it first tries the
+Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to both sides
+gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig,
+SIAM J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
+O(m^3 + n^3) instead of the O((mn)^3) of a dense solve with W.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import RealMatrix, RealVector, SplitComplexMatrix
+from .linalg import (
+    RealMatrix,
+    RealVector,
+    SplitComplexMatrix,
+    pinv_solve,
+    singular_value_cutoff,
+)
+
+# The number of unknowns mn from which the structured solve is tried;
+# below it the dense solve with W is faster (see solve_operator).
+STRUCTURED_SOLVE_MIN_UNKNOWNS = 32
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -129,6 +149,80 @@ def real_operator(f: np.ndarray, a: np.ndarray) -> RealMatrix:
     w[1, t_idx, :, 0, t_idx, :] -= a_im
     w[1, t_idx, :, 1, t_idx, :] += a_re
     return w.reshape(2 * m * n, 2 * m * n)
+
+
+class SolvePath(enum.Enum):
+    """How :func:`solve_operator` obtained a direction."""
+
+    STRUCTURED = "structured"  # the eigendecomposed Sylvester form
+    INVERSE = "inverse"  # the certified inverse of W
+    PINV = "pinv"  # the SVD pseudo-inverse of W
+
+
+def solve_operator(
+    f: np.ndarray, a: np.ndarray, g: np.ndarray, tolerance: float | None = None
+) -> tuple[RealVector, SolvePath]:
+    """``pinv(W, tolerance) @ stack(G)`` for W = ``real_operator(F, A)``,
+    i.e. stack(D) with D F - A conj(D) = G, and the path that gave it.
+
+    With at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns and
+    finite input, :func:`_sylvester_solve` is tried first.  Otherwise, or
+    when it cannot certify or check its answer, the result is
+    :func:`~dznd.linalg.pinv_solve`'s on W, unchanged; that path raises
+    :class:`~dznd.errors.NumericError` for non-finite F or A.
+    """
+    if (
+        g.size >= STRUCTURED_SOLVE_MIN_UNKNOWNS
+        and np.isfinite(f).all()
+        and np.isfinite(a).all()
+        and np.isfinite(g).all()
+    ):
+        cutoff = singular_value_cutoff(tolerance, 2 * g.size)
+        d = _sylvester_solve(f, a, g, cutoff)
+        if d is not None:
+            return stack(d), SolvePath.STRUCTURED
+    direction, fell_back = pinv_solve(real_operator(f, a), stack(g), tolerance)
+    return direction, SolvePath.PINV if fell_back else SolvePath.INVERSE
+
+
+def _sylvester_solve(
+    f: np.ndarray, a: np.ndarray, g: np.ndarray, cutoff: float
+) -> np.ndarray | None:
+    """D with D F - A conj(D) = G from the Sylvester form
+    D P - Q D = T(G), P = F conj F, Q = A conj A (module docstring), or
+    None when the answer cannot be certified and checked.
+
+    With P = V diag(lam) V^-1 and Q = U diag(mu) U^-1,
+    D = U [(U^-1 T(G) V) / (lam_j - mu_i)] V^-1.  Since ||L|| <= s and
+    ||L^-1|| <= s kF(U) kF(V) / min|lam_j - mu_i|, with s = ||F||_F +
+    ||A||_F and kF(U) = ||U||_F ||U^-1||_F, the test
+    s^2 kF(U) kF(V) / min|lam_j - mu_i| * cutoff < 1/2 bounds kappa_2(W)
+    as :func:`~dznd.linalg.pinv_solve`'s certificate does: pinv would cut
+    no singular value and equals the inverse.  The answer must then pass
+    the backward-error check ||D F - A conj(D) - G||_F <=
+    eps * 2mn * (s ||D||_F + ||G||_F), whatever the cutoff.
+    """
+    try:
+        lam, v = np.linalg.eig(f @ np.conj(f))
+        mu, u = np.linalg.eig(a @ np.conj(a))
+        v_inv, u_inv = np.linalg.inv(v), np.linalg.inv(u)
+    except np.linalg.LinAlgError:
+        return None
+    gaps = lam - mu[:, None]
+    s = float(np.linalg.norm(f)) + float(np.linalg.norm(a))
+    # Python floats: an overflow reads inf and inf * 0 reads nan; neither
+    # passes the test, and a zero gap fails it before any division.
+    bound = s * s * cutoff
+    for factor in (u, u_inv, v, v_inv):
+        bound *= float(np.linalg.norm(factor))
+    if not bound < 0.5 * float(np.abs(gaps).min()):
+        return None
+    d = u @ ((u_inv @ (g @ np.conj(f) + a @ np.conj(g)) @ v) / gaps) @ v_inv
+    residual = float(np.linalg.norm(d @ f - a @ np.conj(d) - g))
+    scale = s * float(np.linalg.norm(d)) + float(np.linalg.norm(g))
+    if not residual <= _EPS * 2 * g.size * scale:
+        return None
+    return d
 
 
 # ---------------------------------------------------------------------------

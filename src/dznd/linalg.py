@@ -179,16 +179,24 @@ def frobenius_norm(m: SplitComplexMatrix) -> float:
     return float(np.sqrt(np.sum(m.re * m.re) + np.sum(m.im * m.im)))
 
 
+def singular_value_cutoff(tolerance: float | None, size: int) -> float:
+    """The relative singular-value cutoff :func:`pinv` applies to a matrix
+    whose larger dimension is ``size``: ``tolerance``, or by default
+    ``eps * size``."""
+    if tolerance is None:
+        return float(np.finfo(np.float64).eps) * size
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    return tolerance
+
+
 def _checked_pinv_input(w, tolerance: float | None) -> tuple[RealMatrix, float]:
     """``w`` as a finite 2-D float64 matrix and the relative singular-value
     cutoff that :func:`pinv` applies to it."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError(f"pinv expects a 2-D matrix, got ndim={w.ndim}")
-    if tolerance is None:
-        tolerance = float(np.finfo(np.float64).eps) * max(w.shape)
-    elif tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    tolerance = singular_value_cutoff(tolerance, max(w.shape))
     if not np.isfinite(w).all():
         raise NumericError(
             f"cannot factor a {w.shape[0]}x{w.shape[1]} matrix with "

@@ -83,6 +83,7 @@ def write_run_summary(
         f"k: {config.step_count}",
         f"records: {len(trajectory)}",
         f"pinv_fallback_steps: {trajectory.pinv_fallback_steps}",
+        f"structured_solve_steps: {trajectory.structured_solve_steps}",
         f"epsilon: {_fmt(config.epsilon)}",
         f"gamma: {config.gamma}",
         f"seed: {seed}",

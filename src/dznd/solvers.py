@@ -6,19 +6,21 @@ dE/dt = -gamma E.  Each step forms, in complex128,
     E = X F - A conj(X) - C,
     G = Cdot + Adot conj(X) - X Fdot - gamma E,
 
-solves L(D) = D F - A conj(D) = G for the direction D through the real
-operator W of :func:`~dznd.assembly.real_operator`, and updates the
-stacked real state as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
+solves L(D) = D F - A conj(D) = G for the direction D with
+:func:`~dznd.assembly.solve_operator`, and updates the stacked real state
+as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
 
 Written over the reals, dznd2-2i's drive b_dot - W_dot x - gamma (W x - b)
 is the same G, so the two models take the same step; they differ only
 in the gains they admit: dznd1-2i also takes a complex gain, which
 multiplies E in the complex field, and dznd2-2i only a real one.
 
-Each solve goes through :func:`~dznd.linalg.pinv_solve`: the inverse of
-W whenever its condition number proves the pseudo-inverse would cut no
-singular value, and the SVD pseudo-inverse otherwise.  A run counts the
-steps that needed the latter.
+Each solve equals pinv(W) stack(G) for the 2mn x 2mn real form W of L.
+Above a size crossover it comes, when certified and checked, from the
+O(m^3 + n^3) Sylvester form of L; otherwise from the inverse of W
+whenever its condition number proves the pseudo-inverse would cut no
+singular value, and from the SVD pseudo-inverse when not.  A run counts
+the steps that took the first path and those that needed the last.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
@@ -39,13 +41,13 @@ import numpy as np
 
 from .assembly import (
     ComplexGain,
-    real_operator,
-    stack,
+    SolvePath,
+    solve_operator,
     state_from_matrix,
     unstack,
 )
 from .errors import CapabilityError, ConfigError, ShapeError
-from .linalg import RealVector, pinv_solve
+from .linalg import RealVector
 from .problems import InitialState, SylvesterConjugateProblem
 
 
@@ -69,6 +71,10 @@ class Outcome(enum.Enum):
 
 # Relative slack when deciding whether duration/epsilon is an integer.
 _STEP_COUNT_SLACK = 1e-9
+# A run keeps every record in memory, about 0.5 kB each for a 2x2
+# problem while it runs, so past 10^7 records (some 5 GB) a run is
+# refused rather than left to exhaust memory.
+MAX_STEP_COUNT = 10**7
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,11 @@ class SolverConfig:
             raise ConfigError(
                 f"duration/epsilon = {ratio!r} is not an integral step count"
             )
+        if k > MAX_STEP_COUNT:
+            raise ConfigError(
+                f"duration/epsilon = {k} steps exceeds the step count limit "
+                f"{MAX_STEP_COUNT}"
+            )
         if self.model is Model.DZND2_2I and not self.gamma.is_real:
             raise ConfigError(
                 f"model {self.model.value} requires a real gain, got {self.gamma}"
@@ -127,8 +138,9 @@ class Trajectory:
     Record i holds step index ``steps[i]``, sample time ``taus[i]``
     (= steps[i] * epsilon), the stacked state ``states[i]``, both
     residuals, and whether everything was still finite.
-    ``pinv_fallback_steps`` counts the steps whose solve needed the SVD
-    pseudo-inverse because the inverse of W could not be certified.
+    ``structured_solve_steps`` counts the steps solved through the
+    Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
+    the SVD pseudo-inverse because no other path could be certified.
     """
 
     steps: np.ndarray
@@ -140,6 +152,7 @@ class Trajectory:
     outcome: Outcome
     diverged_at: Optional[int] = None
     pinv_fallback_steps: int = 0
+    structured_solve_steps: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -197,16 +210,14 @@ def _step(
     tau: float,
     epsilon: float,
     pinv_tolerance: Optional[float],
-) -> tuple[RealVector, bool]:
+) -> tuple[RealVector, SolvePath]:
     """One update from ``state``, whose :func:`_equation_error` is
-    ``error``, and whether its solve fell back to pinv."""
+    ``error``, and the path its solve took."""
     x, f, a, e = error
     fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
     drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
-    direction, fell_back = pinv_solve(
-        real_operator(f, a), stack(drive), pinv_tolerance
-    )
-    return state + epsilon * direction, fell_back
+    direction, path = solve_operator(f, a, drive, pinv_tolerance)
+    return state + epsilon * direction, path
 
 
 def step_dznd1(
@@ -279,7 +290,7 @@ def run(
     eq_residuals, sol_errors, finite_flags = [], [], []
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
-    fallback_steps = 0
+    paths = dict.fromkeys(SolvePath, 0)
 
     for k in range(k_total + 1):
         tau = k * config.epsilon
@@ -302,11 +313,11 @@ def run(
             break
         if k == k_total:
             break
-        state, fell_back = _step(
+        state, path = _step(
             problem, state, error, gamma, tau, config.epsilon,
             config.pinv_tolerance,
         )
-        fallback_steps += fell_back
+        paths[path] += 1
 
     return Trajectory(
         steps=np.array(steps, dtype=np.int64),
@@ -317,5 +328,6 @@ def run(
         finite=np.array(finite_flags, dtype=bool),
         outcome=outcome,
         diverged_at=diverged_at,
-        pinv_fallback_steps=fallback_steps,
+        pinv_fallback_steps=paths[SolvePath.PINV],
+        structured_solve_steps=paths[SolvePath.STRUCTURED],
     )

@@ -42,7 +42,28 @@ def make_trig_problem(m: int, n: int, seed: int) -> SylvesterConjugateProblem:
     base = {key: random_split(rng, *shape) for key, shape in
             {"f0": (n, n), "f1": (n, n), "a0": (m, m), "a1": (m, m),
              "c0": (m, n), "c1": (m, n)}.items()}
+    return _trig_problem(base, m, n, f"trig-{m}x{n}-{seed}")
 
+
+def make_shifted_trig_problem(m: int, n: int, seed: int) -> SylvesterConjugateProblem:
+    """The benchmark's kind of trig problem: F0 carries a shift of 3 I and
+    the random parts of F and A are scaled by 1/sqrt(2 dim), which keeps
+    the spectra of F conj(F) and A conj(A) apart."""
+    rng = np.random.default_rng(seed)
+    sf, sa = 1.0 / np.sqrt(2 * n), 1.0 / np.sqrt(2 * m)
+    f0 = random_split(rng, n, n, sf)
+    base = {
+        "f0": SplitComplexMatrix(f0.re + 3.0 * np.eye(n), f0.im),
+        "f1": random_split(rng, n, n, 0.5 * sf),
+        "a0": random_split(rng, m, m, sa),
+        "a1": random_split(rng, m, m, 0.5 * sa),
+        "c0": random_split(rng, m, n),
+        "c1": random_split(rng, m, n),
+    }
+    return _trig_problem(base, m, n, f"shifted-trig-{m}x{n}-{seed}")
+
+
+def _trig_problem(base: dict, m: int, n: int, label: str) -> SylvesterConjugateProblem:
     def lincomb(m0, m1, w):
         return SplitComplexMatrix(m0.re + w * m1.re, m0.im + w * m1.im)
 
@@ -67,5 +88,5 @@ def make_trig_problem(m: int, n: int, seed: int) -> SylvesterConjugateProblem:
 
     return SylvesterConjugateProblem(
         m=m, n=n, coefficients=coefficients, derivatives=derivatives,
-        label=f"trig-{m}x{n}-{seed}",
+        label=label,
     )

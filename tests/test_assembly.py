@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dznd import (
     ComplexGain,
     Model,
+    NumericError,
     ShapeError,
     SolverConfig,
     SplitComplexMatrix,
@@ -19,9 +22,10 @@ from dznd import (
     vec,
     zero_stability_roots,
 )
-from dznd.assembly import real_operator, stack, unstack
+from dznd.assembly import SolvePath, real_operator, solve_operator, stack, unstack
+from dznd.linalg import pinv_solve
 from dznd.problems import InitialState, SylvesterConjugateProblem
-from helpers import make_trig_problem, random_split
+from helpers import make_shifted_trig_problem, make_trig_problem, random_split
 
 
 class TestComplexGain:
@@ -130,6 +134,56 @@ class TestRealOperator:
         f, a, c = (m.to_complex() for m in p.coefficients(tau))
         x_star = p.theoretical_solution(tau).to_complex()
         assert np.abs(real_operator(f, a) @ stack(x_star) - stack(c)).max() <= 1e-10
+
+
+def _shifted_coefficients(m, n, seed=4):
+    f, a, _ = make_shifted_trig_problem(m, n, seed).coefficients(0.5)
+    g = random_split(np.random.default_rng(seed), m, n).to_complex()
+    return f.to_complex(), a.to_complex(), g
+
+
+def _jordan_block_case():
+    # A conj A = A^2 is one defective Jordan block; W stays well conditioned.
+    f, _, g = _shifted_coefficients(6, 6)
+    return f, 0.5 * np.eye(6) + np.eye(6, k=1), g
+
+
+class TestSolveOperator:
+    """The structured solve against the dense solve with W, and the cases
+    in which it must leave the answer to the dense path."""
+
+    @pytest.mark.parametrize("m,n", [(6, 6), (12, 8), (16, 16)])
+    def test_structured_solve_matches_dense_solve(self, m, n):
+        f, a, g = _shifted_coefficients(m, n)
+        w = _kron_operator(SplitComplexMatrix.from_complex(f),
+                           SplitComplexMatrix.from_complex(a))
+        expected = np.linalg.solve(w, stack(g))
+        got, path = solve_operator(f, a, g)
+        assert path is SolvePath.STRUCTURED
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("case,tolerance,path", [
+        # F conj F = A conj A = I: every gap is 0, and W is singular.
+        (lambda: (np.eye(6, dtype=complex), np.eye(6, dtype=complex),
+                  _shifted_coefficients(6, 6)[2]), None, SolvePath.PINV),
+        (_jordan_block_case, None, SolvePath.INVERSE),
+        # A cutoff this large fails both certificates: pinv cuts.
+        (lambda: _shifted_coefficients(6, 6), 0.1, SolvePath.PINV),
+    ], ids=["colliding-spectra", "jordan-block", "large-cutoff"])
+    def test_uncertified_cases_take_the_dense_path(self, case, tolerance, path):
+        f, a, g = case()
+        expected, _ = pinv_solve(real_operator(f, a), stack(g), tolerance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = solve_operator(f, a, g, tolerance)
+        assert got[1] is path
+        np.testing.assert_array_equal(got[0], expected)
+
+    def test_non_finite_f_raises_numeric_error(self):
+        f, a, g = _shifted_coefficients(6, 6)
+        f[2, 3] = np.nan
+        with pytest.raises(NumericError):
+            solve_operator(f, a, g)
 
 
 _STEP_CASES = [

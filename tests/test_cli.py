@@ -27,6 +27,7 @@ class TestRunCommand:
         summary = (tmp_path / "summary.txt").read_text()
         for needle in ("outcome: COMPLETED", "k: 100", "epsilon: 0.1",
                        "gamma: 10.0", "seed: 42", "pinv_fallback_steps: 0",
+                       "structured_solve_steps: 0",
                        "scalar_error_modulus"):
             assert needle in summary
 
@@ -131,7 +132,7 @@ class TestSweepCommand:
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("flag,value", [
     ("--duration", "inf"), ("--gamma", "1e400"), ("--pinv-tolerance", "nan"),
-    ("--seed", "-1"),
+    ("--seed", "-1"), ("--duration", "1e9"),
 ])
 def test_non_finite_input_is_usage_error(tmp_path, capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -33,7 +33,8 @@ from dznd import (
     tail_max_solution_error,
 )
 from dznd.problems import InitialState
-from helpers import make_trig_problem
+from dznd.solvers import MAX_STEP_COUNT
+from helpers import make_shifted_trig_problem, make_trig_problem
 
 GAMMA10 = ComplexGain(10.0)
 
@@ -101,6 +102,12 @@ class TestSolverConfig:
     def test_overflowing_step_count_is_rejected(self):
         with pytest.raises(ConfigError, match="step count"):
             _config(epsilon=1e-10, duration=1e300).validate()
+        # An integral 10^10 steps would not fit in memory; the cap passes.
+        with pytest.raises(ConfigError, match="step count limit"):
+            _config(epsilon=1e-9, duration=10.0).validate()
+        capped = _config(epsilon=1e-6, duration=10.0)
+        capped.validate()
+        assert capped.step_count == MAX_STEP_COUNT
 
     def test_model_lookup(self):
         assert Model.from_name("dznd1-2i") is Model.DZND1_2I
@@ -314,40 +321,63 @@ class TestSolvePath:
                          random_initial_state(problem, 42))
         assert len(trajectory) == 101
         assert trajectory.pinv_fallback_steps == 0
+        assert trajectory.structured_solve_steps == 0
 
     @pytest.mark.parametrize("model", list(Model))
     def test_zero_operator_falls_back_every_step(self, model):
-        # F = A = C = 0 makes W = 0: pinv gives the zero direction.
-        zero = SplitComplexMatrix.from_real(np.zeros((2, 2)))
-        problem = SylvesterConjugateProblem(
-            m=2, n=2,
-            coefficients=lambda tau: (zero, zero, zero),
-            derivatives=lambda tau: (zero, zero, zero),
-        )
-        config = _config(model=model, duration=1.0)
-        trajectory = run(problem, config, random_initial_state(problem, 3))
-        assert trajectory.outcome is Outcome.COMPLETED
-        assert trajectory.pinv_fallback_steps == config.step_count == 10
-        np.testing.assert_array_equal(
-            trajectory.states, np.broadcast_to(trajectory.states[0],
-                                               trajectory.states.shape)
-        )
+        # F = A = C = 0 makes W = 0: pinv gives the zero direction.  At 6x6
+        # the structured solve is tried first and every gap is 0.
+        for size in (2, 6):
+            zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
+            problem = SylvesterConjugateProblem(
+                m=size, n=size,
+                coefficients=lambda tau: (zero, zero, zero),
+                derivatives=lambda tau: (zero, zero, zero),
+            )
+            config = _config(model=model, duration=1.0)
+            trajectory = run(problem, config, random_initial_state(problem, 3))
+            assert trajectory.outcome is Outcome.COMPLETED
+            assert trajectory.pinv_fallback_steps == config.step_count == 10
+            assert trajectory.structured_solve_steps == 0
+            np.testing.assert_array_equal(
+                trajectory.states, np.broadcast_to(trajectory.states[0],
+                                                   trajectory.states.shape)
+            )
+
+    @pytest.mark.parametrize("m,n", [(16, 16), (12, 8), (6, 6)])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_shifted_trig_steps_structured_as_dense(self, monkeypatch, model, m, n):
+        problem = make_shifted_trig_problem(m, n, 5)
+        config = _config(model=model, epsilon=0.01, duration=0.05)
+        initial = random_initial_state(problem, 6)
+        structured = run(problem, config, initial)
+        assert structured.structured_solve_steps == config.step_count == 5
+        assert structured.pinv_fallback_steps == 0
+        monkeypatch.setattr(dznd.assembly, "STRUCTURED_SOLVE_MIN_UNKNOWNS", math.inf)
+        dense = run(problem, config, initial)
+        assert dense.structured_solve_steps == 0
+        for got, want in zip(structured.states, dense.states, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_running_both_models_does_not_import_scipy():
     # scipy's import cost would show in the benchmark's set-up time and
-    # peak memory.
+    # peak memory.  The shifted 6x6 trig run takes the structured solve.
     code = (
         "import sys, dznd\n"
-        "p = dznd.example2()\n"
-        "for model in dznd.Model:\n"
-        "    c = dznd.SolverConfig(model=model, gamma=dznd.ComplexGain(10.0),\n"
-        "                          epsilon=0.1, duration=0.1)\n"
-        "    assert len(dznd.run(p, c, dznd.random_initial_state(p, 0))) == 2\n"
+        "from helpers import make_shifted_trig_problem\n"
+        "for p in (dznd.example2(), make_shifted_trig_problem(6, 6, 0)):\n"
+        "    for model in dznd.Model:\n"
+        "        c = dznd.SolverConfig(model=model, gamma=dznd.ComplexGain(10.0),\n"
+        "                              epsilon=0.1, duration=0.1)\n"
+        "        t = dznd.run(p, c, dznd.random_initial_state(p, 0))\n"
+        "        assert len(t) == 2\n"
+        "        assert t.structured_solve_steps == (p.m * p.n >= 32)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(dznd.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
