@@ -19,12 +19,18 @@ U = (F^T kron I_m) and V = (I_n kron A),
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
-:func:`solve_operator` solves L(D) = G.  From mn =
-:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up it first tries the
-Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to both sides
-gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig,
-SIAM J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
-O(m^3 + n^3) instead of the O((mn)^3) of a dense solve with W.
+:class:`OperatorFactors` solves L(D) = G in two parts: factor L for one
+(F, A), then apply the factors to G.  A caller whose F and A stay
+bitwise the same keeps the factors and pays only the application;
+:func:`solve_operator` is the one-shot use.  From mn =
+:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up the factors are those
+of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
+both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
+& Hartwig, SIAM J. Matrix Anal. Appl. 1988), which two
+eigendecompositions solve in O(m^3 + n^3) instead of the O((mn)^3) of a
+dense solve with W.  Below that size, or when the Sylvester answer
+cannot be certified or checked, the factor is the certified inverse of
+W (or its SVD pseudo-inverse).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .linalg import (
     RealMatrix,
     RealVector,
     SplitComplexMatrix,
-    pinv_solve,
+    certified_inverse,
     singular_value_cutoff,
 )
 
@@ -159,48 +166,104 @@ class SolvePath(enum.Enum):
     PINV = "pinv"  # the SVD pseudo-inverse of W
 
 
+class OperatorFactors:
+    """The factors of L(Z) = Z F - A conj(Z) for one (F, A) and pinv
+    cutoff ``tolerance``; :meth:`solve` applies them to any G.
+
+    Built once, they serve every G for which F and A stay the same.  With
+    at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
+    factors are built) and finite F and A, the eigendecomposed Sylvester
+    form is factored and certified at once (:func:`_sylvester_factors`).
+    The certified inverse of W = ``real_operator(F, A)``, or its SVD
+    pseudo-inverse, is formed on the first G that needs it and kept.
+    """
+
+    def __init__(
+        self, f: np.ndarray, a: np.ndarray, tolerance: float | None = None
+    ):
+        self._f, self._a, self._tolerance = f, a, tolerance
+        self._dense: tuple[RealMatrix, bool] | None = None
+        self._sylvester: _SylvesterFactors | None = None
+        mn = f.shape[0] * a.shape[0]
+        if (
+            mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
+            and np.isfinite(f).all()
+            and np.isfinite(a).all()
+        ):
+            cutoff = singular_value_cutoff(tolerance, 2 * mn)
+            self._sylvester = _sylvester_factors(f, a, cutoff)
+
+    def solve(self, g: np.ndarray) -> tuple[RealVector, SolvePath]:
+        """``pinv(W, tolerance) @ stack(G)``, i.e. stack(D) with
+        D F - A conj(D) = G, and the path that gave it.
+
+        The Sylvester factors, when certified, are tried first for finite
+        G.  Otherwise, or when their answer fails the backward-error
+        check, the result is that of the cached
+        :func:`~dznd.linalg.certified_inverse` of W, unchanged; forming it
+        raises :class:`~dznd.errors.NumericError` for non-finite F or A.
+        """
+        if self._sylvester is not None and np.isfinite(g).all():
+            d = self._sylvester.apply(self._f, self._a, g)
+            if d is not None:
+                return stack(d), SolvePath.STRUCTURED
+        if self._dense is None:
+            self._dense = certified_inverse(
+                real_operator(self._f, self._a), self._tolerance
+            )
+        matrix, fell_back = self._dense
+        path = SolvePath.PINV if fell_back else SolvePath.INVERSE
+        return matrix @ stack(g), path
+
+
 def solve_operator(
     f: np.ndarray, a: np.ndarray, g: np.ndarray, tolerance: float | None = None
 ) -> tuple[RealVector, SolvePath]:
     """``pinv(W, tolerance) @ stack(G)`` for W = ``real_operator(F, A)``,
-    i.e. stack(D) with D F - A conj(D) = G, and the path that gave it.
-
-    With at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns and
-    finite input, :func:`_sylvester_solve` is tried first.  Otherwise, or
-    when it cannot certify or check its answer, the result is
-    :func:`~dznd.linalg.pinv_solve`'s on W, unchanged; that path raises
-    :class:`~dznd.errors.NumericError` for non-finite F or A.
-    """
-    if (
-        g.size >= STRUCTURED_SOLVE_MIN_UNKNOWNS
-        and np.isfinite(f).all()
-        and np.isfinite(a).all()
-        and np.isfinite(g).all()
-    ):
-        cutoff = singular_value_cutoff(tolerance, 2 * g.size)
-        d = _sylvester_solve(f, a, g, cutoff)
-        if d is not None:
-            return stack(d), SolvePath.STRUCTURED
-    direction, fell_back = pinv_solve(real_operator(f, a), stack(g), tolerance)
-    return direction, SolvePath.PINV if fell_back else SolvePath.INVERSE
+    and the path that gave it: :class:`OperatorFactors` used once."""
+    return OperatorFactors(f, a, tolerance).solve(g)
 
 
-def _sylvester_solve(
-    f: np.ndarray, a: np.ndarray, g: np.ndarray, cutoff: float
-) -> np.ndarray | None:
-    """D with D F - A conj(D) = G from the Sylvester form
-    D P - Q D = T(G), P = F conj F, Q = A conj A (module docstring), or
-    None when the answer cannot be certified and checked.
+class _SylvesterFactors(NamedTuple):
+    """The certified eigendecompositions of the Sylvester form
+    D P - Q D = T(G), P = F conj F, Q = A conj A (module docstring):
+    P = V diag(lam) V^-1, Q = U diag(mu) U^-1, ``gaps[i, j]`` =
+    lam_j - mu_i, and s = ||F||_F + ||A||_F."""
 
-    With P = V diag(lam) V^-1 and Q = U diag(mu) U^-1,
-    D = U [(U^-1 T(G) V) / (lam_j - mu_i)] V^-1.  Since ||L|| <= s and
-    ||L^-1|| <= s kF(U) kF(V) / min|lam_j - mu_i|, with s = ||F||_F +
-    ||A||_F and kF(U) = ||U||_F ||U^-1||_F, the test
+    u: np.ndarray
+    u_inv: np.ndarray
+    v: np.ndarray
+    v_inv: np.ndarray
+    gaps: np.ndarray
+    s: float
+
+    def apply(
+        self, f: np.ndarray, a: np.ndarray, g: np.ndarray
+    ) -> np.ndarray | None:
+        """D = U [(U^-1 T(G) V) / gaps] V^-1 with D F - A conj(D) = G, or
+        None when D fails the backward-error check
+        ||D F - A conj(D) - G||_F <= eps * 2mn * (s ||D||_F + ||G||_F),
+        which does not depend on the cutoff."""
+        t = g @ np.conj(f) + a @ np.conj(g)
+        d = self.u @ ((self.u_inv @ t @ self.v) / self.gaps) @ self.v_inv
+        residual = float(np.linalg.norm(d @ f - a @ np.conj(d) - g))
+        scale = self.s * float(np.linalg.norm(d)) + float(np.linalg.norm(g))
+        if not residual <= _EPS * 2 * g.size * scale:
+            return None
+        return d
+
+
+def _sylvester_factors(
+    f: np.ndarray, a: np.ndarray, cutoff: float
+) -> _SylvesterFactors | None:
+    """The factors of the Sylvester form of L, or None when they cannot
+    be certified.
+
+    Since ||L|| <= s and ||L^-1|| <= s kF(U) kF(V) / min|lam_j - mu_i|,
+    with kF(U) = ||U||_F ||U^-1||_F, the test
     s^2 kF(U) kF(V) / min|lam_j - mu_i| * cutoff < 1/2 bounds kappa_2(W)
-    as :func:`~dznd.linalg.pinv_solve`'s certificate does: pinv would cut
-    no singular value and equals the inverse.  The answer must then pass
-    the backward-error check ||D F - A conj(D) - G||_F <=
-    eps * 2mn * (s ||D||_F + ||G||_F), whatever the cutoff.
+    as :func:`~dznd.linalg.certified_inverse`'s certificate does: pinv
+    would cut no singular value and equals the inverse.
     """
     try:
         lam, v = np.linalg.eig(f @ np.conj(f))
@@ -217,12 +280,7 @@ def _sylvester_solve(
         bound *= float(np.linalg.norm(factor))
     if not bound < 0.5 * float(np.abs(gaps).min()):
         return None
-    d = u @ ((u_inv @ (g @ np.conj(f) + a @ np.conj(g)) @ v) / gaps) @ v_inv
-    residual = float(np.linalg.norm(d @ f - a @ np.conj(d) - g))
-    scale = s * float(np.linalg.norm(d)) + float(np.linalg.norm(g))
-    if not residual <= _EPS * 2 * g.size * scale:
-        return None
-    return d
+    return _SylvesterFactors(u, u_inv, v, v_inv, gaps, s)
 
 
 # ---------------------------------------------------------------------------

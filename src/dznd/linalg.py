@@ -11,8 +11,8 @@ Conventions, fixed repo-wide:
 * ``vec`` stacks columns (column-major traversal);
 * non-finite values propagate through the arithmetic kernels; they are
   never masked, so divergence stays observable to the caller.  The
-  exceptions are :func:`pinv` and :func:`pinv_solve`, which need a
-  finite matrix to factor.
+  exceptions are :func:`pinv`, :func:`certified_inverse` and
+  :func:`pinv_solve`, which need a finite matrix to factor.
 """
 
 from __future__ import annotations
@@ -228,11 +228,11 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
     return (vt.T * s_inv) @ u.T
 
 
-def pinv_solve(
-    w: RealMatrix, b, tolerance: float | None = None
-) -> tuple[np.ndarray, bool]:
-    """``pinv(w, tolerance) @ b``, and whether the SVD pseudo-inverse had
-    to be formed to get it.
+def certified_inverse(
+    w: RealMatrix, tolerance: float | None = None
+) -> tuple[RealMatrix, bool]:
+    """``pinv(w, tolerance)``, and whether the SVD pseudo-inverse had to
+    be formed to get it.
 
     For a square N x N ``w`` the inverse is tried first.  Since
     kappa_2 <= N * kappa_1, the certificate
@@ -258,5 +258,14 @@ def pinv_solve(
                 np.linalg.norm(w_inv, 1)
             )
             if rows * kappa * cutoff < 0.5:
-                return w_inv @ b, False
-    return pinv(w, tolerance) @ b, True
+                return w_inv, False
+    return pinv(w, tolerance), True
+
+
+def pinv_solve(
+    w: RealMatrix, b, tolerance: float | None = None
+) -> tuple[np.ndarray, bool]:
+    """``pinv(w, tolerance) @ b`` through :func:`certified_inverse`, and
+    whether the SVD pseudo-inverse had to be formed to get it."""
+    matrix, fell_back = certified_inverse(w, tolerance)
+    return matrix @ b, fell_back

@@ -5,6 +5,11 @@ All numeric CSV fields use shortest round-trip decimal formatting
 repeated runs with the same inputs produce byte-identical trajectory
 files.  Sweep rows additionally record wall time, which naturally varies
 between invocations.
+
+At a real gain both models take the same step, so a sweep integrates
+each real-gain (gamma, epsilon) point once and reports that run in the
+row of every requested model, ``wall_time_seconds`` included: a shared
+row reports the wall time of the one run behind it.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ def write_run_summary(
         f"records: {len(trajectory)}",
         f"pinv_fallback_steps: {trajectory.pinv_fallback_steps}",
         f"structured_solve_steps: {trajectory.structured_solve_steps}",
+        f"operator_factorizations: {trajectory.operator_factorizations}",
         f"epsilon: {_fmt(config.epsilon)}",
         f"gamma: {config.gamma}",
         f"seed: {seed}",
@@ -180,10 +186,12 @@ def run_sweep(
 ) -> SweepReport:
     """Run every grid point; failures become rows, never aborts.
 
-    Tail statistics cover the second half of the horizon and are reported
-    only for completed runs.
+    A real-gain point is run once and its row repeated for every model
+    (module docstring).  Tail statistics cover the second half of the
+    horizon and are reported only for completed runs.
     """
     tail_from = duration / 2.0
+    results: dict[tuple, tuple] = {}
     rows = []
     for model in models:
         for gamma in gammas:
@@ -196,38 +204,42 @@ def run_sweep(
                     pinv_tolerance=pinv_tolerance,
                     divergence_threshold=divergence_threshold,
                 )
-                started = time.perf_counter()
-                try:
-                    trajectory = run(
-                        problem, config, random_initial_state(problem, seed)
-                    )
-                    outcome = trajectory.outcome.value
-                    if trajectory.outcome is Outcome.COMPLETED:
-                        tail_eq = tail_max_equation_residual(trajectory, tail_from)
-                        tail_sol = tail_max_solution_error(trajectory, tail_from)
-                    else:
-                        tail_eq = tail_sol = math.nan
-                    steps = len(trajectory)
-                except Exception as exc:  # noqa: BLE001 - row-per-failure contract
-                    outcome = f"ERROR({type(exc).__name__})"
-                    tail_eq = tail_sol = math.nan
-                    steps = 0
-                rows.append(
-                    SweepRow(
-                        epsilon=epsilon,
-                        gamma=gamma,
-                        model=model,
-                        outcome=outcome,
-                        tail_max_equation_residual=tail_eq,
-                        tail_max_solution_error=tail_sol,
-                        steps=steps,
-                        wall_time_seconds=time.perf_counter() - started,
-                    )
-                )
+                # At a real gain the two models take the same steps.
+                key = (gamma, epsilon)
+                if not gamma.is_real:
+                    key = (model, gamma, epsilon)
+                if key not in results:
+                    results[key] = _run_point(problem, config, seed, tail_from)
+                rows.append(SweepRow(epsilon, gamma, model, *results[key]))
     rows.sort(key=lambda r: (r.model.value, r.gamma.re, r.gamma.im, r.epsilon))
     return SweepReport(
         rows=tuple(rows), fits=tuple(_fit_orders(rows)), tail_from=tail_from
     )
+
+
+def _run_point(
+    problem: SylvesterConjugateProblem,
+    config: SolverConfig,
+    seed: int,
+    tail_from: float,
+) -> tuple[str, float, float, int, float]:
+    """The outcome, both tail maxima, the record count and the wall time
+    of one sweep run, in :class:`SweepRow` field order."""
+    started = time.perf_counter()
+    try:
+        trajectory = run(problem, config, random_initial_state(problem, seed))
+        outcome = trajectory.outcome.value
+        if trajectory.outcome is Outcome.COMPLETED:
+            tail_eq = tail_max_equation_residual(trajectory, tail_from)
+            tail_sol = tail_max_solution_error(trajectory, tail_from)
+        else:
+            tail_eq = tail_sol = math.nan
+        steps = len(trajectory)
+    except Exception as exc:  # noqa: BLE001 - row-per-failure contract
+        outcome = f"ERROR({type(exc).__name__})"
+        tail_eq = tail_sol = math.nan
+        steps = 0
+    return outcome, tail_eq, tail_sol, steps, time.perf_counter() - started
 
 
 def _loglog_slope(epsilons: list[float], tails: list[float]) -> Optional[float]:

@@ -7,8 +7,8 @@ dE/dt = -gamma E.  Each step forms, in complex128,
     G = Cdot + Adot conj(X) - X Fdot - gamma E,
 
 solves L(D) = D F - A conj(D) = G for the direction D with
-:func:`~dznd.assembly.solve_operator`, and updates the stacked real state
-as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
+:class:`~dznd.assembly.OperatorFactors`, and updates the stacked real
+state as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
 
 Written over the reals, dznd2-2i's drive b_dot - W_dot x - gamma (W x - b)
 is the same G, so the two models take the same step; they differ only
@@ -21,6 +21,12 @@ O(m^3 + n^3) Sylvester form of L; otherwise from the inverse of W
 whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
+
+A run keeps the factors of L while F and A stay bitwise the same (the
+bytes of both arrays are compared, so even a changed sign of zero
+refactors): with constant coefficients it factors L once and only
+applies the factors at every later step, with the same answer to the
+last bit.  It counts the factorizations it made.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
@@ -41,8 +47,8 @@ import numpy as np
 
 from .assembly import (
     ComplexGain,
+    OperatorFactors,
     SolvePath,
-    solve_operator,
     state_from_matrix,
     unstack,
 )
@@ -71,9 +77,11 @@ class Outcome(enum.Enum):
 
 # Relative slack when deciding whether duration/epsilon is an integer.
 _STEP_COUNT_SLACK = 1e-9
-# A run keeps every record in memory, about 0.5 kB each for a 2x2
-# problem while it runs, so past 10^7 records (some 5 GB) a run is
-# refused rather than left to exhaust memory.
+# A run allocates all k+1 records up front, 33 + 16mn bytes each (a step
+# index, a time, two residuals, a finite flag and 2mn state floats): about
+# 0.1 kB for a 2x2 problem, so the 10^7-record cap bounds a 2x2 run at
+# about 1 GB and a 16x16 run at about 41 GB.  Past it a run is refused
+# rather than left to exhaust memory.
 MAX_STEP_COUNT = 10**7
 
 
@@ -141,6 +149,8 @@ class Trajectory:
     ``structured_solve_steps`` counts the steps solved through the
     Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
     the SVD pseudo-inverse because no other path could be certified.
+    ``operator_factorizations`` counts the times L was factored: once
+    per run with constant F and A, once per step when they move.
     """
 
     steps: np.ndarray
@@ -153,6 +163,7 @@ class Trajectory:
     diverged_at: Optional[int] = None
     pinv_fallback_steps: int = 0
     structured_solve_steps: int = 0
+    operator_factorizations: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -209,14 +220,15 @@ def _step(
     gamma: complex,
     tau: float,
     epsilon: float,
-    pinv_tolerance: Optional[float],
+    factors: OperatorFactors,
 ) -> tuple[RealVector, SolvePath]:
     """One update from ``state``, whose :func:`_equation_error` is
-    ``error``, and the path its solve took."""
-    x, f, a, e = error
+    ``error`` and whose L the ``factors`` belong to, and the path its
+    solve took."""
+    x, _, _, e = error
     fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
     drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
-    direction, path = solve_operator(f, a, drive, pinv_tolerance)
+    direction, path = factors.solve(drive)
     return state + epsilon * direction, path
 
 
@@ -230,9 +242,10 @@ def step_dznd1(
 ) -> RealVector:
     """One update of the complex-field model from the pre-step state."""
     error = _equation_error(problem, state, tau)
+    factors = OperatorFactors(error[1], error[2], pinv_tolerance)
     return _step(
         problem, state, error, complex(gamma.re, gamma.im), tau, epsilon,
-        pinv_tolerance,
+        factors,
     )[0]
 
 
@@ -286,26 +299,29 @@ def run(
 
     state = state_from_matrix(initial.x0)
     gamma = complex(config.gamma.re, config.gamma.im)
-    steps, taus, states = [], [], []
-    eq_residuals, sol_errors, finite_flags = [], [], []
+    taus = np.empty(k_total + 1)
+    states = np.empty((k_total + 1, state.size))
+    eq_residuals = np.empty(k_total + 1)
+    sol_errors = np.empty(k_total + 1)
+    finite_flags = np.empty(k_total + 1, dtype=bool)
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
     paths = dict.fromkeys(SolvePath, 0)
+    factors, factored_for, factorizations = None, None, 0
 
     for k in range(k_total + 1):
         tau = k * config.epsilon
         error = _equation_error(problem, state, tau)
-        x, _, _, e = error
+        x, f, a, e = error
         eq = float(np.linalg.norm(e))
         sol = _solution_error(problem, x, tau) if has_solution else math.nan
         finite = bool(np.isfinite(state).all() and np.isfinite(eq))
 
-        steps.append(k)
-        taus.append(tau)
-        states.append(state)
-        eq_residuals.append(eq)
-        sol_errors.append(sol)
-        finite_flags.append(finite)
+        taus[k] = tau
+        states[k] = state
+        eq_residuals[k] = eq
+        sol_errors[k] = sol
+        finite_flags[k] = finite
 
         if not finite or eq > config.divergence_threshold:
             outcome = Outcome.DIVERGED
@@ -313,21 +329,27 @@ def run(
             break
         if k == k_total:
             break
+        key = (f.tobytes(), a.tobytes())
+        if key != factored_for:
+            factors = OperatorFactors(f, a, config.pinv_tolerance)
+            factored_for = key
+            factorizations += 1
         state, path = _step(
-            problem, state, error, gamma, tau, config.epsilon,
-            config.pinv_tolerance,
+            problem, state, error, gamma, tau, config.epsilon, factors
         )
         paths[path] += 1
 
+    records = k + 1
     return Trajectory(
-        steps=np.array(steps, dtype=np.int64),
-        taus=np.array(taus, dtype=np.float64),
-        states=np.array(states, dtype=np.float64),
-        equation_residuals=np.array(eq_residuals, dtype=np.float64),
-        solution_errors=np.array(sol_errors, dtype=np.float64),
-        finite=np.array(finite_flags, dtype=bool),
+        steps=np.arange(records, dtype=np.int64),
+        taus=taus[:records],
+        states=states[:records],
+        equation_residuals=eq_residuals[:records],
+        solution_errors=sol_errors[:records],
+        finite=finite_flags[:records],
         outcome=outcome,
         diverged_at=diverged_at,
         pinv_fallback_steps=paths[SolvePath.PINV],
         structured_solve_steps=paths[SolvePath.STRUCTURED],
+        operator_factorizations=factorizations,
     )

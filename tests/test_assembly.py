@@ -22,7 +22,14 @@ from dznd import (
     vec,
     zero_stability_roots,
 )
-from dznd.assembly import SolvePath, real_operator, solve_operator, stack, unstack
+from dznd.assembly import (
+    OperatorFactors,
+    SolvePath,
+    real_operator,
+    solve_operator,
+    stack,
+    unstack,
+)
 from dznd.linalg import pinv_solve
 from dznd.problems import InitialState, SylvesterConjugateProblem
 from helpers import make_shifted_trig_problem, make_trig_problem, random_split
@@ -184,6 +191,25 @@ class TestSolveOperator:
         f[2, 3] = np.nan
         with pytest.raises(NumericError):
             solve_operator(f, a, g)
+
+    @pytest.mark.parametrize("m,n,structured", [
+        (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),
+    ])
+    def test_kept_factors_solve_as_one_shot_solves(self, m, n, structured):
+        # A non-finite G skips the structured solve on kept factors too.
+        f, a, g = _shifted_coefficients(m, n)
+        bad = g.copy()
+        bad[0, 1] = np.inf
+        other = np.random.default_rng(1).normal(size=(m, n)) + 0j
+        factors = OperatorFactors(f, a)
+        paths = []
+        for rhs in (g, other, bad, g):
+            got, path = factors.solve(rhs)
+            want, want_path = solve_operator(f, a, rhs)
+            np.testing.assert_array_equal(got, want)
+            assert path is want_path
+            paths.append(path)
+        assert paths == [structured, structured, SolvePath.INVERSE, structured]
 
 
 _STEP_CASES = [

@@ -1,6 +1,11 @@
+import csv
+import dataclasses
+
 import pytest
 
+from dznd import ComplexGain, Model, example2
 from dznd.cli import main
+from dznd.reporting import run_sweep
 
 
 def _run_args(out, problem="example2", model="dznd1-2i", gamma="10",
@@ -28,6 +33,7 @@ class TestRunCommand:
         for needle in ("outcome: COMPLETED", "k: 100", "epsilon: 0.1",
                        "gamma: 10.0", "seed: 42", "pinv_fallback_steps: 0",
                        "structured_solve_steps: 0",
+                       "operator_factorizations: 100",
                        "scalar_error_modulus"):
             assert needle in summary
 
@@ -127,6 +133,34 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--epsilon", "0.3", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_real_gain_rows_are_shared_between_models(self, tmp_path):
+        code = main([
+            "sweep", "--problem", "example2", "--model", "dznd1-2i",
+            "--model", "dznd2-2i", "--gamma", "10", "--epsilon", "0.1",
+            "--epsilon", "0.05", "--epsilon", "0.01", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        with (tmp_path / "sweep.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        by_model = {model: [{k: v for k, v in row.items() if k != "model"}
+                            for row in rows if row["model"] == model]
+                    for model in ("dznd1-2i", "dznd2-2i")}
+        assert len(by_model["dznd1-2i"]) == 3
+        assert by_model["dznd2-2i"] == by_model["dznd1-2i"]
+
+    def test_each_real_gain_point_is_integrated_once(self):
+        p = example2()
+        calls = []
+        counted = dataclasses.replace(
+            p, derivatives=lambda tau: calls.append(tau) or p.derivatives(tau)
+        )
+        report = run_sweep(counted, "example2", list(Model),
+                           [ComplexGain(10.0)], [0.1, 0.05], duration=1.0)
+        assert len(report.rows) == 4
+        # One derivative evaluation per step: 10 steps at 0.1 and 20 at
+        # 0.05, integrated once for both models.
+        assert len(calls) == 10 + 20
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

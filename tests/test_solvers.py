@@ -32,6 +32,7 @@ from dznd import (
     tail_max_equation_residual,
     tail_max_solution_error,
 )
+from dznd.assembly import unstack
 from dznd.problems import InitialState
 from dznd.solvers import MAX_STEP_COUNT
 from helpers import make_shifted_trig_problem, make_trig_problem
@@ -312,6 +313,15 @@ class TestRecordLoop:
             run(broken, _config(), random_initial_state(p, 42))
 
 
+def _zero_problem(size):
+    zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
+    return SylvesterConjugateProblem(
+        m=size, n=size,
+        coefficients=lambda tau: (zero, zero, zero),
+        derivatives=lambda tau: (zero, zero, zero),
+    )
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("factory", [example1, example2])
     @pytest.mark.parametrize("model", list(Model))
@@ -322,23 +332,23 @@ class TestSolvePath:
         assert len(trajectory) == 101
         assert trajectory.pinv_fallback_steps == 0
         assert trajectory.structured_solve_steps == 0
+        # example1's coefficients are constant; example2's move every step.
+        assert trajectory.operator_factorizations == (
+            1 if factory is example1 else 100
+        )
 
     @pytest.mark.parametrize("model", list(Model))
     def test_zero_operator_falls_back_every_step(self, model):
         # F = A = C = 0 makes W = 0: pinv gives the zero direction.  At 6x6
         # the structured solve is tried first and every gap is 0.
         for size in (2, 6):
-            zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
-            problem = SylvesterConjugateProblem(
-                m=size, n=size,
-                coefficients=lambda tau: (zero, zero, zero),
-                derivatives=lambda tau: (zero, zero, zero),
-            )
+            problem = _zero_problem(size)
             config = _config(model=model, duration=1.0)
             trajectory = run(problem, config, random_initial_state(problem, 3))
             assert trajectory.outcome is Outcome.COMPLETED
             assert trajectory.pinv_fallback_steps == config.step_count == 10
             assert trajectory.structured_solve_steps == 0
+            assert trajectory.operator_factorizations == 1
             np.testing.assert_array_equal(
                 trajectory.states, np.broadcast_to(trajectory.states[0],
                                                    trajectory.states.shape)
@@ -358,6 +368,66 @@ class TestSolvePath:
         assert dense.structured_solve_steps == 0
         for got, want in zip(structured.states, dense.states, strict=True):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _frozen_shifted_trig_problem(m, n, seed):
+    """The shifted trig problem with its coefficients held at tau = 0.5."""
+    problem = make_shifted_trig_problem(m, n, seed)
+    coefficients = problem.coefficients(0.5)
+    zeros = tuple(SplitComplexMatrix.from_real(np.zeros(c.shape))
+                  for c in coefficients)
+    return dataclasses.replace(problem, coefficients=lambda tau: coefficients,
+                               derivatives=lambda tau: zeros)
+
+
+class TestFactorReuse:
+    """run() keeps L's factors while F and A are bitwise unchanged, and
+    steps exactly as one-shot solves do; example2 refactors every step."""
+
+    @pytest.mark.parametrize("factory,path", [
+        (example1, "inverse"),
+        (lambda: _zero_problem(2), "pinv"),
+        (lambda: _frozen_shifted_trig_problem(6, 6, 5), "structured"),
+        (example2, "inverse"),
+    ], ids=["example1", "zero-operator", "constant-shifted-trig-6x6",
+            "example2"])
+    def test_cached_factors_step_as_one_shot_solves(self, factory, path):
+        problem = factory()
+        config = _config(epsilon=0.01, duration=0.2)
+        initial = random_initial_state(problem, 4)
+        trajectory = run(problem, config, initial)
+        assert trajectory.operator_factorizations == (
+            config.step_count if factory is example2 else 1)
+        assert trajectory.structured_solve_steps == (
+            config.step_count if path == "structured" else 0)
+        assert trajectory.pinv_fallback_steps == (
+            config.step_count if path == "pinv" else 0)
+
+        state = state_from_matrix(initial.x0)
+        states, residuals = [], []
+        for k in range(config.step_count + 1):
+            tau = k * config.epsilon
+            x = unstack(state, problem.m, problem.n)
+            f, a, c = (z.to_complex() for z in problem.coefficients(tau))
+            states.append(state)
+            residuals.append(np.linalg.norm(x @ f - a @ np.conj(x) - c))
+            if k < config.step_count:
+                state = step_dznd1(problem, state, GAMMA10, tau, config.epsilon)
+        np.testing.assert_array_equal(trajectory.states, states)
+        np.testing.assert_array_equal(trajectory.equation_residuals, residuals)
+
+    def test_changed_sign_of_zero_refactors(self):
+        # F = +0 and F = -0 compare equal but differ in their bytes.
+        p = example1()
+        f, a, c = p.coefficients(0.0)
+        flipped = SplitComplexMatrix(f.re, np.where(f.im == 0.0, -0.0, f.im))
+        problem = dataclasses.replace(
+            p, coefficients=lambda tau: (
+                flipped if round(tau / 0.1) % 2 else f, a, c),
+        )
+        trajectory = run(problem, _config(duration=1.0),
+                         random_initial_state(p, 42))
+        assert trajectory.operator_factorizations == 10
 
 
 def test_running_both_models_does_not_import_scipy():
