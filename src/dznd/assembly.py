@@ -19,10 +19,12 @@ U = (F^T kron I_m) and V = (I_n kron A),
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
-:class:`OperatorFactors` solves L(D) = G in two parts: factor L for one
-(F, A), then apply the factors to G.  A caller whose F and A stay
-bitwise the same keeps the factors and pays only the application;
-:func:`solve_operator` is the one-shot use.  From mn =
+:class:`OperatorFactors` solves L(D) = G in two parts: factor L for a
+stack of operators (F, A), then apply the factors of one of them to G.
+A caller whose F and A stay bitwise the same keeps the factors and pays
+only the application; a caller that knows several operators ahead
+factors them in one stack; :func:`solve_operator` is the one-shot use,
+a stack of one.  From mn =
 :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up the factors are those
 of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
 both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
@@ -36,6 +38,7 @@ W (or its SVD pseudo-inverse).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,6 +51,7 @@ from .linalg import (
     RealVector,
     SplitComplexMatrix,
     certified_inverse,
+    certified_inverses,
     singular_value_cutoff,
 )
 
@@ -131,31 +135,58 @@ def matrix_from_state(state: RealVector, m: int, n: int) -> SplitComplexMatrix:
 
 def real_operator(f: np.ndarray, a: np.ndarray) -> RealMatrix:
     """The 2mn x 2mn real matrix W of Z -> Z F - A conj(Z) (module
-    docstring), for complex F n x n and A m x m.
+    docstring), for complex F n x n and A m x m, or the stack of them for
+    stacks of F and A along leading axes.
 
     Row and column (p, t, s) index part p (0 real, 1 imaginary) of
     vec entry t*m + s.  The F terms, F[t', t] at s = s', are set first;
-    the A terms, A[s, s'] at t = t', are then added or subtracted where
-    they land, so every entry is the same single sum the Kronecker
-    formula computes.
+    the A terms, A[s, s'] at t = t', are then added where they land, so
+    every entry is the same single sum the Kronecker formula computes.
+    Each is one gather from the parts of F (or A) and one scatter into W
+    through the index plan of :func:`_operator_plan`.
     """
-    n, m = f.shape[0], a.shape[0]
-    w = np.zeros((2, n, m, 2, n, m))
-    s_idx, t_idx = np.arange(m), np.arange(n)
-    # Advanced indices split by slices index the leading axis: ft[t, t']
-    # lands at w[p, t, s, p', t', s] for every s.
-    ft_re, ft_im = f.real.T, f.imag.T
-    w[0, :, s_idx, 0, :, s_idx] = ft_re
-    w[0, :, s_idx, 1, :, s_idx] = -ft_im
-    w[1, :, s_idx, 0, :, s_idx] = ft_im
-    w[1, :, s_idx, 1, :, s_idx] = ft_re
-    # a[s, s'] lands at w[p, t, s, p', t, s'] for every t.
-    a_re, a_im = a.real, a.imag
-    w[0, t_idx, :, 0, t_idx, :] -= a_re
-    w[0, t_idx, :, 1, t_idx, :] -= a_im
-    w[1, t_idx, :, 0, t_idx, :] -= a_im
-    w[1, t_idx, :, 1, t_idx, :] += a_re
-    return w.reshape(2 * m * n, 2 * m * n)
+    batch, n, m = f.shape[:-2], f.shape[-1], a.shape[-1]
+    f, a = f.reshape(-1, n, n), a.reshape(-1, m, m)
+    f_to, f_from, a_to, a_from = _operator_plan(m, n)
+    size = 2 * m * n
+    w = np.zeros((f.shape[0], size * size))
+    f_parts = np.concatenate([f.real, f.imag, -f.imag], axis=1)
+    a_parts = np.concatenate([-a.real, -a.imag, a.real], axis=1)
+    w[:, f_to] = f_parts.reshape(f.shape[0], -1)[:, f_from]
+    w[:, a_to] += a_parts.reshape(a.shape[0], -1)[:, a_from]
+    return w.reshape(batch + (size, size))
+
+
+@functools.lru_cache(maxsize=8)
+def _operator_plan(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices (F terms into W, from F's parts, A terms into W, from
+    A's parts) for :func:`real_operator`.
+
+    F's parts are [Re F; Im F; -Im F] and A's parts [-Re A; -Im A; Re A],
+    each flattened row-major.  Block (p, q) of W takes, from F, part
+    0, 2, 1, 0 for (p, q) = (0, 0), (0, 1), (1, 0), (1, 1), and from A,
+    part 0, 1, 1, 2.
+    """
+    mn = m * n
+    p = np.arange(2)[:, None, None, None, None]
+    q = np.arange(2)[:, None, None, None]
+    # F[t', t] lands at row (p, t, s), column (q, t', s).
+    t, u, s = np.ix_(np.arange(n), np.arange(n), np.arange(m))
+    f_to = (p * mn + t * m + s) * (2 * mn) + q * mn + u * m + s
+    f_from = np.array([[0, 2], [1, 0]])[p, q] * n * n + u * n + t
+    # A[s, s'] lands at row (p, t, s), column (q, t, s').
+    t, s, v = np.ix_(np.arange(n), np.arange(m), np.arange(m))
+    a_to = (p * mn + t * m + s) * (2 * mn) + q * mn + t * m + v
+    a_from = np.array([[0, 1], [1, 2]])[p, q] * m * m + s * m + v
+    plan = []
+    for index, shape in (
+        (f_to, (2, 2, n, n, m)), (f_from, (2, 2, n, n, m)),
+        (a_to, (2, 2, n, m, m)), (a_from, (2, 2, n, m, m)),
+    ):
+        index = np.broadcast_to(index, shape).ravel()
+        index.setflags(write=False)  # shared by every caller of the cache
+        plan.append(index)
+    return tuple(plan)
 
 
 class SolvePath(enum.Enum):
@@ -167,51 +198,72 @@ class SolvePath(enum.Enum):
 
 
 class OperatorFactors:
-    """The factors of L(Z) = Z F - A conj(Z) for one (F, A) and pinv
-    cutoff ``tolerance``; :meth:`solve` applies them to any G.
+    """The factors of L_i(Z) = Z F_i - A_i conj(Z) for a stack of
+    operators (F_i, A_i) and a pinv cutoff ``tolerance``;
+    :meth:`solve` applies those of member i to any G.
 
     Built once, they serve every G for which F and A stay the same.  With
     at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
-    factors are built) and finite F and A, the eigendecomposed Sylvester
-    form is factored and certified at once (:func:`_sylvester_factors`).
-    The certified inverse of W = ``real_operator(F, A)``, or its SVD
-    pseudo-inverse, is formed on the first G that needs it and kept.
+    factors are built), each member with finite F and A has its
+    eigendecomposed Sylvester form factored and certified
+    (:func:`_sylvester_factors`) on its first solve.  Below that size the
+    W = ``real_operator(F_i, A_i)`` of every member with finite F and A
+    are built and inverted at once, and each inverse is kept when the
+    certificate of :func:`~dznd.linalg.certified_inverse` holds for it.
+    Any other member's :func:`~dznd.linalg.certified_inverse` of W, or
+    its SVD pseudo-inverse, is formed on the first G that needs it and
+    kept, so a member never solved costs no fallback and raises nothing.
     """
 
     def __init__(
         self, f: np.ndarray, a: np.ndarray, tolerance: float | None = None
     ):
         self._f, self._a, self._tolerance = f, a, tolerance
-        self._dense: tuple[RealMatrix, bool] | None = None
-        self._sylvester: _SylvesterFactors | None = None
-        mn = f.shape[0] * a.shape[0]
-        if (
-            mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
-            and np.isfinite(f).all()
-            and np.isfinite(a).all()
-        ):
-            cutoff = singular_value_cutoff(tolerance, 2 * mn)
-            self._sylvester = _sylvester_factors(f, a, cutoff)
+        mn = f.shape[-1] * a.shape[-1]
+        self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
+        self._structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
+        self._sylvester: dict[int, _SylvesterFactors | None] = {}
+        self._dense: dict[int, tuple[RealMatrix, bool]] = {}
+        if not self._structured:
+            finite = np.flatnonzero(
+                np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+            )
+            if finite.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = real_operator(f[finite], a[finite])
+                w_inv, certified = certified_inverses(w, self._cutoff)
+                for member in np.flatnonzero(certified):
+                    self._dense[int(finite[member])] = (w_inv[member], False)
 
-    def solve(self, g: np.ndarray) -> tuple[RealVector, SolvePath]:
-        """``pinv(W, tolerance) @ stack(G)``, i.e. stack(D) with
-        D F - A conj(D) = G, and the path that gave it.
+    def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
+        """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
+        stack(D) with D F_i - A_i conj(D) = G, and the path that gave it.
 
         The Sylvester factors, when certified, are tried first for finite
         G.  Otherwise, or when their answer fails the backward-error
-        check, the result is that of the cached
-        :func:`~dznd.linalg.certified_inverse` of W, unchanged; forming it
-        raises :class:`~dznd.errors.NumericError` for non-finite F or A.
+        check, the result is that of the kept certified inverse of W, or
+        of :func:`~dznd.linalg.certified_inverse` of W, unchanged; forming
+        the latter raises :class:`~dznd.errors.NumericError` for
+        non-finite F or A.
         """
-        if self._sylvester is not None and np.isfinite(g).all():
-            d = self._sylvester.apply(self._f, self._a, g)
-            if d is not None:
-                return stack(d), SolvePath.STRUCTURED
-        if self._dense is None:
-            self._dense = certified_inverse(
-                real_operator(self._f, self._a), self._tolerance
+        f, a = self._f[member], self._a[member]
+        if self._structured and np.isfinite(g).all():
+            if member not in self._sylvester:
+                self._sylvester[member] = (
+                    _sylvester_factors(f, a, self._cutoff)
+                    if np.isfinite(f).all() and np.isfinite(a).all()
+                    else None
+                )
+            factors = self._sylvester[member]
+            if factors is not None:
+                d = factors.apply(f, a, g)
+                if d is not None:
+                    return stack(d), SolvePath.STRUCTURED
+        if member not in self._dense:
+            self._dense[member] = certified_inverse(
+                real_operator(f, a), self._tolerance
             )
-        matrix, fell_back = self._dense
+        matrix, fell_back = self._dense[member]
         path = SolvePath.PINV if fell_back else SolvePath.INVERSE
         return matrix @ stack(g), path
 
@@ -220,8 +272,9 @@ def solve_operator(
     f: np.ndarray, a: np.ndarray, g: np.ndarray, tolerance: float | None = None
 ) -> tuple[RealVector, SolvePath]:
     """``pinv(W, tolerance) @ stack(G)`` for W = ``real_operator(F, A)``,
-    and the path that gave it: :class:`OperatorFactors` used once."""
-    return OperatorFactors(f, a, tolerance).solve(g)
+    and the path that gave it: :class:`OperatorFactors` of one operator,
+    used once."""
+    return OperatorFactors(f[None], a[None], tolerance).solve(0, g)
 
 
 class _SylvesterFactors(NamedTuple):

@@ -228,6 +228,30 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
     return (vt.T * s_inv) @ u.T
 
 
+def certified_inverses(
+    w: np.ndarray, cutoff: float
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The inverses of a stack of finite N x N matrices, and for each
+    whether the certificate of :func:`certified_inverse` proves it equal
+    to the pseudo-inverse with relative cutoff ``cutoff``.
+
+    The stack is inverted in one call; when that call finds a singular
+    member it raises for the whole stack, and then the inverses are None
+    and no member is certified.
+    """
+    try:
+        w_inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None, np.zeros(w.shape[0], dtype=bool)
+    # An overflow reads inf and inf * 0 reads nan; neither passes the
+    # test below, so neither needs a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(
+            w_inv, 1, axis=(1, 2)
+        )
+        return w_inv, w.shape[-1] * kappa * cutoff < 0.5
+
+
 def certified_inverse(
     w: RealMatrix, tolerance: float | None = None
 ) -> tuple[RealMatrix, bool]:
@@ -247,18 +271,9 @@ def certified_inverse(
     w, cutoff = _checked_pinv_input(w, tolerance)
     rows, cols = w.shape
     if rows == cols > 0:
-        try:
-            w_inv = np.linalg.inv(w)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # Python floats: an overflow reads inf, inf * 0 reads nan, and
-            # neither passes the test below or warns.
-            kappa = float(np.linalg.norm(w, 1)) * float(
-                np.linalg.norm(w_inv, 1)
-            )
-            if rows * kappa * cutoff < 0.5:
-                return w_inv, False
+        w_inv, certified = certified_inverses(w[None], cutoff)
+        if certified[0]:
+            return w_inv[0], False
     return pinv(w, tolerance), True
 
 

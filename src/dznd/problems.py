@@ -41,6 +41,13 @@ class SylvesterConjugateProblem:
     derivative of F at tau is what ``derivatives`` claims it is).
     ``theoretical_solution``, when present, maps tau to the unique exact
     solution.
+
+    A run calls ``coefficients`` and ``theoretical_solution`` once per
+    record and ``derivatives`` once per step, one block of
+    :data:`~dznd.solvers.BLOCK_RECORDS` records ahead of the steps.  A
+    run that diverges may so have called them at up to BLOCK_RECORDS - 1
+    records past the record where it stopped; no run calls them at a tau
+    past its duration.
     """
 
     m: int

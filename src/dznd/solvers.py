@@ -22,11 +22,17 @@ whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
 
-A run keeps the factors of L while F and A stay bitwise the same (the
-bytes of both arrays are compared, so even a changed sign of zero
-refactors): with constant coefficients it factors L once and only
+A run does the work that depends on tau alone one block of
+:data:`BLOCK_RECORDS` records at a time: it calls the providers at every
+record of the block, converts their values to complex128 stacks, and
+factors the block's distinct operators together.  It keeps the factors
+of L while F and A stay bitwise the same (the bytes of both arrays are
+compared, so even a changed sign of zero refactors), across block
+boundaries too: with constant coefficients it factors L once and only
 applies the factors at every later step, with the same answer to the
-last bit.  It counts the factorizations it made.
+last bit.  It counts the factorizations its steps used.  The loop over
+the steps keeps only what depends on the state: the equation error, the
+two residuals, the drive, one solve and the update.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
@@ -41,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -83,6 +89,11 @@ _STEP_COUNT_SLACK = 1e-9
 # about 1 GB and a 16x16 run at about 41 GB.  Past it a run is refused
 # rather than left to exhaust memory.
 MAX_STEP_COUNT = 10**7
+# A run evaluates its providers, converts their values to complex128 and
+# factors its operators for this many records at a time.  A run that
+# diverges has evaluated its providers at most BLOCK_RECORDS - 1 records
+# past the record where it stopped, and never past the duration.
+BLOCK_RECORDS = 64
 
 
 @dataclass(frozen=True)
@@ -191,45 +202,97 @@ def scalar_error_modulus(gamma: ComplexGain, epsilon: float) -> float:
     return math.hypot(1.0 - epsilon * gamma.re, epsilon * gamma.im)
 
 
-def _checked_coefficients(problem: SylvesterConjugateProblem, tau: float, provider):
-    """``provider(tau)`` as three complex128 arrays, after checking the
-    shapes of F, A and C against the problem."""
-    f, a, c = provider(tau)
-    m, n = problem.m, problem.n
-    if f.shape != (n, n) or a.shape != (m, m) or c.shape != (m, n):
-        raise ShapeError(
-            f"provider returned shapes F{f.shape}, A{a.shape}, C{c.shape}; "
-            f"expected F({n},{n}), A({m},{m}), C({m},{n})"
+class _Block(NamedTuple):
+    """Provider values at consecutive records as complex128 stacks: F, A,
+    C and, when asked for, X* at every record, and the derivatives of F,
+    A and C at the records that take a step.
+
+    Everything in a step that depends on tau alone comes from here; the
+    one drive expression of both models is :meth:`advance`.
+    """
+
+    f: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    fd: Optional[np.ndarray]
+    ad: Optional[np.ndarray]
+    cd: Optional[np.ndarray]
+    exact: Optional[np.ndarray]
+
+    @classmethod
+    def evaluate(
+        cls,
+        problem: SylvesterConjugateProblem,
+        taus: list[float],
+        steps: int,
+        with_solution: bool,
+    ) -> "_Block":
+        """Call the coefficient (and solution) providers at every tau in
+        ``taus`` and the derivative provider at the first ``steps``,
+        checking every shape against the problem."""
+        f, a, c = _coefficient_stacks(problem, problem.coefficients, taus)
+        exact = None
+        if with_solution:
+            solutions = [problem.theoretical_solution(tau) for tau in taus]
+            for x in solutions:
+                if x.shape != (problem.m, problem.n):
+                    raise ShapeError(
+                        f"theoretical solution shape {x.shape} does not match "
+                        f"problem dimensions {(problem.m, problem.n)}"
+                    )
+            exact = _complex_stack(solutions)
+        fd, ad, cd = _coefficient_stacks(
+            problem, problem.derivatives, taus[:steps]
         )
-    return f.to_complex(), a.to_complex(), c.to_complex()
+        return cls(f, a, c, fd, ad, cd, exact)
+
+    def equation_error(self, i: int, x: np.ndarray) -> np.ndarray:
+        """E = X F - A conj(X) - C at record i."""
+        return x @ self.f[i] - self.a[i] @ np.conj(x) - self.c[i]
+
+    def advance(
+        self,
+        i: int,
+        state: RealVector,
+        x: np.ndarray,
+        e: np.ndarray,
+        gamma: complex,
+        epsilon: float,
+        factors: OperatorFactors,
+        member: int,
+    ) -> tuple[RealVector, SolvePath]:
+        """The update from ``state`` = stack(X) at record i, whose
+        equation error is E and whose L is member ``member`` of
+        ``factors``, and the path its solve took."""
+        drive = self.cd[i] + self.ad[i] @ np.conj(x) - x @ self.fd[i] - gamma * e
+        direction, path = factors.solve(member, drive)
+        return state + epsilon * direction, path
 
 
-def _equation_error(
-    problem: SylvesterConjugateProblem, state: RealVector, tau: float
-):
-    """(X, F, A, E) at ``state`` and ``tau``, with E = X F - A conj(X) - C."""
-    x = unstack(state, problem.m, problem.n)
-    f, a, c = _checked_coefficients(problem, tau, problem.coefficients)
-    return x, f, a, x @ f - a @ np.conj(x) - c
+def _complex_stack(matrices: list) -> np.ndarray:
+    """The split matrices as one complex128 stack, set part by part (see
+    :meth:`~dznd.linalg.SplitComplexMatrix.to_complex`)."""
+    z = np.empty((len(matrices),) + matrices[0].shape, dtype=np.complex128)
+    z.real, z.imag = [x.re for x in matrices], [x.im for x in matrices]
+    return z
 
 
-def _step(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    error,
-    gamma: complex,
-    tau: float,
-    epsilon: float,
-    factors: OperatorFactors,
-) -> tuple[RealVector, SolvePath]:
-    """One update from ``state``, whose :func:`_equation_error` is
-    ``error`` and whose L the ``factors`` belong to, and the path its
-    solve took."""
-    x, _, _, e = error
-    fd, ad, cd = _checked_coefficients(problem, tau, problem.derivatives)
-    drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
-    direction, path = factors.solve(drive)
-    return state + epsilon * direction, path
+def _coefficient_stacks(
+    problem: SylvesterConjugateProblem, provider, taus: list[float]
+) -> tuple[np.ndarray, ...]:
+    """``provider(tau)`` for every tau as stacks of F, A and C, after
+    checking the shapes of each F, A and C against the problem."""
+    m, n = problem.m, problem.n
+    values = [provider(tau) for tau in taus]
+    for f, a, c in values:
+        if f.shape != (n, n) or a.shape != (m, m) or c.shape != (m, n):
+            raise ShapeError(
+                f"provider returned shapes F{f.shape}, A{a.shape}, C{c.shape}; "
+                f"expected F({n},{n}), A({m},{m}), C({m},{n})"
+            )
+    if not values:
+        return (None,) * 3
+    return tuple(_complex_stack(list(part)) for part in zip(*values))
 
 
 def step_dznd1(
@@ -241,11 +304,12 @@ def step_dznd1(
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
     """One update of the complex-field model from the pre-step state."""
-    error = _equation_error(problem, state, tau)
-    factors = OperatorFactors(error[1], error[2], pinv_tolerance)
-    return _step(
-        problem, state, error, complex(gamma.re, gamma.im), tau, epsilon,
-        factors,
+    block = _Block.evaluate(problem, [tau], 1, with_solution=False)
+    x = unstack(state, problem.m, problem.n)
+    factors = OperatorFactors(block.f, block.a, pinv_tolerance)
+    return block.advance(
+        0, state, x, block.equation_error(0, x), complex(gamma.re, gamma.im),
+        epsilon, factors, 0,
     )[0]
 
 
@@ -264,17 +328,6 @@ def step_dznd2(
             f"model dznd2-2i is defined for real gains only, got {gamma}"
         )
     return step_dznd1(problem, state, gamma, tau, epsilon, pinv_tolerance)
-
-
-def _solution_error(problem: SylvesterConjugateProblem, x, tau: float) -> float:
-    """||X - X*(tau)||_F, after checking the shape of X*."""
-    exact = problem.theoretical_solution(tau)
-    if exact.shape != x.shape:
-        raise ShapeError(
-            f"theoretical solution shape {exact.shape} does not match "
-            f"problem dimensions {x.shape}"
-        )
-    return float(np.linalg.norm(x - exact.to_complex()))
 
 
 def run(
@@ -296,6 +349,7 @@ def run(
         )
     has_solution = problem.theoretical_solution is not None
     k_total = config.step_count
+    m, n = problem.m, problem.n
 
     state = state_from_matrix(initial.x0)
     gamma = complex(config.gamma.re, config.gamma.im)
@@ -307,14 +361,42 @@ def run(
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
     paths = dict.fromkeys(SolvePath, 0)
-    factors, factored_for, factorizations = None, None, 0
+    factorizations = 0
+    # The operator of the last step taken, as its bytes and as a member
+    # of some block's factors; it carries across block boundaries.
+    key, factors, member = None, None, 0
 
     for k in range(k_total + 1):
-        tau = k * config.epsilon
-        error = _equation_error(problem, state, tau)
-        x, f, a, e = error
+        i = k % BLOCK_RECORDS
+        if i == 0:
+            block_taus = [
+                j * config.epsilon
+                for j in range(k, min(k + BLOCK_RECORDS, k_total + 1))
+            ]
+            steps = min(len(block_taus), k_total - k)
+            block = _Block.evaluate(problem, block_taus, steps, has_solution)
+            # The steps whose operator differs bitwise from the one before
+            # (the bytes of F and A are compared, so even a changed sign
+            # of zero refactors) start a new member of the block's factors.
+            starts = {}
+            for j in range(steps):
+                step_key = (block.f[j].tobytes(), block.a[j].tobytes())
+                if step_key != key:
+                    starts[j] = len(starts)
+                    key = step_key
+            block_factors = OperatorFactors(
+                block.f[list(starts)], block.a[list(starts)],
+                config.pinv_tolerance,
+            )
+
+        tau = block_taus[i]
+        x = unstack(state, m, n)
+        e = block.equation_error(i, x)
         eq = float(np.linalg.norm(e))
-        sol = _solution_error(problem, x, tau) if has_solution else math.nan
+        sol = (
+            float(np.linalg.norm(x - block.exact[i])) if has_solution
+            else math.nan
+        )
         finite = bool(np.isfinite(state).all() and np.isfinite(eq))
 
         taus[k] = tau
@@ -329,13 +411,11 @@ def run(
             break
         if k == k_total:
             break
-        key = (f.tobytes(), a.tobytes())
-        if key != factored_for:
-            factors = OperatorFactors(f, a, config.pinv_tolerance)
-            factored_for = key
+        if i in starts:
+            factors, member = block_factors, starts[i]
             factorizations += 1
-        state, path = _step(
-            problem, state, error, gamma, tau, config.epsilon, factors
+        state, path = block.advance(
+            i, state, x, e, gamma, config.epsilon, factors, member
         )
         paths[path] += 1
 

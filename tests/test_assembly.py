@@ -135,6 +135,15 @@ class TestRealOperator:
             real_operator(f.to_complex(), a.to_complex()), _kron_operator(f, a)
         )
 
+    def test_stack_equals_its_members(self):
+        rng = np.random.default_rng(3)
+        fs = np.stack([random_split(rng, 3, 3).to_complex() for _ in range(4)])
+        as_ = np.stack([random_split(rng, 2, 2).to_complex() for _ in range(4)])
+        stacked = real_operator(fs, as_)
+        assert stacked.shape == (4, 12, 12)
+        for w, f, a in zip(stacked, fs, as_, strict=True):
+            np.testing.assert_array_equal(w, real_operator(f, a))
+
     @pytest.mark.parametrize("tau", [0.0, 3.0, 10.0])
     def test_exact_solution_solves_the_real_system(self, tau):
         p = example2()
@@ -201,15 +210,41 @@ class TestSolveOperator:
         bad = g.copy()
         bad[0, 1] = np.inf
         other = np.random.default_rng(1).normal(size=(m, n)) + 0j
-        factors = OperatorFactors(f, a)
+        factors = OperatorFactors(f[None], a[None])
         paths = []
         for rhs in (g, other, bad, g):
-            got, path = factors.solve(rhs)
+            got, path = factors.solve(0, rhs)
             want, want_path = solve_operator(f, a, rhs)
             np.testing.assert_array_equal(got, want)
             assert path is want_path
             paths.append(path)
         assert paths == [structured, structured, SolvePath.INVERSE, structured]
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_stack_members_solve_as_one_shot_solves(self, singular):
+        # A singular member makes the stack's inversion raise; every member
+        # then takes its own certified inverse.  A non-finite member raises
+        # only when it is solved.
+        rng = np.random.default_rng(5)
+        fs = [random_split(rng, 3, 3).to_complex() for _ in range(4)]
+        as_ = [random_split(rng, 2, 2).to_complex() for _ in range(4)]
+        fs[2] = fs[2].copy()
+        fs[2][1, 1] = np.inf
+        if singular:
+            fs[1], as_[1] = np.zeros((3, 3), complex), np.zeros((2, 2), complex)
+        g = random_split(rng, 2, 3).to_complex()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            factors = OperatorFactors(np.stack(fs), np.stack(as_))
+        for member in (3, 0, 1):
+            got, path = factors.solve(member, g)
+            want, want_path = solve_operator(fs[member], as_[member], g)
+            np.testing.assert_array_equal(got, want)
+            assert path is want_path
+            assert path is (SolvePath.PINV if singular and member == 1
+                            else SolvePath.INVERSE)
+        with pytest.raises(NumericError):
+            factors.solve(2, g)
 
 
 _STEP_CASES = [

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ from dznd import (
     tail_max_equation_residual,
     tail_max_solution_error,
 )
-from dznd.assembly import unstack
+from dznd.assembly import SolvePath, solve_operator, unstack
 from dznd.problems import InitialState
-from dznd.solvers import MAX_STEP_COUNT
+from dznd.solvers import BLOCK_RECORDS, MAX_STEP_COUNT
 from helpers import make_shifted_trig_problem, make_trig_problem
 
 GAMMA10 = ComplexGain(10.0)
@@ -289,6 +290,32 @@ class TestRecordLoop:
         assert calls == {"coefficients": records, "derivatives": records - 1,
                          "theoretical_solution": records}
 
+    def test_diverged_run_evaluates_at_most_one_block_ahead(self):
+        # example2 at gain 10+50i passes a threshold of 1e3 at record 100,
+        # inside the block of records 64 to 127.
+        p = example2()
+        taus = {"coefficients": [], "derivatives": [],
+                "theoretical_solution": []}
+
+        def recording(name):
+            def provider(tau):
+                taus[name].append(tau)
+                return getattr(p, name)(tau)
+            return provider
+
+        recorded = dataclasses.replace(
+            p, **{name: recording(name) for name in taus})
+        config = _config(gamma=ComplexGain(10.0, 50.0), epsilon=0.01,
+                         duration=5.0, divergence_threshold=1e3)
+        trajectory = run(recorded, config, random_initial_state(p, 42))
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert 0 < trajectory.diverged_at % BLOCK_RECORDS < BLOCK_RECORDS - 1
+        last = trajectory.taus[-1]
+        for name, called in taus.items():
+            assert len(called) == len(set(called)), name
+            assert max(called) <= config.duration
+            assert sum(tau > last for tau in called) <= BLOCK_RECORDS - 1
+
     @pytest.mark.parametrize("model", list(Model))
     def test_records_match_public_residuals(self, model):
         p = example2()
@@ -428,6 +455,172 @@ class TestFactorReuse:
         trajectory = run(problem, _config(duration=1.0),
                          random_initial_state(p, 42))
         assert trajectory.operator_factorizations == 10
+
+
+def _one_shot_run(problem, config, initial):
+    """run() rebuilt from one-shot steps: the records, outcome and counts
+    that run() must reproduce exactly, block by block."""
+    state = state_from_matrix(initial.x0)
+    gamma = complex(config.gamma.re, config.gamma.im)
+    states, residuals, errors = [], [], []
+    counts = {"operator_factorizations": 0, "pinv_fallback_steps": 0,
+              "structured_solve_steps": 0}
+    path_counts = {SolvePath.PINV: "pinv_fallback_steps",
+                   SolvePath.STRUCTURED: "structured_solve_steps"}
+    key, outcome, diverged_at = None, Outcome.COMPLETED, None
+    for k in range(config.step_count + 1):
+        tau = k * config.epsilon
+        x = unstack(state, problem.m, problem.n)
+        f, a, c = (z.to_complex() for z in problem.coefficients(tau))
+        e = x @ f - a @ np.conj(x) - c
+        eq = float(np.linalg.norm(e))
+        states.append(state)
+        residuals.append(eq)
+        errors.append(
+            float(np.linalg.norm(
+                x - problem.theoretical_solution(tau).to_complex()))
+            if problem.theoretical_solution else math.nan)
+        if (not (np.isfinite(state).all() and np.isfinite(eq))
+                or eq > config.divergence_threshold):
+            outcome, diverged_at = Outcome.DIVERGED, k
+            break
+        if k == config.step_count:
+            break
+        if (f.tobytes(), a.tobytes()) != key:
+            key = (f.tobytes(), a.tobytes())
+            counts["operator_factorizations"] += 1
+        fd, ad, cd = (z.to_complex() for z in problem.derivatives(tau))
+        drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
+        path = solve_operator(f, a, drive, config.pinv_tolerance)[1]
+        if path in path_counts:
+            counts[path_counts[path]] += 1
+        state = step_dznd1(problem, state, config.gamma, tau, config.epsilon,
+                           config.pinv_tolerance)
+    return states, residuals, errors, outcome, diverged_at, counts
+
+
+def _assert_runs_as_one_shot_steps(problem, config, initial):
+    trajectory = run(problem, config, initial)
+    states, residuals, errors, outcome, diverged_at, counts = (
+        _one_shot_run(problem, config, initial))
+    np.testing.assert_array_equal(trajectory.states, states)
+    np.testing.assert_array_equal(trajectory.equation_residuals, residuals)
+    np.testing.assert_array_equal(trajectory.solution_errors, errors)
+    assert (trajectory.outcome, trajectory.diverged_at) == (outcome, diverged_at)
+    assert {name: getattr(trajectory, name) for name in counts} == counts
+    return trajectory
+
+
+def _segmented_example2(records_per_segment):
+    """example2 with F, A, C and their derivatives held constant over
+    segments of records at epsilon = 0.01, so that a run factors once per
+    segment."""
+    p = example2()
+
+    def frozen(provider):
+        return lambda tau: provider(
+            0.01 * records_per_segment * (round(tau / 0.01)
+                                          // records_per_segment))
+
+    return dataclasses.replace(p, coefficients=frozen(p.coefficients),
+                               derivatives=frozen(p.derivatives))
+
+
+def _patched(problem, provider, at_record, replacement):
+    """``problem`` whose ``provider`` returns ``replacement`` at one record
+    (epsilon = 0.01)."""
+    original = getattr(problem, provider)
+    return dataclasses.replace(problem, **{provider: lambda tau: (
+        replacement if round(tau / 0.01) == at_record else original(tau))})
+
+
+class TestBlocks:
+    """run() does its tau-only work one block of BLOCK_RECORDS records at
+    a time; every run equals the one-shot step loop to the last bit, with
+    the same counts, at and around block edges."""
+
+    @pytest.mark.parametrize("records", [
+        2, BLOCK_RECORDS - 1, BLOCK_RECORDS, BLOCK_RECORDS + 1,
+        2 * BLOCK_RECORDS + 1,
+    ])
+    @pytest.mark.parametrize("factory", [
+        example1, example2, lambda: _segmented_example2(10),
+        lambda: _segmented_example2(BLOCK_RECORDS // 4),
+    ], ids=["constant", "moving", "segments-of-10", "segments-at-block-edges"])
+    def test_run_lengths_around_block_edges(self, records, factory):
+        problem = factory()
+        config = _config(epsilon=0.01, duration=0.01 * (records - 1))
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, config, random_initial_state(problem, 8))
+        assert len(trajectory) == records
+        assert trajectory.outcome is Outcome.COMPLETED
+
+    def test_run_of_one_record(self):
+        problem = example2()
+        config = _config(epsilon=0.01, duration=1.0, divergence_threshold=1e-3)
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, config, random_initial_state(problem, 8))
+        assert len(trajectory) == 1
+        assert trajectory.diverged_at == 0
+
+    def test_divergence_inside_a_block(self):
+        problem = _segmented_example2(10)
+        config = _config(gamma=ComplexGain(10.0, 50.0), epsilon=0.01,
+                         duration=5.0, divergence_threshold=1e3)
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, config, random_initial_state(problem, 42))
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert BLOCK_RECORDS < trajectory.diverged_at
+        assert 0 < trajectory.diverged_at % BLOCK_RECORDS < BLOCK_RECORDS - 1
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_singular_operator_inside_a_block(self, model):
+        # F = A = 0 at record 70 makes that W singular, so the inversion
+        # of its block's stack raises; only that step takes the SVD.
+        zero = SplitComplexMatrix.from_real(np.zeros((2, 2)))
+        p = example2()
+        problem = _patched(p, "coefficients", 70,
+                           (zero, zero, p.coefficients(0.7)[2]))
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, _config(model=model, epsilon=0.01, duration=1.5),
+            random_initial_state(p, 42))
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert trajectory.pinv_fallback_steps == 1
+
+    @pytest.mark.parametrize("provider", ["coefficients", "derivatives"])
+    def test_wrong_shape_inside_a_block_is_rejected(self, provider):
+        p = example2()
+        f, a, c = getattr(p, provider)(0.7)
+        problem = _patched(p, provider, 70, (f, a, SplitComplexMatrix.from_real(
+            np.zeros((1, 2)))))
+        with pytest.raises(ShapeError, match="provider returned shapes"):
+            run(problem, _config(epsilon=0.01, duration=1.5),
+                random_initial_state(p, 42))
+
+    def test_non_finite_coefficients_ahead_of_the_stop(self):
+        # F turns nan at tau = 0.05 and inf at 0.1.  The run stops at the
+        # nan record, factors once, and neither raises NumericError nor
+        # warns for the records evaluated ahead of the stop.
+        one = SplitComplexMatrix.from_real(np.ones((1, 1)))
+        zero = SplitComplexMatrix.from_real(np.zeros((1, 1)))
+
+        def coefficients(tau):
+            k = round(tau / 0.01)
+            f = 2.0 if k < 5 else (math.nan if k < 10 else math.inf)
+            return SplitComplexMatrix.from_real([[f]]), one, one
+
+        problem = SylvesterConjugateProblem(
+            m=1, n=1, coefficients=coefficients,
+            derivatives=lambda tau: (zero, zero, zero))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = _assert_runs_as_one_shot_steps(
+                problem, _config(epsilon=0.01, duration=1.0),
+                random_initial_state(problem, 1))
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert trajectory.diverged_at == 5
+        assert len(trajectory) == 6
+        assert trajectory.operator_factorizations == 1
 
 
 def test_running_both_models_does_not_import_scipy():
