@@ -56,7 +56,12 @@ from .linalg import (
 )
 
 # The number of unknowns mn from which the structured solve is tried;
-# below it the dense solve with W is faster (see solve_operator).
+# below it the dense affine step of dznd.solvers is faster.  Median
+# process time per step of dznd.run on moving shifted trig problems
+# (epsilon = 0.01, 128 steps, 20 runs, one BLAS thread, 2-vCPU host
+# whose speed drifts by up to 50% between runs), dense against
+# structured: 4x4 154/254 us, 4x6 291/334 us, 4x8 453/342 us, 5x7
+# 475/358 us, 6x6 559/319 us.
 STRUCTURED_SOLVE_MIN_UNKNOWNS = 32
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -104,22 +109,24 @@ class ComplexGain:
 
 
 def stack(z: np.ndarray) -> RealVector:
-    """The state vector [vec(Z_re); vec(Z_im)] of a complex matrix."""
-    z = z.reshape(-1, order="F")
-    return np.concatenate([z.real, z.imag])
+    """The state vector [vec(Z_re); vec(Z_im)] of a complex matrix, or
+    the stack of them for a stack of matrices along leading axes."""
+    z = z.swapaxes(-1, -2).reshape(z.shape[:-2] + (-1,))
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def unstack(state: RealVector, m: int, n: int) -> np.ndarray:
-    """The complex128 m x n matrix whose state vector is ``state``."""
+    """The complex128 m x n matrix whose state vector is ``state``, or
+    the stack of them for a stack of states along leading axes."""
     state = np.asarray(state, dtype=np.float64)
     mn = m * n
-    if state.shape != (2 * mn,):
+    if state.shape[-1:] != (2 * mn,):
         raise ShapeError(
             f"state of shape {state.shape} does not match 2mn = {2 * mn}"
         )
-    z = np.empty(mn, dtype=np.complex128)
-    z.real, z.imag = state[:mn], state[mn:]
-    return z.reshape(m, n, order="F")
+    z = np.empty(state.shape[:-1] + (mn,), dtype=np.complex128)
+    z.real, z.imag = state[..., :mn], state[..., mn:]
+    return z.reshape(z.shape[:-1] + (n, m)).swapaxes(-1, -2)
 
 
 def state_from_matrix(x: SplitComplexMatrix) -> RealVector:
@@ -200,7 +207,10 @@ class SolvePath(enum.Enum):
 class OperatorFactors:
     """The factors of L_i(Z) = Z F_i - A_i conj(Z) for a stack of
     operators (F_i, A_i) and a pinv cutoff ``tolerance``;
-    :meth:`solve` applies those of member i to any G.
+    :meth:`solve` applies those of member i to any G, and
+    :meth:`inverse` gives member i's pseudo-inverse of W itself.
+    ``structured`` tells whether solves try the Sylvester form, and
+    ``finite[i]`` whether F_i and A_i are finite.
 
     Built once, they serve every G for which F and A stay the same.  With
     at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
@@ -221,13 +231,14 @@ class OperatorFactors:
         self._f, self._a, self._tolerance = f, a, tolerance
         mn = f.shape[-1] * a.shape[-1]
         self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
-        self._structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
+        self.structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
+        self.finite = (
+            np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+        )
         self._sylvester: dict[int, _SylvesterFactors | None] = {}
         self._dense: dict[int, tuple[RealMatrix, bool]] = {}
-        if not self._structured:
-            finite = np.flatnonzero(
-                np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-            )
+        if not self.structured:
+            finite = np.flatnonzero(self.finite)
             if finite.size:
                 with np.errstate(over="ignore", invalid="ignore"):
                     w = real_operator(f[finite], a[finite])
@@ -241,31 +252,36 @@ class OperatorFactors:
 
         The Sylvester factors, when certified, are tried first for finite
         G.  Otherwise, or when their answer fails the backward-error
-        check, the result is that of the kept certified inverse of W, or
-        of :func:`~dznd.linalg.certified_inverse` of W, unchanged; forming
-        the latter raises :class:`~dznd.errors.NumericError` for
-        non-finite F or A.
+        check, the result is that of :meth:`inverse`.
         """
         f, a = self._f[member], self._a[member]
-        if self._structured and np.isfinite(g).all():
+        if self.structured and np.isfinite(g).all():
             if member not in self._sylvester:
                 self._sylvester[member] = (
                     _sylvester_factors(f, a, self._cutoff)
-                    if np.isfinite(f).all() and np.isfinite(a).all()
-                    else None
+                    if self.finite[member] else None
                 )
             factors = self._sylvester[member]
             if factors is not None:
                 d = factors.apply(f, a, g)
                 if d is not None:
                     return stack(d), SolvePath.STRUCTURED
+        matrix, path = self.inverse(member)
+        return matrix @ stack(g), path
+
+    def inverse(self, member: int) -> tuple[RealMatrix, SolvePath]:
+        """``pinv(W_i, tolerance)`` for member i, and the path it is: the
+        kept certified inverse of W, or else
+        :func:`~dznd.linalg.certified_inverse` of W, formed now and kept;
+        forming the latter raises :class:`~dznd.errors.NumericError` for
+        non-finite F or A."""
         if member not in self._dense:
             self._dense[member] = certified_inverse(
-                real_operator(f, a), self._tolerance
+                real_operator(self._f[member], self._a[member]),
+                self._tolerance,
             )
         matrix, fell_back = self._dense[member]
-        path = SolvePath.PINV if fell_back else SolvePath.INVERSE
-        return matrix @ stack(g), path
+        return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
 
 
 def solve_operator(

@@ -22,28 +22,46 @@ whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
 
-A run does the work that depends on tau alone one block of
-:data:`BLOCK_RECORDS` records at a time: it calls the providers at every
-record of the block, converts their values to complex128 stacks, and
-factors the block's distinct operators together.  It keeps the factors
-of L while F and A stay bitwise the same (the bytes of both arrays are
-compared, so even a changed sign of zero refactors), across block
-boundaries too: with constant coefficients it factors L once and only
-applies the factors at every later step, with the same answer to the
-last bit.  It counts the factorizations its steps used.  The loop over
-the steps keeps only what depends on the state: the equation error, the
-two residuals, the drive, one solve and the update.
+A run works one block of :data:`BLOCK_RECORDS` records at a time.  It
+calls the providers at every record of the block, converts their values
+to complex128 stacks, and factors the block's distinct operators
+together.  It keeps the factors of L while F and A stay bitwise the same
+(the bytes of both arrays are compared, so even a changed sign of zero
+refactors), across block boundaries too: with constant coefficients it
+factors L once.  It counts the factorizations its steps used.  Then the
+block's steps advance in one of two ways:
+
+* Below the structured crossover the drive is affine in the state,
+  G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
+  so each step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and
+  q_k known before the loop: W_k^+ times the real form of the bracket,
+  and W_k^+ stack(Cdot_k + gamma C_k).  P and q of the whole block come
+  from batched products, and the loop keeps one matrix-vector product
+  and the update.  At these sizes the Python overhead of some twenty
+  small numpy calls per step cost more than the arithmetic.  The block
+  integrates all its steps, also those past the record where the run
+  stops; they are discarded, and run without warnings.
+* From the crossover up each step forms G from E and solves with the
+  Sylvester factors, as P would cost O((mn)^3) per step against the
+  O(m^3 + n^3) of the solve.  These steps stop at the first record
+  where the run stops.
+
+The steppers :func:`step_dznd1` and :func:`step_dznd2` take the same
+code, as a block of one step.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
-the problem has no known solution), and stops early when the state goes
-non-finite or the residual passes the divergence threshold.  The
-coefficients are evaluated once per record: the E behind the residual
-is the E of the drive.
+the problem has no known solution): below the crossover for the whole
+block from its stored states, from the crossover up record by record
+from the E of the drive.  It stops at the first record whose state is
+non-finite or whose residual passes the divergence threshold; that
+record is kept, and path and factorization counts cover the steps taken
+before it.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -55,10 +73,12 @@ from .assembly import (
     ComplexGain,
     OperatorFactors,
     SolvePath,
+    real_operator,
+    stack,
     state_from_matrix,
     unstack,
 )
-from .errors import CapabilityError, ConfigError, ShapeError
+from .errors import CapabilityError, ConfigError, NumericError, ShapeError
 from .linalg import RealVector
 from .problems import InitialState, SylvesterConjugateProblem
 
@@ -89,10 +109,14 @@ _STEP_COUNT_SLACK = 1e-9
 # about 1 GB and a 16x16 run at about 41 GB.  Past it a run is refused
 # rather than left to exhaust memory.
 MAX_STEP_COUNT = 10**7
-# A run evaluates its providers, converts their values to complex128 and
-# factors its operators for this many records at a time.  A run that
-# diverges has evaluated its providers at most BLOCK_RECORDS - 1 records
-# past the record where it stopped, and never past the duration.
+# A run evaluates its providers, converts their values to complex128,
+# factors its operators and, below the structured crossover, takes its
+# steps for this many records at a time.  A run that diverges has
+# evaluated its providers at most BLOCK_RECORDS - 1 records past the
+# record where it stopped, and never past the duration.  Below the
+# crossover a block holds P and two more stacks of its size (W^+ and the
+# real form of the bracket), each BLOCK_RECORDS (2mn)^2 floats: 32 kB at
+# mn = 4 and 2 MB at mn = 31.
 BLOCK_RECORDS = 64
 
 
@@ -207,8 +231,9 @@ class _Block(NamedTuple):
     C and, when asked for, X* at every record, and the derivatives of F,
     A and C at the records that take a step.
 
-    Everything in a step that depends on tau alone comes from here; the
-    one drive expression of both models is :meth:`advance`.
+    Everything in a step that depends on tau alone comes from here;
+    :meth:`advance` takes the block's steps, and with
+    :meth:`solution_errors` gives its records' residuals.
     """
 
     f: np.ndarray
@@ -246,27 +271,112 @@ class _Block(NamedTuple):
         )
         return cls(f, a, c, fd, ad, cd, exact)
 
-    def equation_error(self, i: int, x: np.ndarray) -> np.ndarray:
-        """E = X F - A conj(X) - C at record i."""
-        return x @ self.f[i] - self.a[i] @ np.conj(x) - self.c[i]
+    def equation_error(self, x: np.ndarray, at) -> np.ndarray:
+        """E = X F - A conj(X) - C at record ``at``, or at the records of
+        the slice ``at`` for a stack of X."""
+        return x @ self.f[at] - self.a[at] @ np.conj(x) - self.c[at]
+
+    def solution_errors(self, states: np.ndarray) -> np.ndarray:
+        """||X - X*||_F (nan without X*) at the block's first len(states)
+        records, whose stacked states are ``states``."""
+        if self.exact is None:
+            return np.full(len(states), math.nan)
+        x = unstack(states, self.a.shape[-1], self.f.shape[-1])
+        # States integrated past a stop may overflow; they warn nothing.
+        with np.errstate(all="ignore"):
+            return _norms(x - self.exact[:len(states)])
 
     def advance(
         self,
-        i: int,
-        state: RealVector,
-        x: np.ndarray,
-        e: np.ndarray,
+        states: np.ndarray,
+        uses: list[tuple[OperatorFactors, int]],
         gamma: complex,
         epsilon: float,
-        factors: OperatorFactors,
-        member: int,
-    ) -> tuple[RealVector, SolvePath]:
-        """The update from ``state`` = stack(X) at record i, whose
-        equation error is E and whose L is member ``member`` of
-        ``factors``, and the path its solve took."""
-        drive = self.cd[i] + self.ad[i] @ np.conj(x) - x @ self.fd[i] - gamma * e
-        direction, path = factors.solve(member, drive)
-        return state + epsilon * direction, path
+        threshold: Optional[float],
+    ) -> tuple[list[Optional[SolvePath]], np.ndarray]:
+        """Take the block's steps from ``states[0]``, writing the state
+        after step j into ``states[j + 1]``; step j solves with member
+        ``uses[j][1]`` of the factors ``uses[j][0]``.  Return the path of
+        each step taken and ||E||_F at each record filled: all of the
+        block's, or those up to an early stop.
+
+        Below the structured crossover the step is affine in the state,
+
+            x_{k+1} = x_k + epsilon (q_k - P_k x_k),
+            P_k = W_k^+ real_operator(Fdot_k + gamma F_k, Adot_k + gamma A_k),
+            q_k = W_k^+ stack(Cdot_k + gamma C_k),
+
+        with W_k^+ from :meth:`~dznd.assembly.OperatorFactors.inverse`, so
+        P and q of every step are formed in batched products first and
+        the loop keeps one matrix-vector product and the update; the
+        residual norms follow for the whole block.  All the steps are
+        taken, without warnings: those past a stop are the caller's to
+        discard.
+        A member with non-finite F or A gets a nan W^+ and path None; its
+        record is non-finite, so no run steps from it.
+
+        From the crossover up each record's E gives its residual norm and
+        the drive G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step
+        solves L(D) = G with the factors, since they cost O(m^3 + n^3)
+        per solve against O((mn)^3) for W^+.  Given a ``threshold``, the
+        steps stop at the first record that is non-finite or whose
+        ||E||_F passes it.
+        """
+        steps, records = len(uses), len(self.f)
+        m, n = self.a.shape[-1], self.f.shape[-1]
+        if not (uses and uses[0][0].structured):
+            nan = np.full((states.shape[1],) * 2, math.nan)
+            pairs = [
+                factors.inverse(member) if factors.finite[member] else (nan, None)
+                for factors, member in uses
+            ]
+            with np.errstate(all="ignore"):
+                if steps:
+                    inverses = np.stack([matrix for matrix, _ in pairs])
+                    p = inverses @ real_operator(
+                        self.fd + gamma * self.f[:steps],
+                        self.ad + gamma * self.a[:steps],
+                    )
+                    h = stack(self.cd + gamma * self.c[:steps])
+                    q = (inverses @ h[..., None])[..., 0]
+                    x = states[0]
+                    for j in range(steps):
+                        x = x + epsilon * (q[j] - p[j] @ x)
+                        states[j + 1] = x
+                x = unstack(states[:records], m, n)
+                eq = _norms(self.equation_error(x, slice(records)))
+            return [path for _, path in pairs], eq
+        paths, eqs = [], []
+        for j in range(records):
+            x = unstack(states[j], m, n)
+            e = self.equation_error(x, j)
+            eqs.append(np.linalg.norm(e))
+            if j == steps or threshold is not None and _stops(
+                np.isfinite(states[j]).all(), eqs[-1], threshold
+            ):
+                break
+            factors, member = uses[j]
+            drive = (
+                self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
+                - gamma * e
+            )
+            direction, path = factors.solve(member, drive)
+            states[j + 1] = states[j] + epsilon * direction
+            paths.append(path)
+        return paths, np.array(eqs)
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """||Z||_F of a matrix, or of each matrix of a stack, one
+    ``np.linalg.norm`` call each: batched norms sum in another order and
+    differ from it in the last bit."""
+    return np.array([np.linalg.norm(w) for w in z.reshape((-1,) + z.shape[-2:])])
+
+
+def _stops(finite, equation_residual, threshold):
+    """Whether a run stops at a record: it is non-finite or its equation
+    residual passes the divergence threshold (elementwise for arrays)."""
+    return np.logical_not(finite) | (equation_residual > threshold)
 
 
 def _complex_stack(matrices: list) -> np.ndarray:
@@ -303,14 +413,18 @@ def step_dznd1(
     epsilon: float,
     pinv_tolerance: Optional[float] = None,
 ) -> RealVector:
-    """One update of the complex-field model from the pre-step state."""
+    """One update of the complex-field model from the pre-step state: a
+    block of one step, taken as :func:`run` takes its blocks."""
     block = _Block.evaluate(problem, [tau], 1, with_solution=False)
-    x = unstack(state, problem.m, problem.n)
     factors = OperatorFactors(block.f, block.a, pinv_tolerance)
-    return block.advance(
-        0, state, x, block.equation_error(0, x), complex(gamma.re, gamma.im),
-        epsilon, factors, 0,
-    )[0]
+    if not factors.finite[0]:
+        raise NumericError(f"F or A is not finite at tau = {tau}")
+    unstack(state, problem.m, problem.n)  # raises ShapeError on a bad length
+    states = np.array([state, state], dtype=np.float64)
+    block.advance(
+        states, [(factors, 0)], complex(gamma.re, gamma.im), epsilon, None
+    )
+    return states[1]
 
 
 def step_dznd2(
@@ -351,75 +465,64 @@ def run(
     k_total = config.step_count
     m, n = problem.m, problem.n
 
-    state = state_from_matrix(initial.x0)
     gamma = complex(config.gamma.re, config.gamma.im)
     taus = np.empty(k_total + 1)
-    states = np.empty((k_total + 1, state.size))
+    states = np.empty((k_total + 1, 2 * m * n))
+    states[0] = state_from_matrix(initial.x0)
     eq_residuals = np.empty(k_total + 1)
     sol_errors = np.empty(k_total + 1)
     finite_flags = np.empty(k_total + 1, dtype=bool)
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
-    paths = dict.fromkeys(SolvePath, 0)
+    paths = collections.Counter()
     factorizations = 0
     # The operator of the last step taken, as its bytes and as a member
     # of some block's factors; it carries across block boundaries.
     key, factors, member = None, None, 0
 
-    for k in range(k_total + 1):
-        i = k % BLOCK_RECORDS
-        if i == 0:
-            block_taus = [
-                j * config.epsilon
-                for j in range(k, min(k + BLOCK_RECORDS, k_total + 1))
-            ]
-            steps = min(len(block_taus), k_total - k)
-            block = _Block.evaluate(problem, block_taus, steps, has_solution)
-            # The steps whose operator differs bitwise from the one before
-            # (the bytes of F and A are compared, so even a changed sign
-            # of zero refactors) start a new member of the block's factors.
-            starts = {}
-            for j in range(steps):
-                step_key = (block.f[j].tobytes(), block.a[j].tobytes())
-                if step_key != key:
-                    starts[j] = len(starts)
-                    key = step_key
-            block_factors = OperatorFactors(
-                block.f[list(starts)], block.a[list(starts)],
-                config.pinv_tolerance,
-            )
-
-        tau = block_taus[i]
-        x = unstack(state, m, n)
-        e = block.equation_error(i, x)
-        eq = float(np.linalg.norm(e))
-        sol = (
-            float(np.linalg.norm(x - block.exact[i])) if has_solution
-            else math.nan
+    for start in range(0, k_total + 1, BLOCK_RECORDS):
+        records = min(BLOCK_RECORDS, k_total + 1 - start)
+        steps = min(records, k_total - start)
+        block_taus = [j * config.epsilon for j in range(start, start + records)]
+        block = _Block.evaluate(problem, block_taus, steps, has_solution)
+        # The steps whose operator differs bitwise from the one before
+        # (the bytes of F and A are compared, so even a changed sign of
+        # zero refactors) start a new member of the block's factors.
+        starts = {}
+        for j in range(steps):
+            step_key = (block.f[j].tobytes(), block.a[j].tobytes())
+            if step_key != key:
+                starts[j] = len(starts)
+                key = step_key
+        block_factors = OperatorFactors(
+            block.f[list(starts)], block.a[list(starts)], config.pinv_tolerance
         )
-        finite = bool(np.isfinite(state).all() and np.isfinite(eq))
+        uses = []
+        for j in range(steps):
+            if j in starts:
+                factors, member = block_factors, starts[j]
+            uses.append((factors, member))
 
-        taus[k] = tau
-        states[k] = state
-        eq_residuals[k] = eq
-        sol_errors[k] = sol
-        finite_flags[k] = finite
+        step_paths, eq = block.advance(
+            states[start:start + steps + 1], uses, gamma, config.epsilon,
+            config.divergence_threshold,
+        )
+        kept = slice(start, start + len(eq))
+        finite = np.isfinite(states[kept]).all(axis=1) & np.isfinite(eq)
+        taus[kept] = block_taus[:len(eq)]
+        eq_residuals[kept], finite_flags[kept] = eq, finite
+        sol_errors[kept] = block.solution_errors(states[kept])
 
-        if not finite or eq > config.divergence_threshold:
+        stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
+        taken = int(stop[0]) if stop.size else steps
+        factorizations += sum(j < taken for j in starts)
+        paths.update(step_paths[:taken])
+        if stop.size:
             outcome = Outcome.DIVERGED
-            diverged_at = k
+            diverged_at = start + taken
             break
-        if k == k_total:
-            break
-        if i in starts:
-            factors, member = block_factors, starts[i]
-            factorizations += 1
-        state, path = block.advance(
-            i, state, x, e, gamma, config.epsilon, factors, member
-        )
-        paths[path] += 1
 
-    records = k + 1
+    records = k_total + 1 if diverged_at is None else diverged_at + 1
     return Trajectory(
         steps=np.arange(records, dtype=np.int64),
         taus=taus[:records],

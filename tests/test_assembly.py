@@ -7,14 +7,17 @@ from dznd import (
     ComplexGain,
     Model,
     NumericError,
+    Outcome,
     ShapeError,
     SolverConfig,
     SplitComplexMatrix,
     characteristic_roots,
     euler_forward_characteristic,
+    example1,
     example2,
     is_zero_stable,
     matrix_from_state,
+    random_initial_state,
     run,
     state_from_matrix,
     step_dznd1,
@@ -301,6 +304,46 @@ class TestStepOracle:
         expected = state + self.epsilon * np.linalg.solve(w, g)
         got = step_dznd2(problem, state, gamma, self.tau, self.epsilon)
         assert np.abs(got - expected).max() <= 1e-10
+
+
+def _vec_state(z):
+    """[vec(Z_re); vec(Z_im)], written out without the package."""
+    v = z.flatten(order="F")
+    return np.concatenate([v.real, v.imag])
+
+
+class TestRunOracle:
+    """run() against a plain loop x <- x + epsilon * solve(W, g), with W
+    from the Kronecker formula and g from the drive's defining formula,
+    over three full blocks of records and part of a fourth."""
+
+    @pytest.mark.parametrize("factory,gamma", [
+        (example2, ComplexGain(10.0)),
+        (example2, ComplexGain(10.0, 20.0)),
+        (example1, ComplexGain(10.0)),
+    ], ids=["example2-10", "example2-10+20i", "example1-10"])
+    def test_every_record_matches_a_plain_solve_loop(self, factory, gamma):
+        problem = factory()
+        m, n = problem.m, problem.n
+        config = SolverConfig(model=Model.DZND1_2I, gamma=gamma,
+                              epsilon=0.01, duration=2.0)
+        initial = random_initial_state(problem, 11)
+        trajectory = run(problem, config, initial)
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert len(trajectory) == config.step_count + 1 == 201
+
+        g_c = complex(gamma.re, gamma.im)
+        state = _vec_state(initial.x0.to_complex())
+        for k, got in enumerate(trajectory.states):
+            assert np.linalg.norm(got - state) <= 1e-12 * np.linalg.norm(state)
+            tau = k * config.epsilon
+            x = (state[:m * n] + 1j * state[m * n:]).reshape(m, n, order="F")
+            f, a, c = problem.coefficients(tau)
+            fd, ad, cd = (z.to_complex() for z in problem.derivatives(tau))
+            e = x @ f.to_complex() - a.to_complex() @ np.conj(x) - c.to_complex()
+            g = cd + ad @ np.conj(x) - x @ fd - g_c * e
+            state = state + config.epsilon * np.linalg.solve(
+                _kron_operator(f, a), _vec_state(g))
 
 
 def test_provider_shape_mismatch_raises_through_run():

@@ -14,6 +14,7 @@ from dznd import (
     ComplexGain,
     ConfigError,
     Model,
+    NumericError,
     Outcome,
     ShapeError,
     SolverConfig,
@@ -164,6 +165,18 @@ class TestSteps:
             state = step_dznd2(problem, state, GAMMA10, k * 0.1, 0.1)
         final = equation_residual(problem, matrix_from_state(state, 3, 2), 10.0)
         assert final <= 1e-10
+
+    @pytest.mark.parametrize("stepper", [step_dznd1, step_dznd2])
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_non_finite_coefficients_raise(self, stepper, size):
+        # 2x2 takes the dense affine step, 6x6 the structured solve.
+        zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
+        bad = SplitComplexMatrix.from_real(np.full((size, size), np.inf))
+        problem = SylvesterConjugateProblem(
+            m=size, n=size, coefficients=lambda tau: (zero, bad, zero),
+            derivatives=lambda tau: (zero, zero, zero))
+        with pytest.raises(NumericError):
+            stepper(problem, np.zeros(2 * size * size), GAMMA10, 0.0, 0.1)
 
     def test_dznd2_rejects_complex_gain(self):
         problem = example2()
@@ -572,6 +585,20 @@ class TestBlocks:
         assert trajectory.outcome is Outcome.DIVERGED
         assert BLOCK_RECORDS < trajectory.diverged_at
         assert 0 < trajectory.diverged_at % BLOCK_RECORDS < BLOCK_RECORDS - 1
+
+    def test_overflow_past_the_stop(self):
+        # The residual passes the threshold at record 2, and the block
+        # integrates its 64 steps on past it until the discarded states
+        # overflow to inf and nan; that must warn nothing.
+        problem = example2()
+        config = _config(gamma=ComplexGain(1e8), epsilon=0.5, duration=40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = _assert_runs_as_one_shot_steps(
+                problem, config, random_initial_state(problem, 42))
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert trajectory.diverged_at == 2
+        assert len(trajectory) == 3
 
     @pytest.mark.parametrize("model", list(Model))
     def test_singular_operator_inside_a_block(self, model):
