@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 run diverged.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,9 +44,9 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, problems) -> None:
     sub.add_argument(
-        "--problem", default="example2", choices=sorted(PROBLEMS),
+        "--problem", default="example2", choices=problems,
         help="registered problem name",
     )
     sub.add_argument("--duration", type=float, default=10.0,
@@ -60,6 +61,14 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dznd`` argument parser.  Parsing leaves a parser unchanged,
+    so one is built per process for each set of registered problems and
+    shared by every call."""
+    return _parser(tuple(sorted(PROBLEMS)))
+
+
+@functools.cache
+def _parser(problems: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dznd",
         description=(
@@ -70,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="integrate one model and write files")
-    _add_common_flags(run_p)
+    _add_common_flags(run_p, problems)
     run_p.add_argument("--model", default=Model.DZND1_2I.value,
                        choices=_MODEL_NAMES)
     run_p.add_argument("--gamma", default="10",
@@ -80,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a (model, gamma, epsilon) grid")
-    _add_common_flags(sweep_p)
+    _add_common_flags(sweep_p, problems)
     sweep_p.add_argument("--model", action="append", choices=_MODEL_NAMES,
                          help="repeatable; default: both models")
     sweep_p.add_argument("--gamma", action="append",

@@ -10,9 +10,14 @@ as separate providers; the solvers consume the derivatives explicitly, so
 problems should supply analytic derivatives whenever possible (the
 finite-difference fallback below limits the achievable accuracy order).
 
+A provider is a function of one tau, or a :class:`BlockProvider`: a
+formula written once over an array of tau, which a run evaluates once
+per block of records and which still answers at one tau.
+
 Two benchmark problems with known exact solutions ship in a registry
 keyed by name: ``example1`` (constant coefficients) and ``example2``
-(trigonometric time-variant coefficients).
+(trigonometric time-variant coefficients); their providers are block
+providers.
 """
 
 from __future__ import annotations
@@ -32,6 +37,27 @@ SolutionProvider = Callable[[float], SplitComplexMatrix]
 
 
 @dataclass(frozen=True)
+class BlockProvider:
+    """A provider written over an array of tau.
+
+    ``over(taus)`` takes a 1-D float64 array of k times and returns the
+    values at every one of them as complex128 stacks with a leading axis
+    of length k: the tuple (F, A, C) for coefficients or derivatives, or
+    one stack of X* for a solution.  Called at one tau, the provider
+    evaluates ``over`` on a one-element array and returns split matrices,
+    as a per-tau provider does, so each formula is written once.
+    """
+
+    over: Callable[[np.ndarray], object]
+
+    def __call__(self, tau: float):
+        values = self.over(np.array([tau], dtype=np.float64))
+        if isinstance(values, tuple):
+            return tuple(SplitComplexMatrix(z[0].real, z[0].imag) for z in values)
+        return SplitComplexMatrix(values[0].real, values[0].imag)
+
+
+@dataclass(frozen=True)
 class SylvesterConjugateProblem:
     """One instance of the matrix equation, with providers over time.
 
@@ -42,12 +68,15 @@ class SylvesterConjugateProblem:
     ``theoretical_solution``, when present, maps tau to the unique exact
     solution.
 
-    A run calls ``coefficients`` and ``theoretical_solution`` once per
-    record and ``derivatives`` once per step, one block of
-    :data:`~dznd.solvers.BLOCK_RECORDS` records ahead of the steps.  A
-    run that diverges may so have called them at up to BLOCK_RECORDS - 1
-    records past the record where it stopped; no run calls them at a tau
-    past its duration.
+    A run works one block of :data:`~dznd.solvers.BLOCK_RECORDS`
+    records ahead of the steps.  It calls a :class:`BlockProvider` once
+    per block, with the block's array of tau: ``coefficients`` and
+    ``theoretical_solution`` at its records, ``derivatives`` at those
+    that take a step.  Any other provider it calls once per record
+    (``coefficients``, ``theoretical_solution``) or step
+    (``derivatives``).  A run that diverges may so have evaluated them at
+    up to BLOCK_RECORDS - 1 records past the record where it stopped; no
+    run evaluates them at a tau past its duration.
     """
 
     m: int
@@ -130,23 +159,34 @@ def finite_difference_derivatives(
 # Benchmark problem 1: constant coefficients (3 x 2 unknown).
 # ---------------------------------------------------------------------------
 
-_F1 = SplitComplexMatrix([[0, 0], [1, -1]], [[2, 1], [0, 1]])
-_A1 = SplitComplexMatrix(
+
+def _constant(re, im) -> np.ndarray:
+    """A complex128 matrix, set part by part."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+_F1 = _constant([[0, 0], [1, -1]], [[2, 1], [0, 1]])
+_A1 = _constant(
     [[1, -2, -1], [0, 0, 0], [0, -1, 1]],
     [[0, -1, 1], [0, 1, 0], [0, 0, -1]],
 )
-_C1 = SplitComplexMatrix(
+_C1 = _constant(
     [[-1, 1], [0, 0], [0, 1]],
     [[1, 0], [0, 1], [-1, -2]],
 )
 # Exact solution entries are small rationals, converted to float once here.
-_X1 = SplitComplexMatrix(
+_X1 = _constant(
     [[21 / 40, -9 / 8], [1 / 2, 3 / 4], [-6 / 5, -13 / 20]],
     [[-33 / 40, 5 / 8], [1 / 4, -1 / 2], [21 / 20, 9 / 5]],
 )
-_ZERO_F1 = SplitComplexMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
-_ZERO_A1 = SplitComplexMatrix(np.zeros((3, 3)), np.zeros((3, 3)))
-_ZERO_C1 = SplitComplexMatrix(np.zeros((3, 2)), np.zeros((3, 2)))
+_ZEROS1 = tuple(np.zeros_like(z) for z in (_F1, _A1, _C1))
+
+
+def _held(taus: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of ``values`` at every tau, as a read-only broadcast stack."""
+    return tuple(np.broadcast_to(z, (len(taus),) + z.shape) for z in values)
 
 
 def example1() -> SylvesterConjugateProblem:
@@ -154,9 +194,9 @@ def example1() -> SylvesterConjugateProblem:
     return SylvesterConjugateProblem(
         m=3,
         n=2,
-        coefficients=lambda tau: (_F1, _A1, _C1),
-        derivatives=lambda tau: (_ZERO_F1, _ZERO_A1, _ZERO_C1),
-        theoretical_solution=lambda tau: _X1,
+        coefficients=BlockProvider(lambda taus: _held(taus, _F1, _A1, _C1)),
+        derivatives=BlockProvider(lambda taus: _held(taus, *_ZEROS1)),
+        theoretical_solution=BlockProvider(lambda taus: _held(taus, _X1)[0]),
         label="example1",
     )
 
@@ -166,12 +206,22 @@ def example1() -> SylvesterConjugateProblem:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs2(tau: float):
-    s, c = np.sin(tau), np.cos(tau)
-    s2 = np.sin(2 * tau)
-    f = SplitComplexMatrix([[6 + s, c], [c, 4 + s]], [[c, s], [s, c]])
-    a = SplitComplexMatrix([[c, s], [-s, c]], [[s, c], [c, -s]])
-    cc = SplitComplexMatrix(
+def _stack(re: list, im: list) -> np.ndarray:
+    """The (k, rows, cols) complex128 stack whose entry (i, j) has the
+    parts ``re[i][j]`` and ``im[i][j]``, arrays over k taus, set part by
+    part."""
+    re, im = np.array(re), np.array(im)
+    z = np.empty((re.shape[-1],) + re.shape[:-1], dtype=np.complex128)
+    z.real, z.imag = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
+    return z
+
+
+def _example2_coefficients(taus: np.ndarray) -> tuple[np.ndarray, ...]:
+    s, c = np.sin(taus), np.cos(taus)
+    s2 = np.sin(2 * taus)
+    f = _stack([[6 + s, c], [c, 4 + s]], [[c, s], [s, c]])
+    a = _stack([[c, s], [-s, c]], [[s, c], [c, -s]])
+    cc = _stack(
         [
             [2 * c * c - 2 * c * s + 6 * s, 4 * c + 2 * c * s - 2 * c * c],
             [-2 * s2 - 6 * c + 2, 2 * s2 - 4 * s - 2],
@@ -184,14 +234,15 @@ def _coeffs2(tau: float):
     return f, a, cc
 
 
-def _derivs2(tau: float):
-    # Term-wise analytic derivatives of the entries in _coeffs2, using
-    # d(2 cos^2) = -2 sin(2 tau) and d(2 sin cos) = 2 cos(2 tau).
-    s, c = np.sin(tau), np.cos(tau)
-    s2, c2 = np.sin(2 * tau), np.cos(2 * tau)
-    fd = SplitComplexMatrix([[c, -s], [-s, c]], [[-s, c], [c, -s]])
-    ad = SplitComplexMatrix([[-s, c], [-c, -s]], [[c, -s], [-s, -c]])
-    cd = SplitComplexMatrix(
+def _example2_derivatives(taus: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Term-wise analytic derivatives of the entries in
+    # _example2_coefficients, using d(2 cos^2) = -2 sin(2 tau) and
+    # d(2 sin cos) = 2 cos(2 tau).
+    s, c = np.sin(taus), np.cos(taus)
+    s2, c2 = np.sin(2 * taus), np.cos(2 * taus)
+    fd = _stack([[c, -s], [-s, c]], [[-s, c], [c, -s]])
+    ad = _stack([[-s, c], [-c, -s]], [[c, -s], [-s, -c]])
+    cd = _stack(
         [
             [-2 * s2 - 2 * c2 + 6 * c, -4 * s + 2 * c2 + 2 * s2],
             [-4 * c2 + 6 * s, 4 * c2 - 4 * c],
@@ -204,10 +255,10 @@ def _derivs2(tau: float):
     return fd, ad, cd
 
 
-def _solution2(tau: float) -> SplitComplexMatrix:
-    s, c = np.sin(tau), np.cos(tau)
-    p = np.array([[s, c], [-c, -s]])
-    return SplitComplexMatrix(p, p.copy())
+def _example2_solution(taus: np.ndarray) -> np.ndarray:
+    s, c = np.sin(taus), np.cos(taus)
+    p = [[s, c], [-c, -s]]
+    return _stack(p, p)
 
 
 def example2() -> SylvesterConjugateProblem:
@@ -215,9 +266,9 @@ def example2() -> SylvesterConjugateProblem:
     return SylvesterConjugateProblem(
         m=2,
         n=2,
-        coefficients=_coeffs2,
-        derivatives=_derivs2,
-        theoretical_solution=_solution2,
+        coefficients=BlockProvider(_example2_coefficients),
+        derivatives=BlockProvider(_example2_derivatives),
+        theoretical_solution=BlockProvider(_example2_solution),
         label="example2",
     )
 

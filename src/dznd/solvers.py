@@ -23,10 +23,13 @@ singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
 
 A run works one block of :data:`BLOCK_RECORDS` records at a time.  It
-calls the providers at every record of the block, converts their values
-to complex128 stacks, and factors the block's distinct operators
-together.  It keeps the factors of L while F and A stay bitwise the same
-(the bytes of both arrays are compared, so even a changed sign of zero
+evaluates the providers at every record of the block as complex128
+stacks, and factors the block's distinct operators together.  A
+:class:`~dznd.problems.BlockProvider`, as the registered problems have,
+is called once per block with the block's array of tau; any other
+provider is called at each tau, and its split values are stacked.  A
+run keeps the factors of L while F and A stay bitwise the same (the
+bytes of both arrays are compared, so even a changed sign of zero
 refactors), across block boundaries too: with constant coefficients it
 factors L once.  It counts the factorizations its steps used.  Then the
 block's steps advance in one of two ways:
@@ -36,11 +39,13 @@ block's steps advance in one of two ways:
   so each step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and
   q_k known before the loop: W_k^+ times the real form of the bracket,
   and W_k^+ stack(Cdot_k + gamma C_k).  P and q of the whole block come
-  from batched products, and the loop keeps one matrix-vector product
-  and the update.  At these sizes the Python overhead of some twenty
-  small numpy calls per step cost more than the arithmetic.  The block
-  integrates all its steps, also those past the record where the run
-  stops; they are discarded, and run without warnings.
+  from batched products, formed once for all the steps that share W^+
+  and bitwise the same shifted coefficients (once per block when the
+  coefficients are constant), and the loop keeps one matrix-vector
+  product and the update.  At these sizes the Python overhead of some
+  twenty small numpy calls per step cost more than the arithmetic.  The
+  block integrates all its steps, also those past the record where the
+  run stops; they are discarded, and run without warnings.
 * From the crossover up each step forms G from E and solves with the
   Sylvester factors, as P would cost O((mn)^3) per step against the
   O(m^3 + n^3) of the solve.  These steps stop at the first record
@@ -252,23 +257,34 @@ class _Block(NamedTuple):
         steps: int,
         with_solution: bool,
     ) -> "_Block":
-        """Call the coefficient (and solution) providers at every tau in
-        ``taus`` and the derivative provider at the first ``steps``,
+        """Evaluate the coefficient (and solution) providers at every tau
+        in ``taus`` and the derivative provider at the first ``steps``,
         checking every shape against the problem."""
-        f, a, c = _coefficient_stacks(problem, problem.coefficients, taus)
+        m, n = problem.m, problem.n
+
+        def check_coefficients(f, a, c):
+            if f != (n, n) or a != (m, m) or c != (m, n):
+                raise ShapeError(
+                    f"provider returned shapes F{f}, A{a}, C{c}; "
+                    f"expected F({n},{n}), A({m},{m}), C({m},{n})"
+                )
+
+        def check_solution(x):
+            if x != (m, n):
+                raise ShapeError(
+                    f"theoretical solution shape {x} does not match "
+                    f"problem dimensions {(m, n)}"
+                )
+
+        f, a, c = _stacks(problem.coefficients, taus, check_coefficients)
         exact = None
         if with_solution:
-            solutions = [problem.theoretical_solution(tau) for tau in taus]
-            for x in solutions:
-                if x.shape != (problem.m, problem.n):
-                    raise ShapeError(
-                        f"theoretical solution shape {x.shape} does not match "
-                        f"problem dimensions {(problem.m, problem.n)}"
-                    )
-            exact = _complex_stack(solutions)
-        fd, ad, cd = _coefficient_stacks(
-            problem, problem.derivatives, taus[:steps]
-        )
+            exact, = _stacks(problem.theoretical_solution, taus, check_solution)
+        fd = ad = cd = None
+        if steps:
+            fd, ad, cd = _stacks(
+                problem.derivatives, taus[:steps], check_coefficients
+            )
         return cls(f, a, c, fd, ad, cd, exact)
 
     def equation_error(self, x: np.ndarray, at) -> np.ndarray:
@@ -307,11 +323,12 @@ class _Block(NamedTuple):
             q_k = W_k^+ stack(Cdot_k + gamma C_k),
 
         with W_k^+ from :meth:`~dznd.assembly.OperatorFactors.inverse`, so
-        P and q of every step are formed in batched products first and
-        the loop keeps one matrix-vector product and the update; the
-        residual norms follow for the whole block.  All the steps are
-        taken, without warnings: those past a stop are the caller's to
-        discard.
+        P and q are formed in batched products first, once for each
+        distinct (member, bytes of Fdot + gamma F, Adot + gamma A and
+        Cdot + gamma C) of the block, and the loop keeps one
+        matrix-vector product and the update; the residual norms follow
+        for the whole block.  All the steps are taken, without warnings:
+        those past a stop are the caller's to discard.
         A member with non-finite F or A gets a nan W^+ and path None; its
         record is non-finite, so no run steps from it.
 
@@ -332,16 +349,29 @@ class _Block(NamedTuple):
             ]
             with np.errstate(all="ignore"):
                 if steps:
-                    inverses = np.stack([matrix for matrix, _ in pairs])
-                    p = inverses @ real_operator(
+                    fs, as_, cs = (
                         self.fd + gamma * self.f[:steps],
                         self.ad + gamma * self.a[:steps],
+                        self.cd + gamma * self.c[:steps],
                     )
-                    h = stack(self.cd + gamma * self.c[:steps])
-                    q = (inverses @ h[..., None])[..., 0]
+                    # Steps of one member whose shifted F, A and C match
+                    # bitwise share P and q, which are formed once.
+                    rows = np.concatenate(
+                        [z.reshape(steps, -1) for z in (fs, as_, cs)], axis=1
+                    )
+                    slots, firsts, index = {}, [], []
+                    for j, (factors, member) in enumerate(uses):
+                        key = (id(factors), member, rows[j].tobytes())
+                        if key not in slots:
+                            slots[key] = len(firsts)
+                            firsts.append(j)
+                        index.append(slots[key])
+                    inverses = np.stack([pairs[j][0] for j in firsts])
+                    p = inverses @ real_operator(fs[firsts], as_[firsts])
+                    q = (inverses @ stack(cs[firsts])[..., None])[..., 0]
                     x = states[0]
-                    for j in range(steps):
-                        x = x + epsilon * (q[j] - p[j] @ x)
+                    for j, slot in enumerate(index):
+                        x = x + epsilon * (q[slot] - p[slot] @ x)
                         states[j + 1] = x
                 x = unstack(states[:records], m, n)
                 eq = _norms(self.equation_error(x, slice(records)))
@@ -379,30 +409,45 @@ def _stops(finite, equation_residual, threshold):
     return np.logical_not(finite) | (equation_residual > threshold)
 
 
-def _complex_stack(matrices: list) -> np.ndarray:
-    """The split matrices as one complex128 stack, set part by part (see
-    :meth:`~dznd.linalg.SplitComplexMatrix.to_complex`)."""
-    z = np.empty((len(matrices),) + matrices[0].shape, dtype=np.complex128)
-    z.real, z.imag = [x.re for x in matrices], [x.im for x in matrices]
-    return z
+def _stacks(provider, taus: list[float], check) -> tuple:
+    """The values of ``provider`` at every tau of ``taus`` (at least one)
+    as complex128 stacks, one for each matrix it returns, after ``check``
+    has seen the shapes of one record's matrices.
 
-
-def _coefficient_stacks(
-    problem: SylvesterConjugateProblem, provider, taus: list[float]
-) -> tuple[np.ndarray, ...]:
-    """``provider(tau)`` for every tau as stacks of F, A and C, after
-    checking the shapes of each F, A and C against the problem."""
-    m, n = problem.m, problem.n
-    values = [provider(tau) for tau in taus]
-    for f, a, c in values:
-        if f.shape != (n, n) or a.shape != (m, m) or c.shape != (m, n):
+    A :class:`~dznd.problems.BlockProvider` is called once, with the
+    array of taus.  Any other provider is called at each tau and its
+    split matrices are stacked part by part (see
+    :meth:`~dznd.linalg.SplitComplexMatrix.to_complex`), each record's
+    shapes checked first.
+    """
+    over = getattr(provider, "over", None)
+    if over is None:
+        values = [_matrices(provider(tau)) for tau in taus]
+        for matrices in values:
+            check(*(x.shape for x in matrices))
+        stacks = []
+        for part in zip(*values):
+            z = np.empty((len(part),) + part[0].shape, dtype=np.complex128)
+            z.real, z.imag = [x.re for x in part], [x.im for x in part]
+            stacks.append(z)
+        return tuple(stacks)
+    stacks = tuple(
+        np.asarray(z, dtype=np.complex128)
+        for z in _matrices(over(np.array(taus, dtype=np.float64)))
+    )
+    for z in stacks:
+        if z.shape[:1] != (len(taus),):
             raise ShapeError(
-                f"provider returned shapes F{f.shape}, A{a.shape}, C{c.shape}; "
-                f"expected F({n},{n}), A({m},{m}), C({m},{n})"
+                f"block provider returned a stack of shape {z.shape}; "
+                f"expected {len(taus)} records along its first axis"
             )
-    if not values:
-        return (None,) * 3
-    return tuple(_complex_stack(list(part)) for part in zip(*values))
+    check(*(z.shape[1:] for z in stacks))
+    return stacks
+
+
+def _matrices(values) -> tuple:
+    """A provider's value as a tuple: (F, A, C), or (X*,)."""
+    return values if isinstance(values, tuple) else (values,)
 
 
 def step_dznd1(

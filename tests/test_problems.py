@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dznd import (
+    BlockProvider,
     CapabilityError,
+    ComplexGain,
+    Model,
     ShapeError,
     SplitComplexMatrix,
     equation_residual,
@@ -12,8 +17,10 @@ from dznd import (
     frobenius_norm,
     get_problem,
     random_initial_state,
+    run,
     solution_error,
 )
+from dznd.solvers import SolverConfig
 from dznd.problems import PROBLEMS, SylvesterConjugateProblem
 
 
@@ -166,3 +173,75 @@ class TestRegistry:
     def test_unknown_name_lists_choices(self):
         with pytest.raises(KeyError, match="example1"):
             get_problem("nope")
+
+
+_PROVIDERS = ["coefficients", "derivatives", "theoretical_solution"]
+
+
+def _assert_block_form_is_per_tau_stack(provider, taus):
+    """``provider.over(taus)`` equals, to the last bit, the stacks of the
+    provider's values at each tau, as complex128."""
+    stacks = provider.over(np.array(taus, dtype=np.float64))
+    stacks = stacks if isinstance(stacks, tuple) else (stacks,)
+    values = [provider(tau) for tau in taus]
+    values = [v if isinstance(v, tuple) else (v,) for v in values]
+    assert len(stacks) == len(values[0])
+    for i, z in enumerate(stacks):
+        want = np.stack([v[i].to_complex() for v in values])
+        assert z.dtype == np.complex128
+        assert z.shape == want.shape
+        # Bytes: also the sign of every zero and the bits of every nan.
+        assert z.tobytes() == want.tobytes()
+
+
+class TestBlockProviders:
+    """The registered problems write each formula once, over an array of
+    tau; a call at one tau evaluates it on a one-element array."""
+
+    @pytest.mark.parametrize("provider", _PROVIDERS)
+    @pytest.mark.parametrize("factory", [example1, example2])
+    def test_block_form_equals_per_tau_values_over_a_run(self, factory, provider):
+        # The 201 records of a 1 s run at epsilon = 0.005, at the times
+        # run() gives them.
+        taus = [j * 0.005 for j in range(201)]
+        _assert_block_form_is_per_tau_stack(getattr(factory(), provider), taus)
+
+    @pytest.mark.parametrize("provider", _PROVIDERS)
+    @pytest.mark.parametrize("factory", [example1, example2])
+    def test_block_form_equals_per_tau_values_property(self, factory, provider):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        block = getattr(factory(), provider)
+
+        @hypothesis.settings(max_examples=50, deadline=None)
+        @hypothesis.given(st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+            min_size=1, max_size=80,
+        ))
+        def check(taus):
+            _assert_block_form_is_per_tau_stack(block, taus)
+
+        check()
+
+    @pytest.mark.parametrize("broken", [
+        lambda z: z[:, :, :1], lambda z: z[:-1], lambda z: z[0],
+    ], ids=["matrix-shape", "record-count", "no-record-axis"])
+    @pytest.mark.parametrize("provider", _PROVIDERS)
+    def test_wrong_shape_stack_raises_through_run(self, provider, broken):
+        p = example2()
+        over = getattr(p, provider).over
+
+        def wrong(taus):
+            stacks = over(taus)
+            if isinstance(stacks, tuple):
+                return stacks[:2] + (broken(stacks[2]),)
+            return broken(stacks)
+
+        problem = dataclasses.replace(p, **{provider: BlockProvider(wrong)})
+        config = SolverConfig(model=Model.DZND1_2I, gamma=ComplexGain(10.0),
+                              epsilon=0.1, duration=1.0)
+        # A wrong X* keeps the message of a per-tau provider's wrong X*.
+        message = ("expected" if provider != "theoretical_solution"
+                   else "expected|theoretical solution shape")
+        with pytest.raises(ShapeError, match=message):
+            run(problem, config, random_initial_state(p, 42))

@@ -34,7 +34,7 @@ from dznd import (
     tail_max_equation_residual,
     tail_max_solution_error,
 )
-from dznd.assembly import SolvePath, solve_operator, unstack
+from dznd.assembly import SolvePath, real_operator, solve_operator, unstack
 from dznd.problems import InitialState
 from dznd.solvers import BLOCK_RECORDS, MAX_STEP_COUNT
 from helpers import make_shifted_trig_problem, make_trig_problem
@@ -648,6 +648,34 @@ class TestBlocks:
         assert trajectory.diverged_at == 5
         assert len(trajectory) == 6
         assert trajectory.operator_factorizations == 1
+
+    @pytest.mark.parametrize("factory,formed", [
+        (lambda: _frozen_shifted_trig_problem(4, 6, 5), [1, 1]),
+        (example1, [1, 1]),
+        (lambda: _segmented_example2(10), [7, 7]),
+        (example2, [BLOCK_RECORDS, BLOCK_RECORDS]),
+    ], ids=["constant-shifted-trig-4x6", "constant", "segments-of-10",
+            "moving"])
+    def test_p_is_formed_once_per_distinct_step(self, monkeypatch, factory,
+                                                formed):
+        # Below the crossover, steps with the same W^+ and bitwise the same
+        # shifted F, A and C share P and q.  The 4x6 problem has 24
+        # unknowns, so it takes the dense path with one P for every block.
+        sizes = []
+
+        def counting(f, a):
+            sizes.append(len(f))
+            return real_operator(f, a)
+
+        problem = factory()
+        config = _config(epsilon=0.01, duration=0.01 * 2 * BLOCK_RECORDS)
+        monkeypatch.setattr(dznd.solvers, "real_operator", counting)
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, config, random_initial_state(problem, 8))
+        assert trajectory.outcome is Outcome.COMPLETED
+        # The one-shot reference takes one step per call of P.
+        assert sizes[:2] == formed
+        assert sizes[2:] == [1] * config.step_count
 
 
 def test_running_both_models_does_not_import_scipy():
