@@ -23,16 +23,17 @@ index scatter, without forming either Kronecker product.
 stack of operators (F, A), then apply the factors of one of them to G.
 A caller whose F and A stay bitwise the same keeps the factors and pays
 only the application; a caller that knows several operators ahead
-factors them in one stack; :func:`solve_operator` is the one-shot use,
-a stack of one.  From mn =
+factors them in one stack, and a one-shot solve is a stack of one.
+From mn =
 :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up the factors are those
 of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
 both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
 & Hartwig, SIAM J. Matrix Anal. Appl. 1988), which two
 eigendecompositions solve in O(m^3 + n^3) instead of the O((mn)^3) of a
 dense solve with W.  Below that size, or when the Sylvester answer
-cannot be certified or checked, the factor is the certified inverse of
-W (or its SVD pseudo-inverse).
+cannot be certified or checked, the factor is W^+ from
+:func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or
+its SVD pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from .linalg import (
     RealMatrix,
     RealVector,
     SplitComplexMatrix,
-    certified_inverse,
-    certified_inverses,
+    pseudo_inverses,
     singular_value_cutoff,
 )
 
@@ -197,7 +197,7 @@ def _operator_plan(m: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 class SolvePath(enum.Enum):
-    """How :func:`solve_operator` obtained a direction."""
+    """How :meth:`OperatorFactors.solve` obtained a direction."""
 
     STRUCTURED = "structured"  # the eigendecomposed Sylvester form
     INVERSE = "inverse"  # the certified inverse of W
@@ -216,13 +216,11 @@ class OperatorFactors:
     at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
     factors are built), each member with finite F and A has its
     eigendecomposed Sylvester form factored and certified
-    (:func:`_sylvester_factors`) on its first solve.  Below that size the
-    W = ``real_operator(F_i, A_i)`` of every member with finite F and A
-    are built and inverted at once, and each inverse is kept when the
-    certificate of :func:`~dznd.linalg.certified_inverse` holds for it.
-    Any other member's :func:`~dznd.linalg.certified_inverse` of W, or
-    its SVD pseudo-inverse, is formed on the first G that needs it and
-    kept, so a member never solved costs no fallback and raises nothing.
+    (:func:`_sylvester_factors`) on its first solve, and W^+ is formed
+    only when a G needs it.  Below that size the W^+ of every member
+    with finite F and A, W = ``real_operator(F_i, A_i)``, is formed at
+    construction, by one :func:`~dznd.linalg.pseudo_inverses` call for
+    the stack.  A member with non-finite F or A raises only when solved.
     """
 
     def __init__(
@@ -242,9 +240,8 @@ class OperatorFactors:
             if finite.size:
                 with np.errstate(over="ignore", invalid="ignore"):
                     w = real_operator(f[finite], a[finite])
-                w_inv, certified = certified_inverses(w, self._cutoff)
-                for member in np.flatnonzero(certified):
-                    self._dense[int(finite[member])] = (w_inv[member], False)
+                w_plus, fell_back = pseudo_inverses(w, tolerance)
+                self._dense.update(zip(finite.tolist(), zip(w_plus, fell_back)))
 
     def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
         """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
@@ -271,26 +268,18 @@ class OperatorFactors:
 
     def inverse(self, member: int) -> tuple[RealMatrix, SolvePath]:
         """``pinv(W_i, tolerance)`` for member i, and the path it is: the
-        kept certified inverse of W, or else
-        :func:`~dznd.linalg.certified_inverse` of W, formed now and kept;
-        forming the latter raises :class:`~dznd.errors.NumericError` for
-        non-finite F or A."""
+        certified inverse of W or its SVD pseudo-inverse, from
+        :func:`~dznd.linalg.pseudo_inverses`.  A member without it from
+        construction forms it now and keeps it; that raises
+        :class:`~dznd.errors.NumericError` for non-finite F or A."""
         if member not in self._dense:
-            self._dense[member] = certified_inverse(
-                real_operator(self._f[member], self._a[member]),
+            w_plus, fell_back = pseudo_inverses(
+                real_operator(self._f[member], self._a[member])[None],
                 self._tolerance,
             )
+            self._dense[member] = w_plus[0], fell_back[0]
         matrix, fell_back = self._dense[member]
         return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
-
-
-def solve_operator(
-    f: np.ndarray, a: np.ndarray, g: np.ndarray, tolerance: float | None = None
-) -> tuple[RealVector, SolvePath]:
-    """``pinv(W, tolerance) @ stack(G)`` for W = ``real_operator(F, A)``,
-    and the path that gave it: :class:`OperatorFactors` of one operator,
-    used once."""
-    return OperatorFactors(f[None], a[None], tolerance).solve(0, g)
 
 
 class _SylvesterFactors(NamedTuple):
@@ -331,7 +320,7 @@ def _sylvester_factors(
     Since ||L|| <= s and ||L^-1|| <= s kF(U) kF(V) / min|lam_j - mu_i|,
     with kF(U) = ||U||_F ||U^-1||_F, the test
     s^2 kF(U) kF(V) / min|lam_j - mu_i| * cutoff < 1/2 bounds kappa_2(W)
-    as :func:`~dznd.linalg.certified_inverse`'s certificate does: pinv
+    as the certificate of :func:`~dznd.linalg.pseudo_inverses` does: pinv
     would cut no singular value and equals the inverse.
     """
     try:

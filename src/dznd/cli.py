@@ -1,6 +1,7 @@
 """Command-line front end: single runs, grid sweeps, self-verification.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 run diverged.
+Exit codes: 0 success, 1 I/O failure (and, for ``verify``, a failed
+check), 2 usage error, 3 run diverged.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Conventions, fixed repo-wide:
 * ``vec`` stacks columns (column-major traversal);
 * non-finite values propagate through the arithmetic kernels; they are
   never masked, so divergence stays observable to the caller.  The
-  exceptions are :func:`pinv`, :func:`certified_inverse` and
-  :func:`pinv_solve`, which need a finite matrix to factor.
+  exceptions are :func:`pinv`, :func:`pseudo_inverses` and
+  :func:`pinv_solve`, which need finite matrices to factor.
 """
 
 from __future__ import annotations
@@ -190,16 +190,20 @@ def singular_value_cutoff(tolerance: float | None, size: int) -> float:
     return tolerance
 
 
-def _checked_pinv_input(w, tolerance: float | None) -> tuple[RealMatrix, float]:
-    """``w`` as a finite 2-D float64 matrix and the relative singular-value
-    cutoff that :func:`pinv` applies to it."""
+def _checked_pinv_input(
+    w, tolerance: float | None, ndim: int = 2
+) -> tuple[np.ndarray, float]:
+    """``w`` as a finite float64 matrix, or stack of matrices when ``ndim``
+    is 3, and the relative singular-value cutoff that :func:`pinv`
+    applies to each matrix."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"pinv expects a 2-D matrix, got ndim={w.ndim}")
-    tolerance = singular_value_cutoff(tolerance, max(w.shape))
+    if w.ndim != ndim:
+        raise ShapeError(f"pinv expects a {ndim}-D array, got ndim={w.ndim}")
+    rows, cols = w.shape[-2:]
+    tolerance = singular_value_cutoff(tolerance, max(rows, cols))
     if not np.isfinite(w).all():
         raise NumericError(
-            f"cannot factor a {w.shape[0]}x{w.shape[1]} matrix with "
+            f"cannot factor a {rows}x{cols} matrix with "
             f"non-finite entries (nan={int(np.isnan(w).sum())}, "
             f"inf={int(np.isinf(w).sum())})"
         )
@@ -228,59 +232,53 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
     return (vt.T * s_inv) @ u.T
 
 
-def certified_inverses(
-    w: np.ndarray, cutoff: float
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """The inverses of a stack of finite N x N matrices, and for each
-    whether the certificate of :func:`certified_inverse` proves it equal
-    to the pseudo-inverse with relative cutoff ``cutoff``.
+def pseudo_inverses(
+    w: np.ndarray, tolerance: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``pinv(w_i, tolerance)`` of each member of a stack of finite
+    N x N matrices, and for each whether the SVD pseudo-inverse had to be
+    formed to get it.
 
-    The stack is inverted in one call; when that call finds a singular
-    member it raises for the whole stack, and then the inverses are None
-    and no member is certified.
+    The stack is inverted in one call.  Since kappa_2 <= N * kappa_1, the
+    certificate N * ||w_i||_1 * ||w_i^-1||_1 * cutoff < 1/2 proves that
+    the smallest singular value exceeds the relative cutoff times the
+    largest, so :func:`pinv` would cut none and equals the inverse; the
+    half leaves room for the rounding in the computed inverse.  A member
+    without it (a non-finite condition number or a failed test) takes
+    :func:`pinv`.  When the stack's inversion raises for a singular
+    member, each member is taken alone.  Non-finite entries raise
+    :class:`NumericError`.
     """
+    w, cutoff = _checked_pinv_input(w, tolerance, ndim=3)
+    if w.shape[1] != w.shape[2]:
+        raise ShapeError(f"expected square matrices, got {w.shape[1:]}")
     try:
-        w_inv = np.linalg.inv(w)
+        w_plus = np.linalg.inv(w)
     except np.linalg.LinAlgError:
-        return None, np.zeros(w.shape[0], dtype=bool)
+        if len(w) == 1:
+            return pinv(w[0], tolerance)[None], np.ones(1, dtype=bool)
+        members = [pseudo_inverses(member[None], tolerance) for member in w]
+        return tuple(np.concatenate(parts) for parts in zip(*members))
     # An overflow reads inf and inf * 0 reads nan; neither passes the
     # test below, so neither needs a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(
-            w_inv, 1, axis=(1, 2)
+            w_plus, 1, axis=(1, 2)
         )
-        return w_inv, w.shape[-1] * kappa * cutoff < 0.5
-
-
-def certified_inverse(
-    w: RealMatrix, tolerance: float | None = None
-) -> tuple[RealMatrix, bool]:
-    """``pinv(w, tolerance)``, and whether the SVD pseudo-inverse had to
-    be formed to get it.
-
-    For a square N x N ``w`` the inverse is tried first.  Since
-    kappa_2 <= N * kappa_1, the certificate
-    N * ||w||_1 * ||w^-1||_1 * tolerance < 1/2 proves that the smallest
-    singular value exceeds ``tolerance`` times the largest, so
-    :func:`pinv` would cut none and equals the inverse; the half leaves
-    room for the rounding in the computed inverse.  Without that
-    certificate (singular ``w``, a non-finite condition number, a failed
-    test, or a non-square ``w``) the result is :func:`pinv`'s, unchanged.
-    Non-finite entries raise :class:`NumericError` either way.
-    """
-    w, cutoff = _checked_pinv_input(w, tolerance)
-    rows, cols = w.shape
-    if rows == cols > 0:
-        w_inv, certified = certified_inverses(w[None], cutoff)
-        if certified[0]:
-            return w_inv[0], False
-    return pinv(w, tolerance), True
+        fell_back = ~(w.shape[-1] * kappa * cutoff < 0.5)
+    for member in np.flatnonzero(fell_back):
+        w_plus[member] = pinv(w[member], tolerance)
+    return w_plus, fell_back
 
 
 def pinv_solve(
     w: RealMatrix, b, tolerance: float | None = None
 ) -> tuple[np.ndarray, bool]:
-    """``pinv(w, tolerance) @ b`` through :func:`certified_inverse`, and
-    whether the SVD pseudo-inverse had to be formed to get it."""
-    matrix, fell_back = certified_inverse(w, tolerance)
-    return matrix @ b, fell_back
+    """``pinv(w, tolerance) @ b``, and whether the SVD pseudo-inverse had
+    to be formed to get it: through :func:`pseudo_inverses` for a square
+    ``w``, and through :func:`pinv` otherwise."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim == 2 and w.shape[0] == w.shape[1] > 0:
+        w_plus, fell_back = pseudo_inverses(w[None], tolerance)
+        return w_plus[0] @ b, bool(fell_back[0])
+    return pinv(w, tolerance) @ b, True

@@ -259,21 +259,22 @@ class _Block(NamedTuple):
     ) -> "_Block":
         """Evaluate the coefficient (and solution) providers at every tau
         in ``taus`` and the derivative provider at the first ``steps``,
-        checking every shape against the problem."""
+        checking every shape, and the number of matrices, against the
+        problem."""
         m, n = problem.m, problem.n
 
-        def check_coefficients(f, a, c):
-            if f != (n, n) or a != (m, m) or c != (m, n):
+        def check_coefficients(*shapes):
+            if shapes != ((n, n), (m, m), (m, n)):
                 raise ShapeError(
-                    f"provider returned shapes F{f}, A{a}, C{c}; "
+                    f"provider returned shapes {list(shapes)}; "
                     f"expected F({n},{n}), A({m},{m}), C({m},{n})"
                 )
 
-        def check_solution(x):
-            if x != (m, n):
+        def check_solution(*shapes):
+            if shapes != ((m, n),):
                 raise ShapeError(
-                    f"theoretical solution shape {x} does not match "
-                    f"problem dimensions {(m, n)}"
+                    f"theoretical solution shapes {list(shapes)}; expected "
+                    f"one matrix of the problem dimensions {(m, n)}"
                 )
 
         f, a, c = _stacks(problem.coefficients, taus, check_coefficients)

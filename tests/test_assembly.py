@@ -29,7 +29,6 @@ from dznd.assembly import (
     OperatorFactors,
     SolvePath,
     real_operator,
-    solve_operator,
     stack,
     unstack,
 )
@@ -177,7 +176,7 @@ class TestSolveOperator:
         w = _kron_operator(SplitComplexMatrix.from_complex(f),
                            SplitComplexMatrix.from_complex(a))
         expected = np.linalg.solve(w, stack(g))
-        got, path = solve_operator(f, a, g)
+        got, path = OperatorFactors(f[None], a[None]).solve(0, g)
         assert path is SolvePath.STRUCTURED
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -194,7 +193,7 @@ class TestSolveOperator:
         expected, _ = pinv_solve(real_operator(f, a), stack(g), tolerance)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = solve_operator(f, a, g, tolerance)
+            got = OperatorFactors(f[None], a[None], tolerance).solve(0, g)
         assert got[1] is path
         np.testing.assert_array_equal(got[0], expected)
 
@@ -202,7 +201,7 @@ class TestSolveOperator:
         f, a, g = _shifted_coefficients(6, 6)
         f[2, 3] = np.nan
         with pytest.raises(NumericError):
-            solve_operator(f, a, g)
+            OperatorFactors(f[None], a[None]).solve(0, g)
 
     @pytest.mark.parametrize("m,n,structured", [
         (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),
@@ -217,7 +216,7 @@ class TestSolveOperator:
         paths = []
         for rhs in (g, other, bad, g):
             got, path = factors.solve(0, rhs)
-            want, want_path = solve_operator(f, a, rhs)
+            want, want_path = OperatorFactors(f[None], a[None]).solve(0, rhs)
             np.testing.assert_array_equal(got, want)
             assert path is want_path
             paths.append(path)
@@ -241,7 +240,8 @@ class TestSolveOperator:
             factors = OperatorFactors(np.stack(fs), np.stack(as_))
         for member in (3, 0, 1):
             got, path = factors.solve(member, g)
-            want, want_path = solve_operator(fs[member], as_[member], g)
+            want, want_path = OperatorFactors(
+                fs[member][None], as_[member][None]).solve(0, g)
             np.testing.assert_array_equal(got, want)
             assert path is want_path
             assert path is (SolvePath.PINV if singular and member == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from dznd import (
     vec,
     zeros,
 )
+from dznd.linalg import pseudo_inverses
 from helpers import random_split, scalar_matmul_oracle
 
 
@@ -294,3 +297,30 @@ class TestPinvSolve:
         w = np.array([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(NumericError, match="non-finite"):
             pinv_solve(w, np.ones(2))
+
+
+class TestPseudoInverses:
+    def test_mixed_stack_falls_back_member_by_member(self):
+        # The stack inverts without raising, but at tolerance 1e-6 pinv
+        # cuts 1e-8 from diag(1, 1e-8): only that member takes the SVD.
+        rng = np.random.default_rng(3)
+        w = np.stack([
+            rng.normal(size=(2, 2)) + 4.0 * np.eye(2),
+            np.diag([1.0, 1e-8]),
+            rng.normal(size=(2, 2)) + 4.0 * np.eye(2),
+        ])
+        inverses = np.linalg.inv(w)  # no member is singular
+        w_plus, fell_back = pseudo_inverses(w, 1e-6)
+        np.testing.assert_array_equal(fell_back, [False, True, False])
+        np.testing.assert_array_equal(w_plus[1], pinv(w[1], 1e-6))
+        np.testing.assert_array_equal(w_plus[[0, 2]], inverses[[0, 2]])
+        for member in (0, 2):
+            np.testing.assert_allclose(
+                w_plus[member], pinv(w[member], 1e-6), rtol=1e-12)
+
+    def test_non_finite_member_raises_numeric_error(self):
+        w = np.stack([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="non-finite"):
+                pseudo_inverses(w)

@@ -225,7 +225,9 @@ class TestBlockProviders:
 
     @pytest.mark.parametrize("broken", [
         lambda z: z[:, :, :1], lambda z: z[:-1], lambda z: z[0],
-    ], ids=["matrix-shape", "record-count", "no-record-axis"])
+        # A tuple is spliced in: F and A alone, or an empty tuple for X*.
+        lambda z: (),
+    ], ids=["matrix-shape", "record-count", "no-record-axis", "matrix-count"])
     @pytest.mark.parametrize("provider", _PROVIDERS)
     def test_wrong_shape_stack_raises_through_run(self, provider, broken):
         p = example2()
@@ -234,7 +236,8 @@ class TestBlockProviders:
         def wrong(taus):
             stacks = over(taus)
             if isinstance(stacks, tuple):
-                return stacks[:2] + (broken(stacks[2]),)
+                z = broken(stacks[2])
+                return stacks[:2] + (z if isinstance(z, tuple) else (z,))
             return broken(stacks)
 
         problem = dataclasses.replace(p, **{provider: BlockProvider(wrong)})

@@ -34,7 +34,7 @@ from dznd import (
     tail_max_equation_residual,
     tail_max_solution_error,
 )
-from dznd.assembly import SolvePath, real_operator, solve_operator, unstack
+from dznd.assembly import OperatorFactors, SolvePath, real_operator, unstack
 from dznd.problems import InitialState
 from dznd.solvers import BLOCK_RECORDS, MAX_STEP_COUNT
 from helpers import make_shifted_trig_problem, make_trig_problem
@@ -504,7 +504,8 @@ def _one_shot_run(problem, config, initial):
             counts["operator_factorizations"] += 1
         fd, ad, cd = (z.to_complex() for z in problem.derivatives(tau))
         drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
-        path = solve_operator(f, a, drive, config.pinv_tolerance)[1]
+        path = OperatorFactors(
+            f[None], a[None], config.pinv_tolerance).solve(0, drive)[1]
         if path in path_counts:
             counts[path_counts[path]] += 1
         state = step_dznd1(problem, state, config.gamma, tau, config.epsilon,
@@ -614,13 +615,27 @@ class TestBlocks:
         assert trajectory.outcome is Outcome.COMPLETED
         assert trajectory.pinv_fallback_steps == 1
 
-    @pytest.mark.parametrize("provider", ["coefficients", "derivatives"])
-    def test_wrong_shape_inside_a_block_is_rejected(self, provider):
+    @pytest.mark.parametrize("provider,broken,message", [
+        pytest.param(provider, lambda f, a, c: (
+            f, a, SplitComplexMatrix.from_real(np.zeros((1, 2)))),
+            "provider returned shapes", id=provider)
+        for provider in ("coefficients", "derivatives")
+    ] + [
+        # A provider returning the wrong number of matrices.
+        pytest.param(provider, lambda f, a, c: (f, a), "expected",
+                     id=f"{provider}-two-matrices")
+        for provider in ("coefficients", "derivatives")
+    ] + [
+        pytest.param("theoretical_solution", lambda x: (x, x), "expected",
+                     id="theoretical_solution-tuple"),
+    ])
+    def test_wrong_shape_inside_a_block_is_rejected(
+            self, provider, broken, message):
         p = example2()
-        f, a, c = getattr(p, provider)(0.7)
-        problem = _patched(p, provider, 70, (f, a, SplitComplexMatrix.from_real(
-            np.zeros((1, 2)))))
-        with pytest.raises(ShapeError, match="provider returned shapes"):
+        values = getattr(p, provider)(0.7)
+        problem = _patched(p, provider, 70, broken(
+            *(values if isinstance(values, tuple) else (values,))))
+        with pytest.raises(ShapeError, match=message):
             run(problem, _config(epsilon=0.01, duration=1.5),
                 random_initial_state(p, 42))
 
