@@ -210,17 +210,19 @@ class OperatorFactors:
     :meth:`solve` applies those of member i to any G, and
     :meth:`inverse` gives member i's pseudo-inverse of W itself.
     ``structured`` tells whether solves try the Sylvester form, and
-    ``finite[i]`` whether F_i and A_i are finite.
+    ``finite[i]`` whether W_i = ``real_operator(F_i, A_i)`` is finite:
+    F_i and A_i are, and no entry of W_i where an F term and an A term
+    add, F_i[t, t] +- A_i[s, s] part by part, overflows.
 
     Built once, they serve every G for which F and A stay the same.  With
     at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
-    factors are built), each member with finite F and A has its
-    eigendecomposed Sylvester form factored and certified
-    (:func:`_sylvester_factors`) on its first solve, and W^+ is formed
-    only when a G needs it.  Below that size the W^+ of every member
-    with finite F and A, W = ``real_operator(F_i, A_i)``, is formed at
-    construction, by one :func:`~dznd.linalg.pseudo_inverses` call for
-    the stack.  A member with non-finite F or A raises only when solved.
+    factors are built), each finite member has its eigendecomposed
+    Sylvester form factored and certified (:func:`_sylvester_factors`) on
+    its first solve, and W^+ is formed only when a G needs it.  Below
+    that size the W^+ of every finite member is formed at construction,
+    by one :func:`~dznd.linalg.pseudo_inverses` call for the stack, and
+    :meth:`inverses` gives them for any array of members.  A member that
+    is not finite raises only when solved.
     """
 
     def __init__(
@@ -230,18 +232,19 @@ class OperatorFactors:
         mn = f.shape[-1] * a.shape[-1]
         self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
         self.structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
-        self.finite = (
-            np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-        )
+        self.finite = _finite_operators(f, a)
         self._sylvester: dict[int, _SylvesterFactors | None] = {}
         self._dense: dict[int, tuple[RealMatrix, bool]] = {}
         if not self.structured:
+            self._w_plus = np.full((len(f), 2 * mn, 2 * mn), math.nan)
+            self._paths = np.full(len(f), None, dtype=object)
             finite = np.flatnonzero(self.finite)
             if finite.size:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w = real_operator(f[finite], a[finite])
-                w_plus, fell_back = pseudo_inverses(w, tolerance)
-                self._dense.update(zip(finite.tolist(), zip(w_plus, fell_back)))
+                w_plus, fell_back = pseudo_inverses(
+                    real_operator(f[finite], a[finite]), tolerance
+                )
+                self._w_plus[finite] = w_plus
+                self._paths[finite] = _DENSE_PATHS[fell_back.astype(np.intp)]
 
     def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
         """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
@@ -271,7 +274,10 @@ class OperatorFactors:
         certified inverse of W or its SVD pseudo-inverse, from
         :func:`~dznd.linalg.pseudo_inverses`.  A member without it from
         construction forms it now and keeps it; that raises
-        :class:`~dznd.errors.NumericError` for non-finite F or A."""
+        :class:`~dznd.errors.NumericError` for a member that is not
+        finite."""
+        if not self.structured and self.finite[member]:
+            return self._w_plus[member], self._paths[member]
         if member not in self._dense:
             w_plus, fell_back = pseudo_inverses(
                 real_operator(self._f[member], self._a[member])[None],
@@ -280,6 +286,33 @@ class OperatorFactors:
             self._dense[member] = w_plus[0], fell_back[0]
         matrix, fell_back = self._dense[member]
         return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
+
+    def inverses(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Below the crossover, the stack of ``pinv(W_i, tolerance)`` for
+        each member i of the integer array ``members``, and the object
+        array of their paths; a member that is not finite has a nan W^+
+        and path None."""
+        return self._w_plus[members], self._paths[members]
+
+
+# The path of a W^+ from pseudo_inverses, indexed by whether it fell back.
+_DENSE_PATHS = np.array([SolvePath.INVERSE, SolvePath.PINV], dtype=object)
+
+
+def _finite_operators(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Whether W_i = ``real_operator(F_i, A_i)`` is finite for each member
+    of stacks of F and A.  :func:`real_operator` adds an A term onto an F
+    term only on W's diagonal blocks, at F[t, t] and A[s, s]; the sums
+    there are Re F[t, t] +- Re A[s, s] and Im F[t, t] +- Im A[s, s], up to
+    sign, so W overflows exactly when some F[t, t] +- A[s, s] does."""
+    fd = np.diagonal(f, axis1=1, axis2=2)[:, :, None]
+    ad = np.diagonal(a, axis1=1, axis2=2)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.isfinite(fd + ad) & np.isfinite(fd - ad)
+    return (
+        np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+        & sums.all(axis=(1, 2))
+    )
 
 
 class _SylvesterFactors(NamedTuple):

@@ -68,15 +68,16 @@ class SylvesterConjugateProblem:
     ``theoretical_solution``, when present, maps tau to the unique exact
     solution.
 
-    A run works one block of :data:`~dznd.solvers.BLOCK_RECORDS`
-    records ahead of the steps.  It calls a :class:`BlockProvider` once
-    per block, with the block's array of tau: ``coefficients`` and
-    ``theoretical_solution`` at its records, ``derivatives`` at those
-    that take a step.  Any other provider it calls once per record
-    (``coefficients``, ``theoretical_solution``) or step
-    (``derivatives``).  A run that diverges may so have evaluated them at
-    up to BLOCK_RECORDS - 1 records past the record where it stopped; no
-    run evaluates them at a tau past its duration.
+    A run works one block of at most
+    :data:`~dznd.solvers.BLOCK_RECORDS` records ahead of the steps.  It
+    calls a :class:`BlockProvider` once per block, with the block's
+    array of tau: ``coefficients`` and ``theoretical_solution`` at its
+    records, ``derivatives`` at those that take a step.  Any other
+    provider it calls once per record (``coefficients``,
+    ``theoretical_solution``) or step (``derivatives``).  A run that
+    diverges may so have evaluated them at up to BLOCK_RECORDS - 1
+    records past the record where it stopped; no run evaluates them at
+    a tau past its duration.
     """
 
     m: int

@@ -14,16 +14,21 @@ row reports the wall time of the one run behind it.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import ComplexGain
-from .problems import SylvesterConjugateProblem, random_initial_state
+from .problems import (
+    InitialState,
+    SylvesterConjugateProblem,
+    random_initial_state,
+)
 from .solvers import (
     Model,
     Outcome,
@@ -55,18 +60,21 @@ def state_column_names(m: int, n: int) -> list[str]:
 
 
 def write_trajectory_csv(path: Path, trajectory: Trajectory, m: int, n: int) -> None:
+    """Write one row per record; each float is ``repr`` of the Python
+    float, formatted column by column from ``tolist``."""
     header = ["step", "tau", "equation_residual", "solution_error"]
     header += state_column_names(m, n)
-    lines = [",".join(header)]
-    for i in range(len(trajectory)):
-        fields = [
-            str(int(trajectory.steps[i])),
-            _fmt(trajectory.taus[i]),
-            _fmt(trajectory.equation_residuals[i]),
-            _fmt(trajectory.solution_errors[i]),
-        ]
-        fields += [_fmt(v) for v in trajectory.states[i]]
-        lines.append(",".join(fields))
+    columns = [map(str, trajectory.steps.tolist())]
+    columns += [
+        map(repr, values.tolist())
+        for values in (
+            trajectory.taus,
+            trajectory.equation_residuals,
+            trajectory.solution_errors,
+            *trajectory.states.T,
+        )
+    ]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -114,7 +122,7 @@ def write_residual_svg(
     series = [
         (
             "equation residual",
-            list(trajectory.equation_residuals),
+            trajectory.equation_residuals.tolist(),
             "#3366cc",
         )
     ]
@@ -122,7 +130,7 @@ def write_residual_svg(
         series.append(
             (
                 "solution error",
-                list(trajectory.solution_errors),
+                trajectory.solution_errors.tolist(),
                 _MODEL_COLORS[config.model],
             )
         )
@@ -131,7 +139,7 @@ def write_residual_svg(
             f"{problem_name} / {config.model.value} / gamma={config.gamma} "
             f"/ epsilon={config.epsilon:g}"
         ),
-        x=list(trajectory.taus),
+        x=trajectory.taus.tolist(),
         series=series,
         y_label="log10 residual",
     )
@@ -191,6 +199,9 @@ def run_sweep(
     horizon and are reported only for completed runs.
     """
     tail_from = duration / 2.0
+    # Every point starts from the same state, drawn once; a draw that
+    # raises is retried, and fails, at each point.
+    initial = functools.cache(lambda: random_initial_state(problem, seed))
     results: dict[tuple, tuple] = {}
     rows = []
     for model in models:
@@ -209,7 +220,9 @@ def run_sweep(
                 if not gamma.is_real:
                     key = (model, gamma, epsilon)
                 if key not in results:
-                    results[key] = _run_point(problem, config, seed, tail_from)
+                    results[key] = _run_point(
+                        problem, config, initial, tail_from
+                    )
                 rows.append(SweepRow(epsilon, gamma, model, *results[key]))
     rows.sort(key=lambda r: (r.model.value, r.gamma.re, r.gamma.im, r.epsilon))
     return SweepReport(
@@ -220,14 +233,15 @@ def run_sweep(
 def _run_point(
     problem: SylvesterConjugateProblem,
     config: SolverConfig,
-    seed: int,
+    initial: Callable[[], InitialState],
     tail_from: float,
 ) -> tuple[str, float, float, int, float]:
     """The outcome, both tail maxima, the record count and the wall time
-    of one sweep run, in :class:`SweepRow` field order."""
+    of one sweep run from the state ``initial()``, in :class:`SweepRow`
+    field order."""
     started = time.perf_counter()
     try:
-        trajectory = run(problem, config, random_initial_state(problem, seed))
+        trajectory = run(problem, config, initial())
         outcome = trajectory.outcome.value
         if trajectory.outcome is Outcome.COMPLETED:
             tail_eq = tail_max_equation_residual(trajectory, tail_from)

@@ -22,14 +22,16 @@ whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
 
-A run works one block of :data:`BLOCK_RECORDS` records at a time.  It
-evaluates the providers at every record of the block as complex128
-stacks, and factors the block's distinct operators together.  A
-:class:`~dznd.problems.BlockProvider`, as the registered problems have,
-is called once per block with the block's array of tau; any other
-provider is called at each tau, and its split values are stacked.  A
-run keeps the factors of L while F and A stay bitwise the same (the
-bytes of both arrays are compared, so even a changed sign of zero
+A run works one block of records at a time: :data:`BLOCK_RECORDS`, or
+fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
+(:func:`block_records`).  It evaluates the providers at every record of
+the block as complex128 stacks, and factors the block's operators
+together.  A :class:`~dznd.problems.BlockProvider`, as the registered
+problems have, is called once per block with the block's array of tau;
+any other provider is called at each tau, and its split values are
+stacked.  A run keeps the factors of L while F and A stay bitwise the
+same (their entries are compared as uint64 bit patterns, consecutive
+steps in one array operation, so even a changed sign of zero
 refactors), across block boundaries too: with constant coefficients it
 factors L once.  It counts the factorizations its steps used.  Then the
 block's steps advance in one of two ways:
@@ -39,17 +41,22 @@ block's steps advance in one of two ways:
   so each step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and
   q_k known before the loop: W_k^+ times the real form of the bracket,
   and W_k^+ stack(Cdot_k + gamma C_k).  P and q of the whole block come
-  from batched products, formed once for all the steps that share W^+
-  and bitwise the same shifted coefficients (once per block when the
-  coefficients are constant), and the loop keeps one matrix-vector
-  product and the update.  At these sizes the Python overhead of some
-  twenty small numpy calls per step cost more than the arithmetic.  The
-  block integrates all its steps, also those past the record where the
-  run stops; they are discarded, and run without warnings.
+  from batched products, formed once for each group of consecutive
+  steps that share W^+ and bitwise the same shifted coefficients (once
+  per block when the coefficients are constant), and the loop keeps one
+  matrix-vector product and the update.  At these sizes the Python
+  overhead of some twenty small numpy calls per step cost more than the
+  arithmetic.  The block integrates all its steps, also those past the
+  record where the run stops; they are discarded, and run without
+  warnings.
 * From the crossover up each step forms G from E and solves with the
   Sylvester factors, as P would cost O((mn)^3) per step against the
   O(m^3 + n^3) of the solve.  These steps stop at the first record
   where the run stops.
+
+An operator whose real form W is not finite (for non-finite F or A, or
+where F[t, t] +- A[s, s] overflows) is never factored: a step with it
+goes to a nan state, so a run ends DIVERGED rather than raising.
 
 The steppers :func:`step_dznd1` and :func:`step_dznd2` take the same
 code, as a block of one step.
@@ -57,11 +64,11 @@ code, as a block of one step.
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
 the problem has no known solution): below the crossover for the whole
-block from its stored states, from the crossover up record by record
-from the E of the drive.  It stops at the first record whose state is
-non-finite or whose residual passes the divergence threshold; that
-record is kept, and path and factorization counts cover the steps taken
-before it.
+block from its stored states, in batched norms equal bitwise to
+``np.linalg.norm``, from the crossover up record by record from the E
+of the drive.  It stops at the first record that is non-finite or whose
+residual passes the divergence threshold; that record is kept, and path
+and factorization counts cover the steps taken before it.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import assembly
 from .assembly import (
     ComplexGain,
     OperatorFactors,
@@ -116,13 +124,28 @@ _STEP_COUNT_SLACK = 1e-9
 MAX_STEP_COUNT = 10**7
 # A run evaluates its providers, converts their values to complex128,
 # factors its operators and, below the structured crossover, takes its
-# steps for this many records at a time.  A run that diverges has
-# evaluated its providers at most BLOCK_RECORDS - 1 records past the
-# record where it stopped, and never past the duration.  Below the
-# crossover a block holds P and two more stacks of its size (W^+ and the
-# real form of the bracket), each BLOCK_RECORDS (2mn)^2 floats: 32 kB at
-# mn = 4 and 2 MB at mn = 31.
-BLOCK_RECORDS = 64
+# steps for a block of records at a time: BLOCK_RECORDS, or fewer where
+# the block's stacks would pass BLOCK_BYTES (see block_records).  A run
+# that diverges has evaluated its providers at most one block less one
+# record past the record where it stopped, and never past the duration.
+# A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
+# bytes, and below the crossover P and two more stacks of its size (W^+
+# and the real form of the bracket), 3 * 8 (2mn)^2 bytes: 256 records
+# come to 0.5 MB for a 2x2 problem, and a block at mn = 31 holds 67.
+BLOCK_RECORDS = 256
+BLOCK_BYTES = 8 * 2**20
+
+
+def block_records(m: int, n: int) -> int:
+    """The records per block of a run of an m x n problem:
+    BLOCK_RECORDS, or as many as fit in BLOCK_BYTES of stacks (at least
+    one).  The structured crossover is read at call time, as
+    :class:`~dznd.assembly.OperatorFactors` reads it."""
+    mn = m * n
+    size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
+    if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
+        size += 3 * 8 * (2 * mn) ** 2
+    return min(BLOCK_RECORDS, max(1, BLOCK_BYTES // size))
 
 
 @dataclass(frozen=True)
@@ -253,7 +276,7 @@ class _Block(NamedTuple):
     def evaluate(
         cls,
         problem: SylvesterConjugateProblem,
-        taus: list[float],
+        taus: np.ndarray,
         steps: int,
         with_solution: bool,
     ) -> "_Block":
@@ -306,16 +329,20 @@ class _Block(NamedTuple):
     def advance(
         self,
         states: np.ndarray,
-        uses: list[tuple[OperatorFactors, int]],
+        factors: OperatorFactors,
+        members: np.ndarray,
+        carried: Optional[tuple[OperatorFactors, int]],
         gamma: complex,
         epsilon: float,
         threshold: Optional[float],
     ) -> tuple[list[Optional[SolvePath]], np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
         after step j into ``states[j + 1]``; step j solves with member
-        ``uses[j][1]`` of the factors ``uses[j][0]``.  Return the path of
-        each step taken and ||E||_F at each record filled: all of the
-        block's, or those up to an early stop.
+        ``members[j]`` of ``factors``, or, where that is negative (only
+        leading steps), with the ``carried`` (factors, member) of the step
+        before the block.  Return the path of each step taken (None for
+        an operator that is not finite) and ||E||_F at each record
+        filled: all of the block's, or those up to an early stop.
 
         Below the structured crossover the step is affine in the state,
 
@@ -323,31 +350,28 @@ class _Block(NamedTuple):
             P_k = W_k^+ real_operator(Fdot_k + gamma F_k, Adot_k + gamma A_k),
             q_k = W_k^+ stack(Cdot_k + gamma C_k),
 
-        with W_k^+ from :meth:`~dznd.assembly.OperatorFactors.inverse`, so
-        P and q are formed in batched products first, once for each
-        distinct (member, bytes of Fdot + gamma F, Adot + gamma A and
-        Cdot + gamma C) of the block, and the loop keeps one
-        matrix-vector product and the update; the residual norms follow
-        for the whole block.  All the steps are taken, without warnings:
-        those past a stop are the caller's to discard.
-        A member with non-finite F or A gets a nan W^+ and path None; its
-        record is non-finite, so no run steps from it.
+        with W_k^+ from :meth:`~dznd.assembly.OperatorFactors.inverses`.
+        Consecutive steps with the same member and bitwise the same
+        Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a group,
+        found in one array comparison; P and q are formed in batched
+        products once per group, and the loop keeps one matrix-vector
+        product and the update.  The residual norms follow for the whole
+        block.  All the steps are taken, without warnings: those past a
+        stop are the caller's to discard.  A member whose operator is not
+        finite has a nan W^+, so the state after its step is non-finite.
 
         From the crossover up each record's E gives its residual norm and
         the drive G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step
         solves L(D) = G with the factors, since they cost O(m^3 + n^3)
-        per solve against O((mn)^3) for W^+.  Given a ``threshold``, the
-        steps stop at the first record that is non-finite or whose
-        ||E||_F passes it.
+        per solve against O((mn)^3) for W^+; a member whose operator is
+        not finite steps to a nan state.  Given a ``threshold``, the
+        steps stop at the first record whose state or ||E||_F is
+        non-finite, or whose ||E||_F passes it.
         """
-        steps, records = len(uses), len(self.f)
+        steps, records = len(members), len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
-        if not (uses and uses[0][0].structured):
-            nan = np.full((states.shape[1],) * 2, math.nan)
-            pairs = [
-                factors.inverse(member) if factors.finite[member] else (nan, None)
-                for factors, member in uses
-            ]
+        if not factors.structured:
+            paths = []
             with np.errstate(all="ignore"):
                 if steps:
                     fs, as_, cs = (
@@ -355,53 +379,106 @@ class _Block(NamedTuple):
                         self.ad + gamma * self.a[:steps],
                         self.cd + gamma * self.c[:steps],
                     )
-                    # Steps of one member whose shifted F, A and C match
-                    # bitwise share P and q, which are formed once.
-                    rows = np.concatenate(
-                        [z.reshape(steps, -1) for z in (fs, as_, cs)], axis=1
+                    starts = _changes(_bit_rows(fs, as_, cs), None)
+                    starts[1:] |= members[1:] != members[:-1]
+                    firsts = np.flatnonzero(starts)
+                    inverses, paths = _inverses(
+                        factors, carried, members[firsts]
                     )
-                    slots, firsts, index = {}, [], []
-                    for j, (factors, member) in enumerate(uses):
-                        key = (id(factors), member, rows[j].tobytes())
-                        if key not in slots:
-                            slots[key] = len(firsts)
-                            firsts.append(j)
-                        index.append(slots[key])
-                    inverses = np.stack([pairs[j][0] for j in firsts])
                     p = inverses @ real_operator(fs[firsts], as_[firsts])
                     q = (inverses @ stack(cs[firsts])[..., None])[..., 0]
+                    group = np.cumsum(starts) - 1
+                    paths = paths[group].tolist()
                     x = states[0]
-                    for j, slot in enumerate(index):
+                    for j, slot in enumerate(group.tolist(), 1):
                         x = x + epsilon * (q[slot] - p[slot] @ x)
-                        states[j + 1] = x
+                        states[j] = x
                 x = unstack(states[:records], m, n)
                 eq = _norms(self.equation_error(x, slice(records)))
-            return [path for _, path in pairs], eq
+            return paths, eq
         paths, eqs = [], []
-        for j in range(records):
-            x = unstack(states[j], m, n)
-            e = self.equation_error(x, j)
-            eqs.append(np.linalg.norm(e))
-            if j == steps or threshold is not None and _stops(
-                np.isfinite(states[j]).all(), eqs[-1], threshold
-            ):
-                break
-            factors, member = uses[j]
-            drive = (
-                self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
-                - gamma * e
-            )
-            direction, path = factors.solve(member, drive)
-            states[j + 1] = states[j] + epsilon * direction
-            paths.append(path)
+        # A record past overflow is recorded, not warned about.
+        with np.errstate(all="ignore"):
+            for j in range(records):
+                x = unstack(states[j], m, n)
+                e = self.equation_error(x, j)
+                eqs.append(np.linalg.norm(e))
+                if j == steps or threshold is not None and _stops(
+                    np.isfinite(states[j]).all() and np.isfinite(eqs[-1]),
+                    eqs[-1], threshold,
+                ):
+                    break
+                owner, member = (
+                    (factors, members[j]) if members[j] >= 0 else carried
+                )
+                if owner.finite[member]:
+                    drive = (
+                        self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
+                        - gamma * e
+                    )
+                    direction, path = owner.solve(member, drive)
+                else:
+                    direction, path = math.nan, None
+                states[j + 1] = states[j] + epsilon * direction
+                paths.append(path)
         return paths, np.array(eqs)
 
 
+def _inverses(
+    factors: OperatorFactors,
+    carried: Optional[tuple[OperatorFactors, int]],
+    members: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """W^+ and the solve path of each of ``members`` of ``factors``; the
+    negative members, which lead, stand for the ``carried`` member."""
+    leading = np.count_nonzero(members < 0)
+    inverses, paths = factors.inverses(members[leading:])
+    if leading:
+        owner, member = carried
+        w_plus, path = owner.inverses(np.full(leading, member))
+        inverses = np.concatenate([w_plus, inverses])
+        paths = np.concatenate([path, paths])
+    return inverses, paths
+
+
+def _bit_rows(*stacks: np.ndarray) -> np.ndarray:
+    """The entries of each record of complex128 stacks as one row of
+    uint64 bit patterns: two rows are equal when every entry is bitwise
+    the same, so even a changed sign of zero makes them differ."""
+    records = len(stacks[0])
+    widths = [math.prod(z.shape[1:]) for z in stacks]
+    rows = np.empty((records, sum(widths)), dtype=np.complex128)
+    np.concatenate(
+        [z.reshape(records, w) for z, w in zip(stacks, widths)], axis=1,
+        out=rows,
+    )
+    return rows.view(np.uint64)
+
+
+def _changes(rows: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
+    """Whether each row differs from the row before it; the first is
+    compared with ``previous``, and differs when there is none."""
+    changed = np.empty(len(rows), dtype=bool)
+    if len(rows):
+        changed[0] = previous is None or bool((rows[0] != previous).any())
+        np.any(rows[1:] != rows[:-1], axis=1, out=changed[1:])
+    return changed
+
+
 def _norms(z: np.ndarray) -> np.ndarray:
-    """||Z||_F of a matrix, or of each matrix of a stack, one
-    ``np.linalg.norm`` call each: batched norms sum in another order and
-    differ from it in the last bit."""
-    return np.array([np.linalg.norm(w) for w in z.reshape((-1,) + z.shape[-2:])])
+    """||Z||_F of each complex matrix of a stack, equal bitwise to
+    ``np.linalg.norm``: that takes sqrt(Re Z . Re Z + Im Z . Im Z) with
+    the dot products over the strided real and imaginary views, and a
+    stacked vector-vector matmul calls the same dot.  (A contiguous copy
+    or ``einsum`` sums in another order and can differ in the last
+    bit.)  Overflow reads inf without a warning, as it does there."""
+    z = z.reshape(len(z), -1)
+    re, im = z.real, z.imag
+    with np.errstate(all="ignore"):
+        squares = (
+            re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        )
+        return np.sqrt(squares[:, 0, 0])
 
 
 def _stops(finite, equation_residual, threshold):
@@ -410,7 +487,7 @@ def _stops(finite, equation_residual, threshold):
     return np.logical_not(finite) | (equation_residual > threshold)
 
 
-def _stacks(provider, taus: list[float], check) -> tuple:
+def _stacks(provider, taus: np.ndarray, check) -> tuple:
     """The values of ``provider`` at every tau of ``taus`` (at least one)
     as complex128 stacks, one for each matrix it returns, after ``check``
     has seen the shapes of one record's matrices.
@@ -423,7 +500,7 @@ def _stacks(provider, taus: list[float], check) -> tuple:
     """
     over = getattr(provider, "over", None)
     if over is None:
-        values = [_matrices(provider(tau)) for tau in taus]
+        values = [_matrices(provider(tau)) for tau in taus.tolist()]
         for matrices in values:
             check(*(x.shape for x in matrices))
         stacks = []
@@ -461,14 +538,17 @@ def step_dznd1(
 ) -> RealVector:
     """One update of the complex-field model from the pre-step state: a
     block of one step, taken as :func:`run` takes its blocks."""
-    block = _Block.evaluate(problem, [tau], 1, with_solution=False)
+    block = _Block.evaluate(
+        problem, np.array([tau], dtype=np.float64), 1, with_solution=False
+    )
     factors = OperatorFactors(block.f, block.a, pinv_tolerance)
     if not factors.finite[0]:
-        raise NumericError(f"F or A is not finite at tau = {tau}")
+        raise NumericError(f"the operator L is not finite at tau = {tau}")
     unstack(state, problem.m, problem.n)  # raises ShapeError on a bad length
     states = np.array([state, state], dtype=np.float64)
     block.advance(
-        states, [(factors, 0)], complex(gamma.re, gamma.im), epsilon, None
+        states, factors, np.zeros(1, dtype=np.intp), None,
+        complex(gamma.re, gamma.im), epsilon, None,
     )
     return states[1]
 
@@ -522,36 +602,31 @@ def run(
     diverged_at: Optional[int] = None
     paths = collections.Counter()
     factorizations = 0
-    # The operator of the last step taken, as its bytes and as a member
-    # of some block's factors; it carries across block boundaries.
-    key, factors, member = None, None, 0
+    # F and A of the last step taken, as one row of bit patterns, and the
+    # member of some block's factors that is its operator; both carry
+    # across block boundaries.
+    last, carried = None, None
 
-    for start in range(0, k_total + 1, BLOCK_RECORDS):
-        records = min(BLOCK_RECORDS, k_total + 1 - start)
+    size = block_records(m, n)
+    for start in range(0, k_total + 1, size):
+        records = min(size, k_total + 1 - start)
         steps = min(records, k_total - start)
-        block_taus = [j * config.epsilon for j in range(start, start + records)]
+        block_taus = np.arange(start, start + records) * config.epsilon
         block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        # The steps whose operator differs bitwise from the one before
-        # (the bytes of F and A are compared, so even a changed sign of
-        # zero refactors) start a new member of the block's factors.
-        starts = {}
-        for j in range(steps):
-            step_key = (block.f[j].tobytes(), block.a[j].tobytes())
-            if step_key != key:
-                starts[j] = len(starts)
-                key = step_key
+        # A step whose F and A differ bitwise from those of the step
+        # before (even in the sign of a zero) starts a new member of the
+        # block's factors.
+        rows = _bit_rows(block.f[:steps], block.a[:steps])
+        starts = _changes(rows, last)
         block_factors = OperatorFactors(
-            block.f[list(starts)], block.a[list(starts)], config.pinv_tolerance
+            block.f[:steps][starts], block.a[:steps][starts],
+            config.pinv_tolerance,
         )
-        uses = []
-        for j in range(steps):
-            if j in starts:
-                factors, member = block_factors, starts[j]
-            uses.append((factors, member))
+        members = np.cumsum(starts) - 1
 
         step_paths, eq = block.advance(
-            states[start:start + steps + 1], uses, gamma, config.epsilon,
-            config.divergence_threshold,
+            states[start:start + steps + 1], block_factors, members, carried,
+            gamma, config.epsilon, config.divergence_threshold,
         )
         kept = slice(start, start + len(eq))
         finite = np.isfinite(states[kept]).all(axis=1) & np.isfinite(eq)
@@ -561,12 +636,16 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
-        factorizations += sum(j < taken for j in starts)
+        factorizations += int(np.count_nonzero(starts[:taken]))
         paths.update(step_paths[:taken])
         if stop.size:
             outcome = Outcome.DIVERGED
             diverged_at = start + taken
             break
+        if steps:
+            last = rows[-1]
+            if members[-1] >= 0:
+                carried = block_factors, int(members[-1])
 
     records = k_total + 1 if diverged_at is None else diverged_at + 1
     return Trajectory(

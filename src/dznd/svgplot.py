@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _WIDTH, _HEIGHT = 720, 440
 _LEFT, _RIGHT, _TOP, _BOTTOM = 76, 24, 40, 56
 
 
-def _finite_log10(values):
-    out = []
-    for v in values:
-        if v is not None and math.isfinite(v) and v > 0.0:
-            out.append(math.log10(v))
-        else:
-            out.append(None)
-    return out
+def _finite_log10(values) -> np.ndarray:
+    """log10 of each positive finite value, by ``math.log10``; nan marks
+    the gaps."""
+    values = np.asarray(values, dtype=np.float64)
+    logs = np.full(values.shape, math.nan)
+    with np.errstate(invalid="ignore"):
+        kept = np.isfinite(values) & (values > 0.0)
+    logs[kept] = [math.log10(v) for v in values[kept].tolist()]
+    return logs
 
 
 def log_line_chart(
@@ -36,10 +39,12 @@ def log_line_chart(
     plotted on a log10 axis against the shared x coordinates.
     """
     logs = {label: _finite_log10(vals) for label, vals, _ in series}
-    flat = [v for vals in logs.values() for v in vals if v is not None]
-    if flat:
-        y_lo = math.floor(min(flat))
-        y_hi = math.ceil(max(flat))
+    flat = np.concatenate(
+        [np.empty(0)] + [vals[~np.isnan(vals)] for vals in logs.values()]
+    )
+    if flat.size:
+        y_lo = math.floor(flat.min())
+        y_hi = math.ceil(flat.max())
     else:
         y_lo, y_hi = -16, 0
     if y_hi == y_lo:
@@ -52,10 +57,10 @@ def log_line_chart(
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
 
-    def px(v: float) -> float:
+    def px(v: float | np.ndarray) -> float | np.ndarray:
         return _LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v: float | np.ndarray) -> float | np.ndarray:
         return _TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -105,26 +110,21 @@ def log_line_chart(
         f'transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    # Series polylines, split at gaps, plus a legend entry each.
+    # Series polylines, split at gaps, plus a legend entry each.  The
+    # point coordinates are px and py over arrays: the same operations in
+    # the same order, so the same floats.
+    xs = px(np.asarray(x, dtype=np.float64)).tolist()
     legend_y = _TOP + 14
     for label, _, color in series:
         vals = logs[label]
-        segment: list[str] = []
-        for xi, vi in zip(x, vals):
-            if vi is None:
-                if len(segment) >= 2:
-                    parts.append(
-                        f'<polyline points="{" ".join(segment)}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.5"/>'
-                    )
-                segment = []
-            else:
-                segment.append(f"{px(xi):.2f},{py(vi):.2f}")
-        if len(segment) >= 2:
-            parts.append(
-                f'<polyline points="{" ".join(segment)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
+        points = list(map("{:.2f},{:.2f}".format, xs, py(vals).tolist()))
+        gaps = np.flatnonzero(np.isnan(vals)).tolist()
+        for lo, hi in zip([-1] + gaps, gaps + [len(vals)]):
+            if hi - lo > 2:
+                parts.append(
+                    f'<polyline points="{" ".join(points[lo + 1:hi])}" '
+                    f'fill="none" stroke="{color}" stroke-width="1.5"/>'
+                )
         lx = _WIDTH - _RIGHT - 180
         parts.append(
             f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 24}" '

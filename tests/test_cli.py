@@ -3,7 +3,8 @@ import dataclasses
 
 import pytest
 
-from dznd import ComplexGain, Model, example2
+import dznd.reporting
+from dznd import ComplexGain, Model, example2, random_initial_state
 from dznd.cli import main
 from dznd.reporting import run_sweep
 
@@ -161,6 +162,30 @@ class TestSweepCommand:
         # One derivative evaluation per step: 10 steps at 0.1 and 20 at
         # 0.05, integrated once for both models.
         assert len(calls) == 10 + 20
+
+    def test_initial_state_is_drawn_once_per_sweep(self, monkeypatch):
+        draws = []
+
+        def drawing(problem, seed):
+            draws.append(seed)
+            return random_initial_state(problem, seed)
+
+        monkeypatch.setattr(dznd.reporting, "random_initial_state", drawing)
+        report = run_sweep(example2(), "example2", [Model.DZND1_2I],
+                           [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
+                           [0.1, 0.05], duration=1.0, seed=5)
+        assert len(report.rows) == 4
+        assert draws == [5]
+
+    def test_failed_draw_fails_every_row(self, monkeypatch):
+        def failing(problem, seed):
+            raise ValueError("no state")
+
+        monkeypatch.setattr(dznd.reporting, "random_initial_state", failing)
+        report = run_sweep(example2(), "example2", list(Model),
+                           [ComplexGain(10.0)], [0.1, 0.05], duration=1.0)
+        assert [row.outcome for row in report.rows] == ["ERROR(ValueError)"] * 4
+        assert [row.steps for row in report.rows] == [0] * 4
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -36,7 +36,13 @@ from dznd import (
 )
 from dznd.assembly import OperatorFactors, SolvePath, real_operator, unstack
 from dznd.problems import InitialState
-from dznd.solvers import BLOCK_RECORDS, MAX_STEP_COUNT
+from dznd.solvers import (
+    BLOCK_BYTES,
+    BLOCK_RECORDS,
+    MAX_STEP_COUNT,
+    _norms,
+    block_records,
+)
 from helpers import make_shifted_trig_problem, make_trig_problem
 
 GAMMA10 = ComplexGain(10.0)
@@ -304,8 +310,8 @@ class TestRecordLoop:
                          "theoretical_solution": records}
 
     def test_diverged_run_evaluates_at_most_one_block_ahead(self):
-        # example2 at gain 10+50i passes a threshold of 1e3 at record 100,
-        # inside the block of records 64 to 127.
+        # example2 at gain 10+50i passes a threshold of 1e6 at record 345,
+        # inside the block of records 256 to 500.
         p = example2()
         taus = {"coefficients": [], "derivatives": [],
                 "theoretical_solution": []}
@@ -319,9 +325,10 @@ class TestRecordLoop:
         recorded = dataclasses.replace(
             p, **{name: recording(name) for name in taus})
         config = _config(gamma=ComplexGain(10.0, 50.0), epsilon=0.01,
-                         duration=5.0, divergence_threshold=1e3)
+                         duration=5.0, divergence_threshold=1e6)
         trajectory = run(recorded, config, random_initial_state(p, 42))
         assert trajectory.outcome is Outcome.DIVERGED
+        assert BLOCK_RECORDS < trajectory.diverged_at
         assert 0 < trajectory.diverged_at % BLOCK_RECORDS < BLOCK_RECORDS - 1
         last = trajectory.taus[-1]
         for name, called in taus.items():
@@ -553,9 +560,11 @@ class TestBlocks:
     a time; every run equals the one-shot step loop to the last bit, with
     the same counts, at and around block edges."""
 
+    # Lengths at the block edges, and at the edges of the 64-record
+    # blocks runs took before, which now fall inside one block.
     @pytest.mark.parametrize("records", [
-        2, BLOCK_RECORDS - 1, BLOCK_RECORDS, BLOCK_RECORDS + 1,
-        2 * BLOCK_RECORDS + 1,
+        2, 63, 64, 65, 129, BLOCK_RECORDS - 1, BLOCK_RECORDS,
+        BLOCK_RECORDS + 1, 2 * BLOCK_RECORDS + 1,
     ])
     @pytest.mark.parametrize("factory", [
         example1, example2, lambda: _segmented_example2(10),
@@ -580,7 +589,7 @@ class TestBlocks:
     def test_divergence_inside_a_block(self):
         problem = _segmented_example2(10)
         config = _config(gamma=ComplexGain(10.0, 50.0), epsilon=0.01,
-                         duration=5.0, divergence_threshold=1e3)
+                         duration=5.0, divergence_threshold=1e6)
         trajectory = _assert_runs_as_one_shot_steps(
             problem, config, random_initial_state(problem, 42))
         assert trajectory.outcome is Outcome.DIVERGED
@@ -589,8 +598,8 @@ class TestBlocks:
 
     def test_overflow_past_the_stop(self):
         # The residual passes the threshold at record 2, and the block
-        # integrates its 64 steps on past it until the discarded states
-        # overflow to inf and nan; that must warn nothing.
+        # integrates the rest of its steps on past it until the discarded
+        # states overflow to inf and nan; that must warn nothing.
         problem = example2()
         config = _config(gamma=ComplexGain(1e8), epsilon=0.5, duration=40.0)
         with warnings.catch_warnings():
@@ -667,15 +676,20 @@ class TestBlocks:
     @pytest.mark.parametrize("factory,formed", [
         (lambda: _frozen_shifted_trig_problem(4, 6, 5), [1, 1]),
         (example1, [1, 1]),
-        (lambda: _segmented_example2(10), [7, 7]),
+        # Segment s holds steps 10 s to 10 s + 9; a block holds R steps.
+        (lambda: _segmented_example2(10), [
+            (BLOCK_RECORDS - 1) // 10 + 1,
+            (2 * BLOCK_RECORDS - 1) // 10 - BLOCK_RECORDS // 10 + 1,
+        ]),
         (example2, [BLOCK_RECORDS, BLOCK_RECORDS]),
     ], ids=["constant-shifted-trig-4x6", "constant", "segments-of-10",
             "moving"])
     def test_p_is_formed_once_per_distinct_step(self, monkeypatch, factory,
                                                 formed):
-        # Below the crossover, steps with the same W^+ and bitwise the same
-        # shifted F, A and C share P and q.  The 4x6 problem has 24
-        # unknowns, so it takes the dense path with one P for every block.
+        # Below the crossover, consecutive steps with the same W^+ and
+        # bitwise the same shifted F, A and C share P and q.  The 4x6
+        # problem has 24 unknowns, so it takes the dense path with one P
+        # for every block.  Each run takes two full blocks of steps.
         sizes = []
 
         def counting(f, a):
@@ -683,7 +697,8 @@ class TestBlocks:
             return real_operator(f, a)
 
         problem = factory()
-        config = _config(epsilon=0.01, duration=0.01 * 2 * BLOCK_RECORDS)
+        records = block_records(problem.m, problem.n)
+        config = _config(epsilon=0.01, duration=0.01 * 2 * records)
         monkeypatch.setattr(dznd.solvers, "real_operator", counting)
         trajectory = _assert_runs_as_one_shot_steps(
             problem, config, random_initial_state(problem, 8))
@@ -691,6 +706,98 @@ class TestBlocks:
         # The one-shot reference takes one step per call of P.
         assert sizes[:2] == formed
         assert sizes[2:] == [1] * config.step_count
+
+
+class TestOverflowingOperator:
+    """F and A finite whose W overflows, F[t, t] - A[t, t] = 2e308 on the
+    diagonal: a run ends DIVERGED at its first non-finite record, with
+    no exception and no warning, on the dense path (1x1) and the
+    structured path (6x6)."""
+
+    @staticmethod
+    def _problem(size):
+        eye = np.eye(size)
+        zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
+        coefficients = (SplitComplexMatrix.from_real(1e308 * eye),
+                        SplitComplexMatrix.from_real(-1e308 * eye),
+                        SplitComplexMatrix.from_real(np.ones((size, size))))
+        return SylvesterConjugateProblem(
+            m=size, n=size, coefficients=lambda tau: coefficients,
+            derivatives=lambda tau: (zero, zero, zero))
+
+    @pytest.mark.parametrize("size", [1, 6])
+    @pytest.mark.parametrize("start", ["random", "zero"])
+    def test_run_ends_diverged(self, size, start):
+        # From a random state ||E|| overflows at record 0; from zero,
+        # E = -C is finite and the first step makes the state nan.
+        problem = self._problem(size)
+        initial = random_initial_state(problem, 42)
+        if start == "zero":
+            initial = InitialState(
+                SplitComplexMatrix.from_real(np.zeros((size, size))), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(problem, _config(), initial)
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert trajectory.diverged_at == (0 if start == "random" else 1)
+        assert not trajectory.finite[-1]
+        assert trajectory.finite[:-1].all()
+        assert trajectory.pinv_fallback_steps == 0
+        assert trajectory.structured_solve_steps == 0
+
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_step_raises(self, size):
+        with pytest.raises(NumericError, match="not finite"):
+            step_dznd1(self._problem(size), np.zeros(2 * size * size),
+                       GAMMA10, 0.0, 0.1)
+
+
+class TestNorms:
+    """The batched ||Z||_F of each matrix of a stack equals a per-matrix
+    np.linalg.norm bitwise."""
+
+    @staticmethod
+    def _assert_bitwise(z):
+        with np.errstate(over="ignore"):
+            want = np.array([np.linalg.norm(w) for w in z])
+        # Where the per-matrix norm overflows it warns; _norms does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _norms(z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_equals_per_matrix_norms(self, scale):
+        rng = np.random.default_rng(7)
+        for entries in range(1, 32):
+            rows = max(r for r in range(1, 6) if entries % r == 0)
+            shape = (64, rows, entries // rows)
+            self._assert_bitwise(scale * (rng.normal(size=shape)
+                                          + 1j * rng.normal(size=shape)))
+
+    def test_zero_inf_and_nan_entries(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(6, 3, 2)) + 1j * rng.normal(size=(6, 3, 2))
+        z[0] = 0.0
+        z[1, 0, 1] = complex(np.inf, 0.0)
+        z[2, 2, 0] = complex(0.0, -np.inf)
+        z[3, 1, 1] = complex(np.nan, 1.0)
+        z[4, 0, 0] = complex(np.inf, np.nan)
+        z[5] = 1e200  # squares overflow
+        self._assert_bitwise(z)
+
+
+def test_block_records_cap_the_block_stacks():
+    # Every registered and benchmark problem (3x2, 2x2, 16x16, 12x8)
+    # takes full blocks; below the crossover a block holds 3 (2mn)^2
+    # floats per record besides the provider stacks.
+    for m, n in [(3, 2), (2, 2), (16, 16), (12, 8), (6, 6)]:
+        assert block_records(m, n) == BLOCK_RECORDS
+    assert block_records(31, 1) == BLOCK_BYTES // (
+        16 * (2 + 2 * 31**2 + 3 * 31) + 24 * 62**2) == 67
+    assert block_records(64, 64) == BLOCK_BYTES // (16 * 7 * 64**2) == 18
+    assert block_records(2048, 2048) == 1
 
 
 def test_running_both_models_does_not_import_scipy():
