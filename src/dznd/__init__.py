@@ -16,18 +16,12 @@ from .linalg import (
     RealMatrix,
     RealVector,
     SplitComplexMatrix,
-    complex_matmul,
     conjugate,
     conjugate_transpose,
     frobenius_norm,
-    identity,
     kron,
     pinv,
-    pinv_solve,
-    transpose,
-    unvec,
     vec,
-    zeros,
 )
 from .problems import (
     BlockProvider,
@@ -37,7 +31,6 @@ from .problems import (
     equation_residual,
     example1,
     example2,
-    finite_difference_derivatives,
     get_problem,
     random_initial_state,
     solution_error,
@@ -73,22 +66,18 @@ __all__ = [
     "SylvesterConjugateProblem",
     "Trajectory",
     "characteristic_roots",
-    "complex_matmul",
     "conjugate",
     "conjugate_transpose",
     "equation_residual",
     "euler_forward_characteristic",
     "example1",
     "example2",
-    "finite_difference_derivatives",
     "frobenius_norm",
     "get_problem",
-    "identity",
     "is_zero_stable",
     "kron",
     "matrix_from_state",
     "pinv",
-    "pinv_solve",
     "random_initial_state",
     "run",
     "scalar_error_modulus",
@@ -98,11 +87,8 @@ __all__ = [
     "step_dznd2",
     "tail_max_equation_residual",
     "tail_max_solution_error",
-    "transpose",
-    "unvec",
     "vec",
     "zero_stability_roots",
-    "zeros",
 ]
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ Conventions, fixed repo-wide:
 * ``vec`` stacks columns (column-major traversal);
 * non-finite values propagate through the arithmetic kernels; they are
   never masked, so divergence stays observable to the caller.  The
-  exceptions are :func:`pinv`, :func:`pseudo_inverses` and
-  :func:`pinv_solve`, which need finite matrices to factor.
+  exceptions are :func:`pinv` and :func:`pseudo_inverses`, which need
+  finite matrices to factor.
 """
 
 from __future__ import annotations
@@ -100,35 +100,18 @@ class SplitComplexMatrix:
         return SplitComplexMatrix(-self.re, -self.im)
 
     def __matmul__(self, other: "SplitComplexMatrix") -> "SplitComplexMatrix":
-        return complex_matmul(self, other)
-
-
-def zeros(rows: int, cols: int) -> SplitComplexMatrix:
-    return SplitComplexMatrix(np.zeros((rows, cols)), np.zeros((rows, cols)))
-
-
-def identity(n: int) -> SplitComplexMatrix:
-    return SplitComplexMatrix(np.eye(n), np.zeros((n, n)))
-
-
-def complex_matmul(a: SplitComplexMatrix, b: SplitComplexMatrix) -> SplitComplexMatrix:
-    """Product (a_re + i a_im)(b_re + i b_im) via four real products."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return SplitComplexMatrix(
-        a.re @ b.re - a.im @ b.im,
-        a.re @ b.im + a.im @ b.re,
-    )
+        """Product (a_re + i a_im)(b_re + i b_im) via four real products."""
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        return SplitComplexMatrix(
+            self.re @ other.re - self.im @ other.im,
+            self.re @ other.im + self.im @ other.re,
+        )
 
 
 def conjugate(m: SplitComplexMatrix) -> SplitComplexMatrix:
     """Entrywise complex conjugate: real part kept, imaginary part negated."""
     return SplitComplexMatrix(m.re, -m.im)
-
-
-def transpose(m: SplitComplexMatrix) -> SplitComplexMatrix:
-    """Unconjugated transpose of both parts."""
-    return SplitComplexMatrix(m.re.T, m.im.T)
 
 
 def conjugate_transpose(m: SplitComplexMatrix) -> SplitComplexMatrix:
@@ -145,20 +128,6 @@ def vec(m: SplitComplexMatrix) -> SplitComplexMatrix:
     return SplitComplexMatrix(
         m.re.reshape(-1, 1, order="F"),
         m.im.reshape(-1, 1, order="F"),
-    )
-
-
-def unvec(v: SplitComplexMatrix, rows: int, cols: int) -> SplitComplexMatrix:
-    """Inverse of :func:`vec`: reshape a column back to rows x cols."""
-    if v.cols != 1:
-        raise ShapeError(f"expected a column, got shape {v.shape}")
-    if v.rows != rows * cols:
-        raise ShapeError(
-            f"column of length {v.rows} cannot fill a {rows}x{cols} matrix"
-        )
-    return SplitComplexMatrix(
-        v.re.reshape(rows, cols, order="F"),
-        v.im.reshape(rows, cols, order="F"),
     )
 
 
@@ -270,15 +239,3 @@ def pseudo_inverses(
         w_plus[member] = pinv(w[member], tolerance)
     return w_plus, fell_back
 
-
-def pinv_solve(
-    w: RealMatrix, b, tolerance: float | None = None
-) -> tuple[np.ndarray, bool]:
-    """``pinv(w, tolerance) @ b``, and whether the SVD pseudo-inverse had
-    to be formed to get it: through :func:`pseudo_inverses` for a square
-    ``w``, and through :func:`pinv` otherwise."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 2 and w.shape[0] == w.shape[1] > 0:
-        w_plus, fell_back = pseudo_inverses(w[None], tolerance)
-        return w_plus[0] @ b, bool(fell_back[0])
-    return pinv(w, tolerance) @ b, True

@@ -7,8 +7,7 @@ A problem is the data of the matrix equation
 with F n x n, A m x m, C and the unknown X m x n, all split-complex, for
 real time tau >= 0.  Coefficients and their time derivatives are supplied
 as separate providers; the solvers consume the derivatives explicitly, so
-problems should supply analytic derivatives whenever possible (the
-finite-difference fallback below limits the achievable accuracy order).
+a problem must supply them analytically.
 
 A provider is a function of one tau, or a :class:`BlockProvider`: a
 formula written once over an array of tau, which a run evaluates once
@@ -135,25 +134,6 @@ def random_initial_state(
     re = rng.uniform(-5.0, 5.0, size=(problem.m, problem.n))
     im = rng.uniform(-5.0, 5.0, size=(problem.m, problem.n))
     return InitialState(x0=SplitComplexMatrix(re, im), seed=seed)
-
-
-def finite_difference_derivatives(
-    coefficients: CoefficientProvider, step: float = 1e-6
-) -> CoefficientProvider:
-    """Central-difference derivative provider for user problems that lack
-    analytic derivatives.  Accuracy-limiting: differencing noise ~1e-10
-    dominates long before the solvers' own error floor."""
-
-    def derivs(tau: float):
-        lo = coefficients(max(tau - step, 0.0))
-        hi = coefficients(tau + step)
-        width = (tau + step) - max(tau - step, 0.0)
-        return tuple(
-            SplitComplexMatrix((h.re - l.re) / width, (h.im - l.im) / width)
-            for h, l in zip(hi, lo)
-        )
-
-    return derivs
 
 
 # ---------------------------------------------------------------------------

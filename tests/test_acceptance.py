@@ -17,7 +17,6 @@ held fixed it is second order.  Criterion 4 asserts both regimes;
 criterion 3 bounds the gain-10 tails by the first-order law.
 """
 
-import math
 import time
 
 import numpy as np
@@ -28,25 +27,19 @@ from dznd import (
     Model,
     Outcome,
     SolverConfig,
-    SplitComplexMatrix,
-    conjugate,
-    conjugate_transpose,
-    equation_residual,
     get_problem,
-    is_zero_stable,
-    kron,
-    pinv,
     random_initial_state,
     run,
-    scalar_error_modulus,
     tail_max_equation_residual,
-    transpose,
-    vec,
-    zero_stability_roots,
 )
-from dznd.assembly import characteristic_roots
 from dznd.cli import main as cli_main
-from helpers import random_split
+from dznd.verify import (
+    check_kron_vec_identity,
+    check_penrose_conditions,
+    check_scalar_modulus_table,
+    check_theoretical_solutions,
+    check_zero_stability,
+)
 
 GAMMA10 = ComplexGain(10.0)
 
@@ -98,50 +91,19 @@ def fixed_h_grid():
 
 def test_criterion_1_theoretical_solution_residuals():
     started = time.perf_counter()
-    worst = {}
-    for name in ("example1", "example2"):
-        problem = get_problem(name)
-        worst[name] = max(
-            equation_residual(problem, problem.theoretical_solution(tau), tau)
-            for tau in np.linspace(0.0, 10.0, 101)
-        )
+    result = check_theoretical_solutions()
     elapsed = time.perf_counter() - started
-    ok = all(v <= 1e-10 for v in worst.values()) and elapsed < 1.0
-    detail = (
-        f"max residual example1={worst['example1']:.3e} "
-        f"example2={worst['example2']:.3e} (bound 1e-10), {elapsed:.2f}s (<1s)"
-    )
+    ok = result.passed and elapsed < 1.0
+    detail = "; ".join(result.details) + f"; {elapsed:.2f}s (<1s)"
     assert _verdict(1, ok, detail), detail
 
 
 def test_criterion_2_kron_vec_identity():
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    worst_complex = worst_real = 0.0
-    for _ in range(1000):
-        m, k, s, t = rng.integers(1, 4, size=4)
-        a, x, b = (random_split(rng, m, k), random_split(rng, k, s),
-                   random_split(rng, s, t))
-        lhs = vec(a @ x @ b)
-        rhs = kron(conjugate(conjugate_transpose(b)), a) @ vec(x)
-        dev = max(np.abs(lhs.re - rhs.re).max(), np.abs(lhs.im - rhs.im).max())
-        direct = (a.to_complex() @ x.to_complex() @ b.to_complex()).flatten(order="F")
-        dev = max(dev, np.abs(lhs.to_complex().ravel() - direct).max())
-        worst_complex = max(worst_complex, dev)
-    for _ in range(1000):
-        m, k, s, t = rng.integers(1, 4, size=4)
-        a = SplitComplexMatrix.from_real(rng.normal(size=(m, k)))
-        x = SplitComplexMatrix.from_real(rng.normal(size=(k, s)))
-        b = SplitComplexMatrix.from_real(rng.normal(size=(s, t)))
-        lhs = vec(a @ x @ b)
-        rhs = kron(transpose(b), a) @ vec(x)
-        worst_real = max(worst_real, np.abs(lhs.re - rhs.re).max())
+    result = check_kron_vec_identity(seed=2024)
     elapsed = time.perf_counter() - started
-    ok = worst_complex <= 1e-12 and worst_real <= 1e-12 and elapsed < 5.0
-    detail = (
-        f"1000 complex triples max dev {worst_complex:.3e}, real-matrix case "
-        f"{worst_real:.3e} (bound 1e-12), {elapsed:.2f}s (<5s)"
-    )
+    ok = result.passed and elapsed < 5.0
+    detail = "; ".join(result.details) + f"; {elapsed:.2f}s (<5s)"
     assert _verdict(2, ok, detail), detail
 
 
@@ -221,17 +183,9 @@ def test_criterion_5_complex_gain_dichotomy(gain10_grid):
     runs, _ = gain10_grid
     started = time.perf_counter()
     gains = (ComplexGain(10.0, 20.0), ComplexGain(10.0, -20.0))
-    measurements = []
-    ok = True
-
-    modulus_big = scalar_error_modulus(gains[0], 0.1)
-    modulus_small = scalar_error_modulus(gains[0], 0.001)
-    ok = ok and modulus_big == 2.0 and abs(modulus_small - 0.9902) <= 5e-5
-    ok = ok and modulus_big > 1.0 and modulus_small < 1.0
-    measurements.append(
-        f"modulus eps=0.1: {modulus_big} (expect 2.0), "
-        f"eps=0.001: {modulus_small:.6f} (expect ~0.9902)"
-    )
+    table = check_scalar_modulus_table()
+    measurements = list(table.details)
+    ok = table.passed
 
     for name in ("example1", "example2"):
         problem = get_problem(name)
@@ -267,21 +221,9 @@ def test_criterion_5_complex_gain_dichotomy(gain10_grid):
 
 
 def test_criterion_6_zero_stability():
-    roots = zero_stability_roots()
-    scheme_ok = (
-        roots.shape == (1,)
-        and abs(roots[0] - 1.0) <= 1e-12
-        and is_zero_stable(roots)
-    )
-    double_rejected = not is_zero_stable(characteristic_roots([1.0, -2.0, 1.0]))
-    inside_accepted = is_zero_stable(characteristic_roots([-0.5, 1.0]))
-    ok = scheme_ok and double_rejected and inside_accepted
-    detail = (
-        f"scheme roots={np.round(roots, 12).tolist()} stable={scheme_ok}, "
-        f"double-unit-root rejected={double_rejected}, "
-        f"inside-circle accepted={inside_accepted}"
-    )
-    assert _verdict(6, ok, detail), detail
+    result = check_zero_stability()
+    detail = "; ".join(result.details)
+    assert _verdict(6, result.passed, detail), detail
 
 
 def test_criterion_7_run_determinism(tmp_path):
@@ -299,20 +241,6 @@ def test_criterion_7_run_determinism(tmp_path):
 
 
 def test_criterion_8_penrose_conditions():
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    cases = [rng.normal(size=(size, size)) for size in (4, 8, 12)]
-    for size, rank in ((6, 2), (12, 5), (9, 4)):
-        cases.append(rng.normal(size=(size, rank)) @ rng.normal(size=(rank, size)))
-    for w in cases:
-        wp = pinv(w)
-        worst = max(
-            worst,
-            np.abs(w @ wp @ w - w).max(),
-            np.abs(wp @ w @ wp - wp).max(),
-            np.abs(w @ wp - (w @ wp).T).max(),
-            np.abs(wp @ w - (wp @ w).T).max(),
-        )
-    ok = worst <= 1e-10
-    detail = f"{len(cases)} matrices up to 12x12, worst Penrose deviation {worst:.3e}"
-    assert _verdict(8, ok, detail), detail
+    result = check_penrose_conditions(seed=8)
+    detail = "; ".join(result.details)
+    assert _verdict(8, result.passed, detail), detail

@@ -32,7 +32,7 @@ from dznd.assembly import (
     stack,
     unstack,
 )
-from dznd.linalg import pinv_solve
+from dznd.linalg import pseudo_inverses
 from dznd.problems import InitialState, SylvesterConjugateProblem
 from helpers import make_shifted_trig_problem, make_trig_problem, random_split
 
@@ -190,7 +190,8 @@ class TestSolveOperator:
     ], ids=["colliding-spectra", "jordan-block", "large-cutoff"])
     def test_uncertified_cases_take_the_dense_path(self, case, tolerance, path):
         f, a, g = case()
-        expected, _ = pinv_solve(real_operator(f, a), stack(g), tolerance)
+        w_plus, _ = pseudo_inverses(real_operator(f, a)[None], tolerance)
+        expected = w_plus[0] @ stack(g)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = OperatorFactors(f[None], a[None], tolerance).solve(0, g)

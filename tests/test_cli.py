@@ -3,10 +3,12 @@ import dataclasses
 
 import pytest
 
+import dznd.cli
 import dznd.reporting
 from dznd import ComplexGain, Model, example2, random_initial_state
 from dznd.cli import main
 from dznd.reporting import run_sweep
+from dznd.verify import GroupResult
 
 
 def _run_args(out, problem="example2", model="dznd1-2i", gamma="10",
@@ -216,3 +218,12 @@ class TestVerifyCommand:
             assert group in out
         assert "roots [1.0]" in out
         assert "modulus=2.000000" in out
+
+    def test_failing_group_exits_1(self, monkeypatch, capsys):
+        failing = GroupResult("kron-vec identity", False, ["max deviation 1"])
+        monkeypatch.setattr(dznd.cli, "run_verification",
+                            lambda seed: [failing])
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL kron-vec identity" in out
+        assert "max deviation 1" in out

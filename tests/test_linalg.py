@@ -7,18 +7,12 @@ from dznd import (
     NumericError,
     ShapeError,
     SplitComplexMatrix,
-    complex_matmul,
     conjugate,
     conjugate_transpose,
     frobenius_norm,
-    identity,
     kron,
     pinv,
-    pinv_solve,
-    transpose,
-    unvec,
     vec,
-    zeros,
 )
 from dznd.linalg import pseudo_inverses
 from helpers import random_split, scalar_matmul_oracle
@@ -45,13 +39,13 @@ class TestComplexMatmul:
     def test_identity_leaves_operand_unchanged(self):
         rng = np.random.default_rng(3)
         m = random_split(rng, 2, 3)
-        out = complex_matmul(identity(2), m)
+        out = SplitComplexMatrix.from_real(np.eye(2)) @ m
         np.testing.assert_array_equal(out.re, m.re)
         np.testing.assert_array_equal(out.im, m.im)
 
     def test_imaginary_unit_squares_to_minus_one(self):
         i2 = SplitComplexMatrix(np.zeros((2, 2)), np.eye(2))
-        out = complex_matmul(i2, i2)
+        out = i2 @ i2
         np.testing.assert_array_equal(out.re, -np.eye(2))
         np.testing.assert_array_equal(out.im, np.zeros((2, 2)))
 
@@ -60,7 +54,7 @@ class TestComplexMatmul:
         a = random_split(rng, 3, 3)
         b = random_split(rng, 3, 2)
         expected = scalar_matmul_oracle(a, b)
-        got = complex_matmul(a, b)
+        got = a @ b
         assert np.abs(got.re + 1j * got.im - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
@@ -71,22 +65,19 @@ class TestComplexMatmul:
         a = random_split(rng, rows, inner)
         b = random_split(rng, inner, cols)
         expected = scalar_matmul_oracle(a, b)
-        got = complex_matmul(a, b)
+        got = a @ b
         assert np.abs(got.re + 1j * got.im - expected).max() <= 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
-        a = zeros(2, 3)
-        b = zeros(2, 3)
+        a = b = SplitComplexMatrix.from_real(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            complex_matmul(a, b)
+            a @ b
 
     def test_zero_imaginary_behaves_like_real_matmul(self):
         rng = np.random.default_rng(5)
         a_re = rng.normal(size=(3, 3))
         b_re = rng.normal(size=(3, 2))
-        out = complex_matmul(
-            SplitComplexMatrix.from_real(a_re), SplitComplexMatrix.from_real(b_re)
-        )
+        out = SplitComplexMatrix.from_real(a_re) @ SplitComplexMatrix.from_real(b_re)
         np.testing.assert_array_equal(out.re, a_re @ b_re)
         np.testing.assert_array_equal(out.im, np.zeros((3, 2)))
 
@@ -125,43 +116,25 @@ class TestVecUnvec:
         m = SplitComplexMatrix.from_real([[1.0], [2.0], [3.0]])
         np.testing.assert_array_equal(vec(m).re, m.re)
 
-    def test_unvec_definitional(self):
-        col = SplitComplexMatrix.from_real([[1.0], [3.0], [2.0], [4.0]])
-        out = unvec(col, 2, 2)
-        np.testing.assert_array_equal(out.re, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_unvec_single_row(self):
-        col = SplitComplexMatrix.from_real([[1.0], [2.0], [3.0]])
-        out = unvec(col, 1, 3)
-        np.testing.assert_array_equal(out.re, [[1.0, 2.0, 3.0]])
-
     @pytest.mark.parametrize("rows", [1, 2, 3, 6])
     @pytest.mark.parametrize("cols", [1, 2, 5, 6])
     def test_round_trip(self, rows, cols):
         rng = np.random.default_rng(rows * 10 + cols)
         m = random_split(rng, rows, cols)
-        back = unvec(vec(m), rows, cols)
-        np.testing.assert_array_equal(back.re, m.re)
-        np.testing.assert_array_equal(back.im, m.im)
         col = vec(m)
-        again = vec(unvec(col, rows, cols))
-        np.testing.assert_array_equal(again.re, col.re)
-
-    def test_unvec_length_mismatch(self):
-        col = SplitComplexMatrix.from_real([[1.0], [2.0], [3.0]])
-        with pytest.raises(ShapeError):
-            unvec(col, 2, 2)
-
-    def test_unvec_rejects_non_column(self):
-        with pytest.raises(ShapeError):
-            unvec(zeros(2, 2), 2, 2)
+        assert col.shape == (rows * cols, 1)
+        # Entry (s, t) lands at t*rows + s in both parts.
+        np.testing.assert_array_equal(
+            col.re.reshape(rows, cols, order="F"), m.re)
+        np.testing.assert_array_equal(
+            col.im.reshape(rows, cols, order="F"), m.im)
 
 
 class TestKron:
     def test_identity_case(self):
         rng = np.random.default_rng(2)
         a = random_split(rng, 2, 3)
-        out = kron(identity(1), a)
+        out = kron(SplitComplexMatrix.from_real(np.eye(1)), a)
         np.testing.assert_array_equal(out.re, a.re)
         np.testing.assert_array_equal(out.im, a.im)
 
@@ -183,14 +156,14 @@ class TestKron:
         x = SplitComplexMatrix.from_real(rng.normal(size=(2, 2)))
         b = SplitComplexMatrix.from_real(rng.normal(size=(2, 3)))
         lhs = vec(a @ x @ b)
-        rhs = kron(transpose(b), a) @ vec(x)
+        rhs = kron(SplitComplexMatrix.from_real(b.re.T), a) @ vec(x)
         assert np.abs(lhs.re - rhs.re).max() <= 1e-12
         np.testing.assert_array_equal(rhs.im, np.zeros_like(rhs.im))
 
 
 class TestFrobeniusNorm:
     def test_zero_matrix(self):
-        assert frobenius_norm(zeros(3, 2)) == 0.0
+        assert frobenius_norm(SplitComplexMatrix.from_real(np.zeros((3, 2)))) == 0.0
 
     def test_three_four_five(self):
         m = SplitComplexMatrix([[3.0]], [[4.0]])
@@ -265,41 +238,39 @@ class TestPinv:
             pinv(np.eye(2), tolerance=-1.0)
 
 
-class TestPinvSolve:
+class TestPseudoInverses:
     @pytest.mark.parametrize("size", [8, 12, 192])
     def test_matches_pinv_on_well_conditioned_matrices(self, size):
         rng = np.random.default_rng(size)
         w = rng.normal(size=(size, size)) + 2.0 * np.sqrt(size) * np.eye(size)
         b = rng.normal(size=size)
-        x, fell_back = pinv_solve(w, b)
-        expected = pinv(w) @ b
-        assert not fell_back
+        w_plus, fell_back = pseudo_inverses(w[None])
+        x, expected = w_plus[0] @ b, pinv(w) @ b
+        assert not fell_back[0]
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_singular_matrix_falls_back_to_pinv(self):
-        w, b = np.diag([2.0, 0.0]), np.array([1.0, 3.0])
-        x, fell_back = pinv_solve(w, b)
-        assert fell_back
-        np.testing.assert_array_equal(x, pinv(w) @ b)
+        w = np.diag([2.0, 0.0])
+        w_plus, fell_back = pseudo_inverses(w[None])
+        assert fell_back[0]
+        np.testing.assert_array_equal(w_plus[0], pinv(w))
 
     def test_tolerance_cut_falls_back_to_pinv(self):
         # pinv drops 1e-8 at tolerance 1e-6, so the inverse is not pinv.
         w, b = np.diag([1.0, 1e-8]), np.array([1.0, 1.0])
-        x, fell_back = pinv_solve(w, b, tolerance=1e-6)
-        assert fell_back
-        np.testing.assert_array_equal(x, pinv(w, tolerance=1e-6) @ b)
+        w_plus, fell_back = pseudo_inverses(w[None], tolerance=1e-6)
+        assert fell_back[0]
+        np.testing.assert_array_equal(w_plus[0], pinv(w, tolerance=1e-6))
         # At 1e-10 nothing is cut and the inverse is certified.
-        x, fell_back = pinv_solve(w, b, tolerance=1e-10)
-        assert not fell_back
-        np.testing.assert_allclose(x, [1.0, 1e8], rtol=1e-12)
+        w_plus, fell_back = pseudo_inverses(w[None], tolerance=1e-10)
+        assert not fell_back[0]
+        np.testing.assert_allclose(w_plus[0] @ b, [1.0, 1e8], rtol=1e-12)
 
     def test_non_finite_input_raises_numeric_error(self):
         w = np.array([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(NumericError, match="non-finite"):
-            pinv_solve(w, np.ones(2))
+            pseudo_inverses(w[None])
 
-
-class TestPseudoInverses:
     def test_mixed_stack_falls_back_member_by_member(self):
         # The stack inverts without raising, but at tolerance 1e-6 pinv
         # cuts 1e-8 from diag(1, 1e-8): only that member takes the SVD.

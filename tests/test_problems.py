@@ -13,7 +13,6 @@ from dznd import (
     equation_residual,
     example1,
     example2,
-    finite_difference_derivatives,
     frobenius_norm,
     get_problem,
     random_initial_state,
@@ -147,22 +146,6 @@ class TestRandomInitialState:
             for part in (state.x0.re, state.x0.im):
                 assert part.min() >= -5.0
                 assert part.max() <= 5.0
-
-
-class TestFiniteDifferenceFallback:
-    def test_tracks_analytic_derivatives(self):
-        p = example2()
-        fallback = finite_difference_derivatives(p.coefficients)
-        for tau in (0.5, 3.0):
-            for approx, exact in zip(fallback(tau), p.derivatives(tau)):
-                assert np.abs(approx.re - exact.re).max() <= 1e-5
-                assert np.abs(approx.im - exact.im).max() <= 1e-5
-
-    def test_clamps_at_time_origin(self):
-        p = example2()
-        fallback = finite_difference_derivatives(p.coefficients)
-        for approx, exact in zip(fallback(0.0), p.derivatives(0.0)):
-            assert np.abs(approx.re - exact.re).max() <= 1e-5
 
 
 class TestRegistry:
