@@ -30,7 +30,11 @@ of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
 both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
 & Hartwig, SIAM J. Matrix Anal. Appl. 1988), which two
 eigendecompositions solve in O(m^3 + n^3) instead of the O((mn)^3) of a
-dense solve with W.  Below that size, or when the Sylvester answer
+dense solve with W.  The members of a stack usually move little from one
+to the next, so a member first tries the eigenbases of the last member
+factored: in them its Sylvester form is nearly diagonal, and a few
+Jacobi sweeps solve it in O(m^2 n + m n^2) each, under a certificate of
+its own.  Below that size, or when the Sylvester answer
 cannot be certified or checked, the factor is W^+ from
 :func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or
 its SVD pseudo-inverse.
@@ -65,6 +69,16 @@ from .linalg import (
 STRUCTURED_SOLVE_MIN_UNKNOWNS = 32
 
 _EPS = float(np.finfo(np.float64).eps)
+# Below half the largest float, no sum of two parts overflows.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
+# The Jacobi sweeps of a solve in the eigenbases of another member stop
+# once an update's Frobenius norm is at most _SWEEP_TOLERANCE times that
+# of the first iterate, and give up after _SWEEP_CAP sweeps.  Shifted
+# trig problems from 6x6 to 64x64 at epsilon = 0.01 and 0.001 took 5 to
+# 19 sweeps; at 16x16 a sweep costs about 8 us and the two
+# eigendecompositions it saves about 700 us (one BLAS thread).
+_SWEEP_TOLERANCE = _EPS
+_SWEEP_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -216,13 +230,20 @@ class OperatorFactors:
 
     Built once, they serve every G for which F and A stay the same.  With
     at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
-    factors are built), each finite member has its eigendecomposed
-    Sylvester form factored and certified (:func:`_sylvester_factors`) on
-    its first solve, and W^+ is formed only when a G needs it.  Below
-    that size the W^+ of every finite member is formed at construction,
-    by one :func:`~dznd.linalg.pseudo_inverses` call for the stack, and
-    :meth:`inverses` gives them for any array of members.  A member that
-    is not finite raises only when solved.
+    factors are built), each finite member is factored only when a solve
+    needs it.  Its first solve tries the eigenbases of the base, the
+    member whose Sylvester form this stack factored and certified last
+    (:func:`_reused_factors`); when that fails its certificate, its sweep
+    cap or the backward-error check, the member's own Sylvester form is
+    factored and certified (:func:`_sylvester_factors`), and when
+    certified it becomes the base.  A member keeps what served it: the
+    base's eigenbases while they pass, or else its own factors for every
+    later G.  W^+ is formed only when a G needs it.  ``factorizations``
+    counts the members factored on their own, by eigendecomposition or
+    W^+.  Below that size the W^+ of every finite member is formed at
+    construction, by one :func:`~dznd.linalg.pseudo_inverses` call for
+    the stack, and :meth:`inverses` gives them for any array of members.
+    A member that is not finite raises only when solved.
     """
 
     def __init__(
@@ -233,9 +254,18 @@ class OperatorFactors:
         self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
         self.structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
         self.finite = _finite_operators(f, a)
+        self._base: _SylvesterFactors | None = None
         self._sylvester: dict[int, _SylvesterFactors | None] = {}
+        self._own: set[int] = set()
         self._dense: dict[int, tuple[RealMatrix, bool]] = {}
         if not self.structured:
+            if len(f) and self.finite.all():
+                # Every member is finite: the stack serves as it is.
+                self._w_plus, fell_back = pseudo_inverses(
+                    real_operator(f, a), tolerance
+                )
+                self._paths = _DENSE_PATHS[fell_back.astype(np.intp)]
+                return
             self._w_plus = np.full((len(f), 2 * mn, 2 * mn), math.nan)
             self._paths = np.full(len(f), None, dtype=object)
             finite = np.flatnonzero(self.finite)
@@ -246,28 +276,52 @@ class OperatorFactors:
                 self._w_plus[finite] = w_plus
                 self._paths[finite] = _DENSE_PATHS[fell_back.astype(np.intp)]
 
+    def __len__(self) -> int:
+        """The number of members."""
+        return len(self.finite)
+
+    @property
+    def factorizations(self) -> int:
+        """From the crossover up, the number of members factored so far
+        on their own: their Sylvester form eigendecomposed, or their W^+
+        formed, or both, counting once."""
+        return len(self._own | self._dense.keys())
+
     def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
         """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
         stack(D) with D F_i - A_i conj(D) = G, and the path that gave it.
 
-        The Sylvester factors, when certified, are tried first for finite
-        G.  Otherwise, or when their answer fails the backward-error
-        check, the result is that of :meth:`inverse`.
+        For finite G on a finite member the Sylvester form is tried first,
+        in the base's eigenbases or the member's own (class docstring).
+        When neither is certified, or the answer of its own fails the
+        backward-error check, the result is that of :meth:`inverse`.
         """
-        f, a = self._f[member], self._a[member]
-        if self.structured and np.isfinite(g).all():
-            if member not in self._sylvester:
-                self._sylvester[member] = (
-                    _sylvester_factors(f, a, self._cutoff)
-                    if self.finite[member] else None
-                )
-            factors = self._sylvester[member]
-            if factors is not None:
-                d = factors.apply(f, a, g)
-                if d is not None:
-                    return stack(d), SolvePath.STRUCTURED
+        if self.structured and self.finite[member] and np.isfinite(g).all():
+            d = self._sylvester_solve(member, g)
+            if d is not None:
+                return stack(d), SolvePath.STRUCTURED
         matrix, path = self.inverse(member)
         return matrix @ stack(g), path
+
+    def _sylvester_solve(self, member: int, g: np.ndarray) -> np.ndarray | None:
+        """D from the Sylvester form of finite member i, or None for the
+        dense path."""
+        f, a = self._f[member], self._a[member]
+        factors = self._sylvester.get(member)
+        if member not in self._own:
+            if factors is None and self._base is not None:
+                factors = _reused_factors(self._base, f, a, self._cutoff)
+            d = None if factors is None else factors.apply(f, a, g)
+            if d is not None:
+                self._sylvester[member] = factors
+                return d
+            self._own.add(member)
+            factors = self._sylvester[member] = _sylvester_factors(
+                f, a, self._cutoff
+            )
+            if factors is not None:
+                self._base = factors
+        return None if factors is None else factors.apply(f, a, g)
 
     def inverse(self, member: int) -> tuple[RealMatrix, SolvePath]:
         """``pinv(W_i, tolerance)`` for member i, and the path it is: the
@@ -287,11 +341,15 @@ class OperatorFactors:
         matrix, fell_back = self._dense[member]
         return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
 
-    def inverses(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def inverses(
+        self, members: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Below the crossover, the stack of ``pinv(W_i, tolerance)`` for
-        each member i of the integer array ``members``, and the object
-        array of their paths; a member that is not finite has a nan W^+
-        and path None."""
+        each member i of the integer array ``members`` (every member in
+        order for None, without a copy), and the object array of their
+        paths; a member that is not finite has a nan W^+ and path None."""
+        if members is None:
+            return self._w_plus, self._paths
         return self._w_plus[members], self._paths[members]
 
 
@@ -304,39 +362,74 @@ def _finite_operators(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     of stacks of F and A.  :func:`real_operator` adds an A term onto an F
     term only on W's diagonal blocks, at F[t, t] and A[s, s]; the sums
     there are Re F[t, t] +- Re A[s, s] and Im F[t, t] +- Im A[s, s], up to
-    sign, so W overflows exactly when some F[t, t] +- A[s, s] does."""
-    fd = np.diagonal(f, axis1=1, axis2=2)[:, :, None]
-    ad = np.diagonal(a, axis1=1, axis2=2)[:, None, :]
+    sign, so W overflows exactly when some F[t, t] +- A[s, s] does.  No
+    sum overflows when every diagonal part of the stack is below half the
+    largest float, which one test of the whole stack shows; only
+    otherwise are the sums formed member by member."""
+    finite = np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+    fd = np.diagonal(f, axis1=1, axis2=2)
+    ad = np.diagonal(a, axis1=1, axis2=2)
+    parts = np.concatenate([fd, ad], axis=1).view(np.float64)
+    # A nan part fails the test, as it should.
+    if np.abs(parts).max(initial=0.0) < _HALF_MAX:
+        return finite
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.isfinite(fd + ad) & np.isfinite(fd - ad)
-    return (
-        np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-        & sums.all(axis=(1, 2))
-    )
+        sums = np.isfinite(fd[:, :, None] + ad[:, None, :]) & np.isfinite(
+            fd[:, :, None] - ad[:, None, :]
+        )
+    return finite & sums.all(axis=(1, 2))
 
 
 class _SylvesterFactors(NamedTuple):
-    """The certified eigendecompositions of the Sylvester form
-    D P - Q D = T(G), P = F conj F, Q = A conj A (module docstring):
-    P = V diag(lam) V^-1, Q = U diag(mu) U^-1, ``gaps[i, j]`` =
-    lam_j - mu_i, and s = ||F||_F + ||A||_F."""
+    """The Sylvester form D P - Q D = T(G), P = F conj F, Q = A conj A
+    (module docstring), in the eigenbases V of some P_0 and U of some
+    Q_0: V^-1 P V = diag(lam) + P_off and U^-1 Q U = diag(mu) + Q_off,
+    ``gaps[i, j]`` = lam_j - mu_i, ``condition`` = kF(U) kF(V) with
+    kF(U) = ||U||_F ||U^-1||_F, and s = ||F||_F + ||A||_F.  For a
+    member's own factors P_0 = P and Q_0 = Q, and ``off`` is None;
+    otherwise ``off`` holds (P_off, Q_off)."""
 
     u: np.ndarray
     u_inv: np.ndarray
     v: np.ndarray
     v_inv: np.ndarray
     gaps: np.ndarray
+    condition: float
     s: float
+    off: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(
         self, f: np.ndarray, a: np.ndarray, g: np.ndarray
     ) -> np.ndarray | None:
-        """D = U [(U^-1 T(G) V) / gaps] V^-1 with D F - A conj(D) = G, or
-        None when D fails the backward-error check
+        """D = U Y V^-1 with D F - A conj(D) = G, where Y solves
+        Y (diag(lam) + P_off) - (diag(mu) + Q_off) Y = U^-1 T(G) V; or
+        None when the sweeps for Y reach their cap or D fails the
+        backward-error check
         ||D F - A conj(D) - G||_F <= eps * 2mn * (s ||D||_F + ||G||_F),
-        which does not depend on the cutoff."""
+        which does not depend on the cutoff.
+
+        Without ``off``, Y = (U^-1 T(G) V) / gaps.  With it, Jacobi sweeps
+        Y <- (U^-1 T(G) V - Y P_off + Q_off Y) / gaps start from that
+        quotient; each adds the update R <- (Q_off R - R P_off) / gaps of
+        the one before, which the certificate shrinks to at most
+        delta < 1/2 of that one's norm, until ||R||_F is at most
+        _SWEEP_TOLERANCE times the first iterate's norm."""
         t = g @ np.conj(f) + a @ np.conj(g)
-        d = self.u @ ((self.u_inv @ t @ self.v) / self.gaps) @ self.v_inv
+        y = (self.u_inv @ t @ self.v) / self.gaps
+        if self.off is not None:
+            p_off, q_off = self.off
+            # Squared norms as dot products: cheaper than np.linalg.norm.
+            limit = _SWEEP_TOLERANCE**2 * np.vdot(y, y).real
+            update = y
+            for _ in range(_SWEEP_CAP):
+                update = q_off @ update - update @ p_off
+                update /= self.gaps
+                y += update
+                if np.vdot(update, update).real <= limit:
+                    break
+            else:
+                return None
+        d = self.u @ y @ self.v_inv
         residual = float(np.linalg.norm(d @ f - a @ np.conj(d) - g))
         scale = self.s * float(np.linalg.norm(d)) + float(np.linalg.norm(g))
         if not residual <= _EPS * 2 * g.size * scale:
@@ -344,18 +437,31 @@ class _SylvesterFactors(NamedTuple):
         return d
 
 
+def _certified(
+    s: float, condition: float, cutoff: float, gap: float, off: float = 0.0
+) -> bool:
+    """The Sylvester certificate: whether, for ||L|| <= s and the
+    Sylvester form in eigenbases U and V with ``condition`` kF(U) kF(V),
+    smallest |gap| ``gap`` and off-diagonal norm ``off``
+    (||P_off||_F + ||Q_off||_F), delta = off / gap < 1/2 and
+    s^2 kF(U) kF(V) cutoff < gap (1 - delta) / 2.
+
+    The Neumann series bounds the inverse of the Sylvester form in the
+    eigenbases by 1 / (gap (1 - delta)), so ||L^-1|| <= s kF(U) kF(V) /
+    (gap (1 - delta)), and the test bounds kappa_2(W) as the certificate
+    of :func:`~dznd.linalg.pseudo_inverses` does: pinv would cut no
+    singular value and equals the inverse.  It is written without a
+    division, on Python floats: an overflow reads inf and inf * 0 reads
+    nan; neither passes, and a zero gap fails."""
+    return off < 0.5 * gap and s * s * condition * cutoff < 0.5 * (gap - off)
+
+
 def _sylvester_factors(
     f: np.ndarray, a: np.ndarray, cutoff: float
 ) -> _SylvesterFactors | None:
-    """The factors of the Sylvester form of L, or None when they cannot
-    be certified.
-
-    Since ||L|| <= s and ||L^-1|| <= s kF(U) kF(V) / min|lam_j - mu_i|,
-    with kF(U) = ||U||_F ||U^-1||_F, the test
-    s^2 kF(U) kF(V) / min|lam_j - mu_i| * cutoff < 1/2 bounds kappa_2(W)
-    as the certificate of :func:`~dznd.linalg.pseudo_inverses` does: pinv
-    would cut no singular value and equals the inverse.
-    """
+    """The factors of the Sylvester form of L from its own two
+    eigendecompositions, or None when they cannot be certified
+    (:func:`_certified` with delta = 0)."""
     try:
         lam, v = np.linalg.eig(f @ np.conj(f))
         mu, u = np.linalg.eig(a @ np.conj(a))
@@ -364,14 +470,34 @@ def _sylvester_factors(
         return None
     gaps = lam - mu[:, None]
     s = float(np.linalg.norm(f)) + float(np.linalg.norm(a))
-    # Python floats: an overflow reads inf and inf * 0 reads nan; neither
-    # passes the test, and a zero gap fails it before any division.
-    bound = s * s * cutoff
+    condition = 1.0
     for factor in (u, u_inv, v, v_inv):
-        bound *= float(np.linalg.norm(factor))
-    if not bound < 0.5 * float(np.abs(gaps).min()):
+        condition *= float(np.linalg.norm(factor))
+    if not _certified(s, condition, cutoff, float(np.abs(gaps).min())):
         return None
-    return _SylvesterFactors(u, u_inv, v, v_inv, gaps, s)
+    return _SylvesterFactors(u, u_inv, v, v_inv, gaps, condition, s)
+
+
+def _reused_factors(
+    base: _SylvesterFactors, f: np.ndarray, a: np.ndarray, cutoff: float
+) -> _SylvesterFactors | None:
+    """The factors of the Sylvester form of L in the eigenbases of
+    ``base``, or None when :func:`_certified` does not hold for them: no
+    eigendecomposition, only the transforms V^-1 P V and U^-1 Q U split
+    into their diagonals and off-diagonal parts."""
+    p = base.v_inv @ (f @ np.conj(f)) @ base.v
+    q = base.u_inv @ (a @ np.conj(a)) @ base.u
+    lam, mu = np.diagonal(p).copy(), np.diagonal(q).copy()
+    np.fill_diagonal(p, 0.0)
+    np.fill_diagonal(q, 0.0)
+    gaps = lam - mu[:, None]
+    off = math.sqrt(np.vdot(p, p).real) + math.sqrt(np.vdot(q, q).real)
+    s = float(np.linalg.norm(f)) + float(np.linalg.norm(a))
+    if not _certified(
+        s, base.condition, cutoff, float(np.abs(gaps).min()), off
+    ):
+        return None
+    return base._replace(gaps=gaps, s=s, off=(p, q))
 
 
 # ---------------------------------------------------------------------------

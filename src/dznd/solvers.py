@@ -17,7 +17,9 @@ multiplies E in the complex field, and dznd2-2i only a real one.
 
 Each solve equals pinv(W) stack(G) for the 2mn x 2mn real form W of L.
 Above a size crossover it comes, when certified and checked, from the
-O(m^3 + n^3) Sylvester form of L; otherwise from the inverse of W
+Sylvester form of L: in the eigenbases of an earlier step's operator of
+the same block while they are certified for it, else from its own
+O(m^3 + n^3) eigendecompositions; otherwise from the inverse of W
 whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
@@ -33,8 +35,11 @@ stacked.  A run keeps the factors of L while F and A stay bitwise the
 same (their entries are compared as uint64 bit patterns, consecutive
 steps in one array operation, so even a changed sign of zero
 refactors), across block boundaries too: with constant coefficients it
-factors L once.  It counts the factorizations its steps used.  Then the
-block's steps advance in one of two ways:
+factors L once.  It counts the factorizations made for the steps taken:
+below the crossover each operator's W^+; from the crossover up each
+operator's own eigendecompositions (or W^+), so a step solved in
+another operator's eigenbases counts none.  Then the block's steps
+advance in one of two ways:
 
 * Below the structured crossover the drive is affine in the state,
   G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
@@ -51,8 +56,12 @@ block's steps advance in one of two ways:
   warnings.
 * From the crossover up each step forms G from E and solves with the
   Sylvester factors, as P would cost O((mn)^3) per step against the
-  O(m^3 + n^3) of the solve.  These steps stop at the first record
-  where the run stops.
+  O(m^3 + n^3) of the solve.  A block's operators move little from one
+  step to the next, so most steps solve in the eigenbases of the
+  block's last factored operator, with Jacobi sweeps, and factor only
+  when that fails its certificate or its check (see
+  :class:`~dznd.assembly.OperatorFactors`).  These steps stop at the
+  first record where the run stops, and so do their factorizations.
 
 An operator whose real form W is not finite (for non-finite F or A, or
 where F[t, t] +- A[s, s] overflows) is never factored: a step with it
@@ -212,8 +221,12 @@ class Trajectory:
     ``structured_solve_steps`` counts the steps solved through the
     Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
     the SVD pseudo-inverse because no other path could be certified.
-    ``operator_factorizations`` counts the times L was factored: once
-    per run with constant F and A, once per step when they move.
+    ``operator_factorizations`` counts the factorizations of L made for
+    the steps taken: once per run with constant F and A; below the
+    structured crossover once per step when they move; from it up only
+    the steps whose operator was eigendecomposed (or inverted) on its
+    own, so a moving run that solves most steps in an earlier step's
+    eigenbases has fewer factorizations than structured steps.
     """
 
     steps: np.ndarray
@@ -432,7 +445,13 @@ def _inverses(
     """W^+ and the solve path of each of ``members`` of ``factors``; the
     negative members, which lead, stand for the ``carried`` member."""
     leading = np.count_nonzero(members < 0)
-    inverses, paths = factors.inverses(members[leading:])
+    members = members[leading:]
+    # Every member's first step starts a group, so the members listed are
+    # 0 ... k-1 in order, each once, exactly when there are k of them;
+    # the stack then serves as it is, without a gather.
+    inverses, paths = factors.inverses(
+        None if len(members) == len(factors) else members
+    )
     if leading:
         owner, member = carried
         w_plus, path = owner.inverses(np.full(leading, member))
@@ -624,6 +643,12 @@ def run(
         )
         members = np.cumsum(starts) - 1
 
+        # From the crossover up, members are factored by the solves of the
+        # steps taken, those of the carried member's factors too; below
+        # it, every finite member at construction, and those whose first
+        # step is taken count.
+        owner = carried[0] if carried else None
+        made = owner.factorizations if owner else 0
         step_paths, eq = block.advance(
             states[start:start + steps + 1], block_factors, members, carried,
             gamma, config.epsilon, config.divergence_threshold,
@@ -636,7 +661,13 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
-        factorizations += int(np.count_nonzero(starts[:taken]))
+        if block_factors.structured:
+            factorizations += block_factors.factorizations
+            if owner:
+                factorizations += owner.factorizations - made
+        else:
+            firsts = members[:taken][starts[:taken]]
+            factorizations += int(np.count_nonzero(block_factors.finite[firsts]))
         paths.update(step_paths[:taken])
         if stop.size:
             outcome = Outcome.DIVERGED

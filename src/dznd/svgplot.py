@@ -110,19 +110,22 @@ def log_line_chart(
         f'transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    # Series polylines, split at gaps, plus a legend entry each.  The
-    # point coordinates are px and py over arrays: the same operations in
-    # the same order, so the same floats.
+    # Series polylines, split at gaps, plus a legend entry each; only the
+    # points of polylines of two or more are formatted.  The point
+    # coordinates are px and py over arrays: the same operations in the
+    # same order, so the same floats.
     xs = px(np.asarray(x, dtype=np.float64)).tolist()
     legend_y = _TOP + 14
     for label, _, color in series:
         vals = logs[label]
-        points = list(map("{:.2f},{:.2f}".format, xs, py(vals).tolist()))
+        ys = py(vals).tolist()
         gaps = np.flatnonzero(np.isnan(vals)).tolist()
         for lo, hi in zip([-1] + gaps, gaps + [len(vals)]):
             if hi - lo > 2:
+                points = map("{:.2f},{:.2f}".format, xs[lo + 1:hi],
+                             ys[lo + 1:hi])
                 parts.append(
-                    f'<polyline points="{" ".join(points[lo + 1:hi])}" '
+                    f'<polyline points="{" ".join(points)}" '
                     f'fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
         lx = _WIDTH - _RIGHT - 180

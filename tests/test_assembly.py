@@ -198,6 +198,47 @@ class TestSolveOperator:
         assert got[1] is path
         np.testing.assert_array_equal(got[0], expected)
 
+    @pytest.mark.parametrize("m,n", [(6, 6), (12, 8), (16, 16)])
+    def test_next_member_solves_in_the_base_eigenbases(self, m, n):
+        # Member 0 is factored and becomes the base; member 1, one step of
+        # 0.01 on, is solved in its eigenbases without a factorization.
+        problem = make_shifted_trig_problem(m, n, 4)
+        fs, as_ = (np.stack(z) for z in zip(*(
+            [c.to_complex() for c in problem.coefficients(tau)[:2]]
+            for tau in (0.5, 0.51))))
+        g = random_split(np.random.default_rng(4), m, n).to_complex()
+        factors = OperatorFactors(fs, as_)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for member in (0, 1):
+                got, path = factors.solve(member, g)
+                want, want_path = OperatorFactors(
+                    fs[member][None], as_[member][None]).solve(0, g)
+                assert path is want_path is SolvePath.STRUCTURED
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(
+                    want)
+        assert factors.factorizations == 1
+
+    @pytest.mark.parametrize("case,path", [
+        (lambda: (np.eye(6, dtype=complex), np.eye(6, dtype=complex)),
+         SolvePath.PINV),
+        (lambda: _jordan_block_case()[:2], SolvePath.INVERSE),
+    ], ids=["colliding-spectra", "jordan-block"])
+    def test_uncertified_member_after_a_good_base(self, case, path):
+        # The base's eigenbases do not serve member 1, nor do its own: it
+        # takes the dense path exactly as a one-shot solve does.
+        good_f, good_a, g = _shifted_coefficients(6, 6)
+        f, a = case()
+        factors = OperatorFactors(np.stack([good_f, f]), np.stack([good_a, a]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert factors.solve(0, g)[1] is SolvePath.STRUCTURED
+            got, got_path = factors.solve(1, g)
+        w_plus, _ = pseudo_inverses(real_operator(f, a)[None])
+        assert got_path is path
+        np.testing.assert_array_equal(got, w_plus[0] @ stack(g))
+        assert factors.factorizations == 2
+
     def test_non_finite_f_raises_numeric_error(self):
         f, a, g = _shifted_coefficients(6, 6)
         f[2, 3] = np.nan
@@ -249,6 +290,30 @@ class TestSolveOperator:
                             else SolvePath.INVERSE)
         with pytest.raises(NumericError):
             factors.solve(2, g)
+
+
+class TestFiniteOperators:
+    """OperatorFactors.finite against the finiteness of W itself, on the
+    whole-stack shortcut and on the member-by-member sums."""
+
+    @pytest.mark.parametrize("f_diagonal,a_diagonals,expected", [
+        (3.0, [1.0, -1.0], [True, True]),
+        (1e308, [5e307, -5e307], [True, True]),
+        (1e308, [1.0, -1e308, 1e308], [True, False, False]),
+        (1e308j, [-1e308j, 1.0], [False, True]),
+    ], ids=["small", "large-finite", "real-overflow", "imaginary-overflow"])
+    def test_matches_the_real_operator(self, f_diagonal, a_diagonals,
+                                       expected):
+        f = np.broadcast_to(f_diagonal * np.eye(6) + 0.5, (
+            len(a_diagonals), 6, 6)).astype(complex)
+        a = np.stack([d * np.eye(6) + 0.5j for d in a_diagonals])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            finite = OperatorFactors(f, a).finite
+        with np.errstate(over="ignore"):
+            w = real_operator(f, a)
+        np.testing.assert_array_equal(finite, np.isfinite(w).all(axis=(1, 2)))
+        np.testing.assert_array_equal(finite, expected)
 
 
 _STEP_CASES = [

@@ -532,6 +532,83 @@ def _assert_runs_as_one_shot_steps(problem, config, initial):
     return trajectory
 
 
+class TestSylvesterReuse:
+    """From the crossover up a moving run solves each step in the
+    eigenbases of the block's last factored operator while the reuse
+    certificate holds, so it factors less often than it steps, and its
+    records agree with the per-step fresh-factor loop of step_dznd1.  A
+    run counts only the factorizations it makes."""
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.001])
+    @pytest.mark.parametrize("m,n", [(6, 6), (12, 8), (16, 16)])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_records_agree_with_fresh_factor_steps(self, model, m, n, epsilon):
+        problem = make_shifted_trig_problem(m, n, 5)
+        config = _config(model=model, epsilon=epsilon, duration=50 * epsilon)
+        initial = random_initial_state(problem, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(problem, config, initial)
+            states, _, _, outcome, diverged_at, counts = _one_shot_run(
+                problem, config, initial)
+        assert (trajectory.outcome, trajectory.diverged_at) == (
+            outcome, diverged_at) == (Outcome.COMPLETED, None)
+        assert trajectory.pinv_fallback_steps == counts[
+            "pinv_fallback_steps"] == 0
+        assert trajectory.structured_solve_steps == config.step_count == 50
+        assert 1 <= trajectory.operator_factorizations < 50
+        for got, want in zip(trajectory.states, states, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_five_steps_factor_once(self, model):
+        problem = make_shifted_trig_problem(16, 16, 5)
+        config = _config(model=model, epsilon=0.01, duration=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(problem, config, random_initial_state(problem, 6))
+        assert trajectory.structured_solve_steps == 5
+        assert trajectory.operator_factorizations == 1
+
+    def test_coefficient_jump_refactors(self):
+        # From record 3 on, F and A are another problem's: in the first
+        # base's eigenbases their Sylvester form is far from diagonal
+        # (delta >= 1/2), so step 3 factors afresh and steps 4 and 5
+        # reuse that.
+        problem = make_shifted_trig_problem(16, 16, 5)
+        other = make_shifted_trig_problem(16, 16, 9)
+        jump = dataclasses.replace(problem, coefficients=lambda tau: (
+            problem if round(tau / 0.001) < 3 else other).coefficients(tau))
+        config = _config(epsilon=0.001, duration=0.006)
+        initial = random_initial_state(problem, 6)
+        # The block's base is the operator of step 0.  With a zero cutoff
+        # only delta can fail the reuse certificate.
+        f, a = (z.to_complex() for z in problem.coefficients(0.0)[:2])
+        base = dznd.assembly._sylvester_factors(f, a, 0.0)
+        f, a = (z.to_complex() for z in other.coefficients(0.003)[:2])
+        assert base is not None
+        assert dznd.assembly._reused_factors(base, f, a, 0.0) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(jump, config, initial)
+            states, _, _, _, _, _ = _one_shot_run(jump, config, initial)
+        assert trajectory.structured_solve_steps == 6
+        assert trajectory.operator_factorizations == 2
+        for got, want in zip(trajectory.states, states, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_unfactored_operator_counts_no_factorization(self, size):
+        # From zero the run takes one step with an operator whose W
+        # overflows, which is never factored, on either path.
+        problem = TestOverflowingOperator._problem(size)
+        initial = InitialState(
+            SplitComplexMatrix.from_real(np.zeros((size, size))), 0)
+        trajectory = run(problem, _config(), initial)
+        assert trajectory.diverged_at == 1
+        assert trajectory.operator_factorizations == 0
+
+
 def _segmented_example2(records_per_segment):
     """example2 with F, A, C and their derivatives held constant over
     segments of records at epsilon = 0.01, so that a run factors once per
