@@ -7,7 +7,6 @@ from .assembly import (
     characteristic_roots,
     euler_forward_characteristic,
     is_zero_stable,
-    matrix_from_state,
     state_from_matrix,
     zero_stability_roots,
 )
@@ -42,8 +41,6 @@ from .solvers import (
     Trajectory,
     run,
     scalar_error_modulus,
-    step_dznd1,
-    step_dznd2,
     tail_max_equation_residual,
     tail_max_solution_error,
 )
@@ -76,15 +73,12 @@ __all__ = [
     "get_problem",
     "is_zero_stable",
     "kron",
-    "matrix_from_state",
     "pinv",
     "random_initial_state",
     "run",
     "scalar_error_modulus",
     "solution_error",
     "state_from_matrix",
-    "step_dznd1",
-    "step_dznd2",
     "tail_max_equation_residual",
     "tail_max_solution_error",
     "vec",

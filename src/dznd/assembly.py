@@ -5,8 +5,8 @@ The solvers advance a real state vector of length 2mn laid out as
 coincides exactly with stacking real and imaginary parts of the complex
 column vec(X); there is only one state layout, and this module alone
 knows it: :func:`stack`/:func:`unstack` convert complex128 arrays, and
-:func:`state_from_matrix`/:func:`matrix_from_state` convert split
-matrices through them.
+:func:`state_from_matrix` stacks a split matrix, a run's start, through
+them.
 
 Both models solve, at every step, one operator
 L(Z) = Z F - A conj(Z) for their update direction.  Over the reals it
@@ -147,11 +147,6 @@ def state_from_matrix(x: SplitComplexMatrix) -> RealVector:
     """Stack a split matrix into the solver state layout
     [vec(X_re); vec(X_im)]."""
     return stack(x.to_complex())
-
-
-def matrix_from_state(state: RealVector, m: int, n: int) -> SplitComplexMatrix:
-    """Rebuild the m x n split matrix from a stacked state vector."""
-    return SplitComplexMatrix.from_complex(unstack(state, m, n))
 
 
 def real_operator(f: np.ndarray, a: np.ndarray) -> RealMatrix:

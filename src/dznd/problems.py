@@ -21,6 +21,7 @@ providers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,7 +66,8 @@ class SylvesterConjugateProblem:
     total on the solve horizon, and consistent with each other (the
     derivative of F at tau is what ``derivatives`` claims it is).
     ``theoretical_solution``, when present, maps tau to the unique exact
-    solution.
+    solution.  The sizes m and n are integers >= 1; anything else raises
+    :class:`~dznd.errors.ShapeError`.
 
     A run works one block of at most
     :data:`~dznd.solvers.BLOCK_RECORDS` records ahead of the steps.  It
@@ -85,6 +87,15 @@ class SylvesterConjugateProblem:
     derivatives: CoefficientProvider
     theoretical_solution: Optional[SolutionProvider] = None
     label: str = ""
+
+    def __post_init__(self):
+        for name in ("m", "n"):
+            size = getattr(self, name)
+            if not (hasattr(size, "__index__") and operator.index(size) >= 1):
+                raise ShapeError(
+                    f"problem dimension {name} must be an integer >= 1, "
+                    f"got {size!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ An operator whose real form W is not finite (for non-finite F or A, or
 where F[t, t] +- A[s, s] overflows) is never factored: a step with it
 goes to a nan state, so a run ends DIVERGED rather than raising.
 
-The steppers :func:`step_dznd1` and :func:`step_dznd2` take the same
-code, as a block of one step.
+There is one way to integrate: a single step is :func:`run` with
+duration = epsilon.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
@@ -100,8 +100,7 @@ from .assembly import (
     state_from_matrix,
     unstack,
 )
-from .errors import CapabilityError, ConfigError, NumericError, ShapeError
-from .linalg import RealVector
+from .errors import ConfigError, ShapeError
 from .problems import InitialState, SylvesterConjugateProblem
 
 
@@ -347,7 +346,7 @@ class _Block(NamedTuple):
         carried: Optional[tuple[OperatorFactors, int]],
         gamma: complex,
         epsilon: float,
-        threshold: Optional[float],
+        threshold: float,
     ) -> tuple[list[Optional[SolvePath]], np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
         after step j into ``states[j + 1]``; step j solves with member
@@ -377,9 +376,9 @@ class _Block(NamedTuple):
         the drive G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step
         solves L(D) = G with the factors, since they cost O(m^3 + n^3)
         per solve against O((mn)^3) for W^+; a member whose operator is
-        not finite steps to a nan state.  Given a ``threshold``, the
-        steps stop at the first record whose state or ||E||_F is
-        non-finite, or whose ||E||_F passes it.
+        not finite steps to a nan state.  The steps stop at the first
+        record whose state or ||E||_F is non-finite, or whose ||E||_F
+        passes ``threshold``.
         """
         steps, records = len(members), len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
@@ -416,7 +415,7 @@ class _Block(NamedTuple):
                 x = unstack(states[j], m, n)
                 e = self.equation_error(x, j)
                 eqs.append(np.linalg.norm(e))
-                if j == steps or threshold is not None and _stops(
+                if j == steps or _stops(
                     np.isfinite(states[j]).all() and np.isfinite(eqs[-1]),
                     eqs[-1], threshold,
                 ):
@@ -545,48 +544,6 @@ def _stacks(provider, taus: np.ndarray, check) -> tuple:
 def _matrices(values) -> tuple:
     """A provider's value as a tuple: (F, A, C), or (X*,)."""
     return values if isinstance(values, tuple) else (values,)
-
-
-def step_dznd1(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    gamma: ComplexGain,
-    tau: float,
-    epsilon: float,
-    pinv_tolerance: Optional[float] = None,
-) -> RealVector:
-    """One update of the complex-field model from the pre-step state: a
-    block of one step, taken as :func:`run` takes its blocks."""
-    block = _Block.evaluate(
-        problem, np.array([tau], dtype=np.float64), 1, with_solution=False
-    )
-    factors = OperatorFactors(block.f, block.a, pinv_tolerance)
-    if not factors.finite[0]:
-        raise NumericError(f"the operator L is not finite at tau = {tau}")
-    unstack(state, problem.m, problem.n)  # raises ShapeError on a bad length
-    states = np.array([state, state], dtype=np.float64)
-    block.advance(
-        states, factors, np.zeros(1, dtype=np.intp), None,
-        complex(gamma.re, gamma.im), epsilon, None,
-    )
-    return states[1]
-
-
-def step_dznd2(
-    problem: SylvesterConjugateProblem,
-    state: RealVector,
-    gamma: ComplexGain,
-    tau: float,
-    epsilon: float,
-    pinv_tolerance: Optional[float] = None,
-) -> RealVector:
-    """One update of the real-field model from the pre-step state: the
-    dznd1-2i update, for real gains only."""
-    if not gamma.is_real:
-        raise CapabilityError(
-            f"model dznd2-2i is defined for real gains only, got {gamma}"
-        )
-    return step_dznd1(problem, state, gamma, tau, epsilon, pinv_tolerance)
 
 
 def run(

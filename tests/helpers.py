@@ -1,4 +1,4 @@
-"""Shared oracles and factories for the test suite.
+"""Shared oracles, factories and a one-step driver for the test suite.
 
 The oracles deliberately avoid the package's own kernels: complex
 products are computed entry by entry with Python complex scalars, so any
@@ -7,9 +7,13 @@ systematic error in the split arithmetic cannot cancel out.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from dznd import SplitComplexMatrix, SylvesterConjugateProblem
+from dznd import SplitComplexMatrix, SylvesterConjugateProblem, run
+from dznd.assembly import unstack
+from dznd.problems import InitialState
 
 
 def random_split(rng, rows: int, cols: int, scale: float = 1.0) -> SplitComplexMatrix:
@@ -33,6 +37,29 @@ def scalar_matmul_oracle(a: SplitComplexMatrix, b: SplitComplexMatrix):
                 )
             out[s, t] = acc
     return out
+
+
+def one_step(problem, state, config, tau):
+    """One step of ``config``'s model from the stacked ``state`` at time
+    ``tau``, taken by ``run``: a driver, not an oracle, for tests that
+    step by hand.
+
+    It runs ``problem`` shifted in time (each provider p read as
+    t -> p(t + tau)) for duration = epsilon, from the matrix whose
+    state is ``state``, and returns the ``Trajectory``: ``states[1]`` is
+    the state after the step, ``pinv_fallback_steps`` and
+    ``structured_solve_steps`` its solve path.
+    """
+    def shifted(provider):
+        return None if provider is None else lambda t: provider(t + tau)
+
+    moved = dataclasses.replace(problem, **{
+        name: shifted(getattr(problem, name))
+        for name in ("coefficients", "derivatives", "theoretical_solution")
+    })
+    start = SplitComplexMatrix.from_complex(unstack(state, problem.m, problem.n))
+    return run(moved, dataclasses.replace(config, duration=config.epsilon),
+               InitialState(start, 0))
 
 
 def make_trig_problem(m: int, n: int, seed: int) -> SylvesterConjugateProblem:

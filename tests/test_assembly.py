@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,12 +17,9 @@ from dznd import (
     example1,
     example2,
     is_zero_stable,
-    matrix_from_state,
     random_initial_state,
     run,
     state_from_matrix,
-    step_dznd1,
-    step_dznd2,
     vec,
     zero_stability_roots,
 )
@@ -34,7 +32,12 @@ from dznd.assembly import (
 )
 from dznd.linalg import pseudo_inverses
 from dznd.problems import InitialState, SylvesterConjugateProblem
-from helpers import make_shifted_trig_problem, make_trig_problem, random_split
+from helpers import (
+    make_shifted_trig_problem,
+    make_trig_problem,
+    one_step,
+    random_split,
+)
 
 
 class TestComplexGain:
@@ -73,6 +76,22 @@ class TestComplexGain:
         with pytest.raises(ValueError):
             ComplexGain.parse(text)
 
+    def test_parse_returns_a_gain_or_raises_value_error_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.text())
+        def check(text):
+            try:
+                gain = ComplexGain.parse(text)
+            except ValueError:
+                return
+            assert math.isfinite(gain.re) and gain.re > 0
+            assert math.isfinite(gain.im)
+
+        check()
+
     def test_str_round_trips(self):
         for g in (ComplexGain(10.0), ComplexGain(10.0, 20.0), ComplexGain(3.0, -4.0)):
             again = ComplexGain.parse(str(g))
@@ -91,13 +110,12 @@ class TestStateLayout:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         x = random_split(rng, 3, 2)
-        back = matrix_from_state(state_from_matrix(x), 3, 2)
+        back = SplitComplexMatrix.from_complex(
+            unstack(state_from_matrix(x), 3, 2))
         np.testing.assert_array_equal(back.re, x.re)
         np.testing.assert_array_equal(back.im, x.im)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            matrix_from_state(np.zeros(10), 3, 2)
         with pytest.raises(ShapeError):
             unstack(np.zeros(10), 3, 2)
 
@@ -113,7 +131,7 @@ class TestStateLayout:
         x = SplitComplexMatrix([[np.inf, 1.0]], [[2.0, -np.inf]])
         state = state_from_matrix(x)
         np.testing.assert_array_equal(state, [np.inf, 1.0, 2.0, -np.inf])
-        back = matrix_from_state(state, 1, 2)
+        back = SplitComplexMatrix.from_complex(unstack(state, 1, 2))
         np.testing.assert_array_equal(back.re, x.re)
         np.testing.assert_array_equal(back.im, x.im)
 
@@ -325,10 +343,15 @@ _STEP_CASES = [
 
 
 class TestStepOracle:
-    """Each stepper against x + epsilon * solve(W, g) with W from the
-    Kronecker formula and g from the model's own defining formula."""
+    """One step of each model, taken by run(), against
+    x + epsilon * solve(W, g) with W from the Kronecker formula and g
+    from the model's own defining formula."""
 
     tau, epsilon = 0.5, 0.01
+
+    def _step(self, problem, model, gamma, state):
+        config = SolverConfig(model=model, gamma=gamma, epsilon=self.epsilon)
+        return one_step(problem, state, config, self.tau).states[1]
 
     @pytest.mark.parametrize("gamma", [ComplexGain(10.0), ComplexGain(10.0, 20.0)])
     @pytest.mark.parametrize("factory,seed", _STEP_CASES)
@@ -350,7 +373,7 @@ class TestStepOracle:
             _kron_operator(f, a), np.concatenate([g.real, g.imag])
         )
         expected = state_from_matrix(x) + self.epsilon * direction
-        got = step_dznd1(problem, state_from_matrix(x), gamma, self.tau, self.epsilon)
+        got = self._step(problem, Model.DZND1_2I, gamma, state_from_matrix(x))
         assert np.abs(got - expected).max() <= 1e-10
 
     @pytest.mark.parametrize("factory,seed", _STEP_CASES)
@@ -368,7 +391,7 @@ class TestStepOracle:
         state = state_from_matrix(x)
         g = b_dot - w_dot @ state - gamma.re * (w @ state - b)
         expected = state + self.epsilon * np.linalg.solve(w, g)
-        got = step_dznd2(problem, state, gamma, self.tau, self.epsilon)
+        got = self._step(problem, Model.DZND2_2I, gamma, state)
         assert np.abs(got - expected).max() <= 1e-10
 
 

@@ -119,6 +119,28 @@ class TestSolutionError:
             )
 
 
+class TestProblemSizes:
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0), (-1, 2)])
+    def test_sizes_below_one_are_rejected(self, m, n):
+        p = example2()
+        with pytest.raises(ShapeError, match="integer >= 1"):
+            SylvesterConjugateProblem(m=m, n=n, coefficients=p.coefficients,
+                                      derivatives=p.derivatives)
+
+    def test_numpy_integers_pass_and_floats_are_rejected(self):
+        p = example2()
+        sized = SylvesterConjugateProblem(
+            m=np.int64(2), n=np.intp(2), coefficients=p.coefficients,
+            derivatives=p.derivatives)
+        assert run(sized, SolverConfig(model=Model.DZND1_2I,
+                                       gamma=ComplexGain(10.0), epsilon=0.1,
+                                       duration=0.1),
+                   random_initial_state(p, 42)).finite.all()
+        with pytest.raises(ShapeError, match="integer >= 1"):
+            SylvesterConjugateProblem(m=2.0, n=2, coefficients=p.coefficients,
+                                      derivatives=p.derivatives)
+
+
 class TestRandomInitialState:
     def test_deterministic_per_seed(self):
         p = example2()

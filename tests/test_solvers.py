@@ -10,11 +10,9 @@ import pytest
 
 import dznd
 from dznd import (
-    CapabilityError,
     ComplexGain,
     ConfigError,
     Model,
-    NumericError,
     Outcome,
     ShapeError,
     SolverConfig,
@@ -23,18 +21,15 @@ from dznd import (
     equation_residual,
     example1,
     example2,
-    matrix_from_state,
     random_initial_state,
     run,
     scalar_error_modulus,
     solution_error,
     state_from_matrix,
-    step_dznd1,
-    step_dznd2,
     tail_max_equation_residual,
     tail_max_solution_error,
 )
-from dznd.assembly import OperatorFactors, SolvePath, real_operator, unstack
+from dznd.assembly import real_operator, unstack
 from dznd.problems import InitialState
 from dznd.solvers import (
     BLOCK_BYTES,
@@ -43,13 +38,18 @@ from dznd.solvers import (
     _norms,
     block_records,
 )
-from helpers import make_shifted_trig_problem, make_trig_problem
+from helpers import make_shifted_trig_problem, make_trig_problem, one_step
 
 GAMMA10 = ComplexGain(10.0)
 
 
 def _config(model=Model.DZND1_2I, gamma=GAMMA10, epsilon=0.1, **kw):
     return SolverConfig(model=model, gamma=gamma, epsilon=epsilon, **kw)
+
+
+def _matrix(state, problem):
+    """The split matrix whose stacked state is ``state``."""
+    return SplitComplexMatrix.from_complex(unstack(state, problem.m, problem.n))
 
 
 class TestScalarErrorModulus:
@@ -118,6 +118,35 @@ class TestSolverConfig:
         capped.validate()
         assert capped.step_count == MAX_STEP_COUNT
 
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_validate_raises_or_bounds_the_step_count_property(self, model):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # Any floats, nan and inf included; the gain is valid, and real
+        # often enough for dznd2-2i to pass.
+        gains = st.builds(
+            ComplexGain,
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.one_of(st.just(0.0), st.floats(allow_nan=False,
+                                              allow_infinity=False)),
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(gains, st.floats(), st.floats(), st.floats(),
+                          st.one_of(st.none(), st.floats()))
+        def check(gain, epsilon, duration, threshold, tolerance):
+            config = SolverConfig(
+                model=model, gamma=gain, epsilon=epsilon, duration=duration,
+                pinv_tolerance=tolerance, divergence_threshold=threshold)
+            try:
+                config.validate()
+            except ConfigError:
+                return
+            assert 1 <= config.step_count <= MAX_STEP_COUNT
+
+        check()
+
     def test_model_lookup(self):
         assert Model.from_name("dznd1-2i") is Model.DZND1_2I
         assert Model.from_name("dznd2-2i") is Model.DZND2_2I
@@ -126,69 +155,90 @@ class TestSolverConfig:
 
 
 class TestSteps:
-    @pytest.mark.parametrize("stepper", [step_dznd1, step_dznd2])
-    def test_fixed_point_is_preserved_over_100_steps(self, stepper):
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_fixed_point_is_preserved_over_100_steps(self, model):
         problem = example1()
-        state = state_from_matrix(problem.theoretical_solution(0.0))
-        start = state.copy()
-        for k in range(100):
-            state = stepper(problem, state, GAMMA10, k * 0.1, 0.1)
-        assert np.abs(state - start).max() <= 1e-12
+        initial = InitialState(problem.theoretical_solution(0.0), 0)
+        trajectory = run(problem, _config(model=model), initial)
+        assert len(trajectory) == 101
+        start = state_from_matrix(initial.x0)
+        assert np.abs(trajectory.states - start).max() <= 1e-12
 
     def test_dznd1_deadbeat_contraction_on_constant_problem(self):
         # with epsilon*gamma = 1 one step collapses the whole residual
         problem = example1()
         state = state_from_matrix(random_initial_state(problem, 3).x0)
-        before = equation_residual(problem, matrix_from_state(state, 3, 2), 0.0)
-        state = step_dznd1(problem, state, GAMMA10, 0.0, 0.1)
-        after = equation_residual(problem, matrix_from_state(state, 3, 2), 0.1)
+        before = equation_residual(problem, _matrix(state, problem), 0.0)
+        state = one_step(problem, state, _config(), 0.0).states[1]
+        after = equation_residual(problem, _matrix(state, problem), 0.1)
         assert after <= 1e-8 * before
 
     def test_dznd1_residual_decreases_monotonically(self):
         problem = example2()
-        state = state_from_matrix(random_initial_state(problem, 5).x0)
-        eps = 0.001
-        residuals = []
-        for k in range(100):
-            residuals.append(
-                equation_residual(problem, matrix_from_state(state, 2, 2), k * eps)
-            )
-            state = step_dznd1(problem, state, GAMMA10, k * eps, eps)
+        trajectory = run(problem, _config(epsilon=0.001, duration=0.1),
+                         random_initial_state(problem, 5))
+        residuals = [
+            equation_residual(problem, _matrix(state, problem), tau)
+            for state, tau in zip(trajectory.states[:100], trajectory.taus)
+        ]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
     def test_dznd2_one_step_drift_from_exact_solution(self):
         problem = example2()
         eps, tau = 0.001, 0.5
         state = state_from_matrix(problem.theoretical_solution(tau))
-        nxt = step_dznd2(problem, state, GAMMA10, tau, eps)
+        config = _config(model=Model.DZND2_2I, epsilon=eps)
+        nxt = one_step(problem, state, config, tau).states[1]
         exact_next = state_from_matrix(problem.theoretical_solution(tau + eps))
         assert np.linalg.norm(nxt - exact_next) <= 1e-5
 
     def test_dznd2_contracts_constant_problem_from_random_start(self):
         problem = example1()
-        state = state_from_matrix(random_initial_state(problem, 11).x0)
-        for k in range(100):
-            state = step_dznd2(problem, state, GAMMA10, k * 0.1, 0.1)
-        final = equation_residual(problem, matrix_from_state(state, 3, 2), 10.0)
+        trajectory = run(problem, _config(model=Model.DZND2_2I),
+                         random_initial_state(problem, 11))
+        assert len(trajectory) == 101
+        final = equation_residual(
+            problem, _matrix(trajectory.states[-1], problem), 10.0)
         assert final <= 1e-10
 
-    @pytest.mark.parametrize("stepper", [step_dznd1, step_dznd2])
-    @pytest.mark.parametrize("size", [2, 6])
-    def test_non_finite_coefficients_raise(self, stepper, size):
-        # 2x2 takes the dense affine step, 6x6 the structured solve.
-        zero = SplitComplexMatrix.from_real(np.zeros((size, size)))
-        bad = SplitComplexMatrix.from_real(np.full((size, size), np.inf))
-        problem = SylvesterConjugateProblem(
-            m=size, n=size, coefficients=lambda tau: (zero, bad, zero),
-            derivatives=lambda tau: (zero, zero, zero))
-        with pytest.raises(NumericError):
-            stepper(problem, np.zeros(2 * size * size), GAMMA10, 0.0, 0.1)
 
-    def test_dznd2_rejects_complex_gain(self):
-        problem = example2()
-        state = np.zeros(8)
-        with pytest.raises(CapabilityError, match="real gains"):
-            step_dznd2(problem, state, ComplexGain(10.0, 20.0), 0.0, 0.1)
+class TestNonFiniteData:
+    """A nan or inf in the problem's data ends a run DIVERGED, with no
+    exception and no warning, on the dense path (2x2) and the structured
+    path (6x6): in A at record 0, in a derivative at record 1, the first
+    record the derivatives reach."""
+
+    @pytest.mark.parametrize("provider,index,value,record", [
+        ("coefficients", 1, math.inf, 0),
+        ("derivatives", 1, math.inf, 1),
+        ("derivatives", 0, math.nan, 1),
+    ], ids=["inf-A", "inf-Adot", "nan-Fdot"])
+    @pytest.mark.parametrize("start", ["random", "zero"])
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_run_ends_diverged(self, size, start, provider, index, value,
+                               record):
+        p = make_shifted_trig_problem(size, size, 3)
+        original = getattr(p, provider)
+        bad = SplitComplexMatrix.from_real(np.full((size, size), value))
+
+        def broken(tau):
+            values = list(original(tau))
+            values[index] = bad
+            return tuple(values)
+
+        problem = dataclasses.replace(p, **{provider: broken})
+        initial = random_initial_state(problem, 42)
+        if start == "zero":
+            initial = InitialState(
+                SplitComplexMatrix.from_real(np.zeros((size, size))), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(problem, _config(duration=1.0), initial)
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert trajectory.diverged_at == record
+        assert len(trajectory) == record + 1
+        assert not trajectory.finite[-1]
+        assert trajectory.finite[:-1].all()
 
 
 class TestRun:
@@ -344,7 +394,7 @@ class TestRecordLoop:
         for state, tau, eq, sol in zip(trajectory.states, trajectory.taus,
                                        trajectory.equation_residuals,
                                        trajectory.solution_errors):
-            x = matrix_from_state(state, p.m, p.n)
+            x = _matrix(state, p)
             assert eq == pytest.approx(equation_residual(p, x, tau), rel=1e-12)
             assert sol == pytest.approx(solution_error(p, x, tau), rel=1e-12)
 
@@ -429,7 +479,7 @@ def _frozen_shifted_trig_problem(m, n, seed):
 
 class TestFactorReuse:
     """run() keeps L's factors while F and A are bitwise unchanged, and
-    steps exactly as one-shot solves do; example2 refactors every step."""
+    steps exactly as one-step runs do; example2 refactors every step."""
 
     @pytest.mark.parametrize("factory,path", [
         (example1, "inverse"),
@@ -459,7 +509,7 @@ class TestFactorReuse:
             states.append(state)
             residuals.append(np.linalg.norm(x @ f - a @ np.conj(x) - c))
             if k < config.step_count:
-                state = step_dznd1(problem, state, GAMMA10, tau, config.epsilon)
+                state = one_step(problem, state, config, tau).states[1]
         np.testing.assert_array_equal(trajectory.states, states)
         np.testing.assert_array_equal(trajectory.equation_residuals, residuals)
 
@@ -478,22 +528,18 @@ class TestFactorReuse:
 
 
 def _one_shot_run(problem, config, initial):
-    """run() rebuilt from one-shot steps: the records, outcome and counts
+    """run() rebuilt from one-step runs: the records, outcome and counts
     that run() must reproduce exactly, block by block."""
     state = state_from_matrix(initial.x0)
-    gamma = complex(config.gamma.re, config.gamma.im)
     states, residuals, errors = [], [], []
     counts = {"operator_factorizations": 0, "pinv_fallback_steps": 0,
               "structured_solve_steps": 0}
-    path_counts = {SolvePath.PINV: "pinv_fallback_steps",
-                   SolvePath.STRUCTURED: "structured_solve_steps"}
     key, outcome, diverged_at = None, Outcome.COMPLETED, None
     for k in range(config.step_count + 1):
         tau = k * config.epsilon
         x = unstack(state, problem.m, problem.n)
         f, a, c = (z.to_complex() for z in problem.coefficients(tau))
-        e = x @ f - a @ np.conj(x) - c
-        eq = float(np.linalg.norm(e))
+        eq = float(np.linalg.norm(x @ f - a @ np.conj(x) - c))
         states.append(state)
         residuals.append(eq)
         errors.append(
@@ -509,14 +555,10 @@ def _one_shot_run(problem, config, initial):
         if (f.tobytes(), a.tobytes()) != key:
             key = (f.tobytes(), a.tobytes())
             counts["operator_factorizations"] += 1
-        fd, ad, cd = (z.to_complex() for z in problem.derivatives(tau))
-        drive = cd + ad @ np.conj(x) - x @ fd - gamma * e
-        path = OperatorFactors(
-            f[None], a[None], config.pinv_tolerance).solve(0, drive)[1]
-        if path in path_counts:
-            counts[path_counts[path]] += 1
-        state = step_dznd1(problem, state, config.gamma, tau, config.epsilon,
-                           config.pinv_tolerance)
+        step = one_step(problem, state, config, tau)
+        counts["pinv_fallback_steps"] += step.pinv_fallback_steps
+        counts["structured_solve_steps"] += step.structured_solve_steps
+        state = step.states[1]
     return states, residuals, errors, outcome, diverged_at, counts
 
 
@@ -536,7 +578,7 @@ class TestSylvesterReuse:
     """From the crossover up a moving run solves each step in the
     eigenbases of the block's last factored operator while the reuse
     certificate holds, so it factors less often than it steps, and its
-    records agree with the per-step fresh-factor loop of step_dznd1.  A
+    records agree with a loop of one-step runs, each factoring afresh.  A
     run counts only the factorizations it makes."""
 
     @pytest.mark.parametrize("epsilon", [0.01, 0.001])
@@ -634,7 +676,7 @@ def _patched(problem, provider, at_record, replacement):
 
 class TestBlocks:
     """run() does its tau-only work one block of BLOCK_RECORDS records at
-    a time; every run equals the one-shot step loop to the last bit, with
+    a time; every run equals a loop of one-step runs to the last bit, with
     the same counts, at and around block edges."""
 
     # Lengths at the block edges, and at the edges of the 64-record
@@ -780,7 +822,7 @@ class TestBlocks:
         trajectory = _assert_runs_as_one_shot_steps(
             problem, config, random_initial_state(problem, 8))
         assert trajectory.outcome is Outcome.COMPLETED
-        # The one-shot reference takes one step per call of P.
+        # Each one-step run of the reference forms P for its one step.
         assert sizes[:2] == formed
         assert sizes[2:] == [1] * config.step_count
 
@@ -821,12 +863,6 @@ class TestOverflowingOperator:
         assert trajectory.finite[:-1].all()
         assert trajectory.pinv_fallback_steps == 0
         assert trajectory.structured_solve_steps == 0
-
-    @pytest.mark.parametrize("size", [1, 6])
-    def test_step_raises(self, size):
-        with pytest.raises(NumericError, match="not finite"):
-            step_dznd1(self._problem(size), np.zeros(2 * size * size),
-                       GAMMA10, 0.0, 0.1)
 
 
 class TestNorms:
