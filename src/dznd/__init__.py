@@ -10,7 +10,7 @@ from .assembly import (
     state_from_matrix,
     zero_stability_roots,
 )
-from .errors import CapabilityError, ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .linalg import (
     RealMatrix,
     RealVector,
@@ -27,12 +27,10 @@ from .problems import (
     InitialState,
     PROBLEMS,
     SylvesterConjugateProblem,
-    equation_residual,
     example1,
     example2,
     get_problem,
     random_initial_state,
-    solution_error,
 )
 from .solvers import (
     Model,
@@ -47,7 +45,6 @@ from .solvers import (
 
 __all__ = [
     "BlockProvider",
-    "CapabilityError",
     "ComplexGain",
     "ConfigError",
     "InitialState",
@@ -65,7 +62,6 @@ __all__ = [
     "characteristic_roots",
     "conjugate",
     "conjugate_transpose",
-    "equation_residual",
     "euler_forward_characteristic",
     "example1",
     "example2",
@@ -77,7 +73,6 @@ __all__ = [
     "random_initial_state",
     "run",
     "scalar_error_modulus",
-    "solution_error",
     "state_from_matrix",
     "tail_max_equation_residual",
     "tail_max_solution_error",

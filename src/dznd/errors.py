@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible with the requested operation."""
 
 
-class CapabilityError(RuntimeError):
-    """A feature was requested that the object or model does not support."""
-
-
 class ConfigError(ValueError):
     """A solver configuration violates one of its invariants."""
 

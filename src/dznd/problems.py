@@ -9,9 +9,10 @@ real time tau >= 0.  Coefficients and their time derivatives are supplied
 as separate providers; the solvers consume the derivatives explicitly, so
 a problem must supply them analytically.
 
-A provider is a function of one tau, or a :class:`BlockProvider`: a
-formula written once over an array of tau, which a run evaluates once
-per block of records and which still answers at one tau.
+Every provider a problem holds is a :class:`BlockProvider`: a formula
+written once over an array of tau, which a run evaluates once per block
+of records and which still answers at one tau.  A problem built with a
+plain function of one tau adapts it once, when it is built.
 
 Two benchmark problems with known exact solutions ship in a registry
 keyed by name: ``example1`` (constant coefficients) and ``example2``
@@ -27,8 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ShapeError
-from .linalg import SplitComplexMatrix, conjugate, frobenius_norm
+from .errors import ShapeError
+from .linalg import SplitComplexMatrix
 
 CoefficientProvider = Callable[
     [float], tuple[SplitComplexMatrix, SplitComplexMatrix, SplitComplexMatrix]
@@ -69,16 +70,18 @@ class SylvesterConjugateProblem:
     solution.  The sizes m and n are integers >= 1; anything else raises
     :class:`~dznd.errors.ShapeError`.
 
+    A provider that is not a :class:`BlockProvider` is a function of one
+    tau returning split matrices; the problem replaces it, when built,
+    by a block provider that calls it at each tau and stacks its values.
+
     A run works one block of at most
     :data:`~dznd.solvers.BLOCK_RECORDS` records ahead of the steps.  It
-    calls a :class:`BlockProvider` once per block, with the block's
-    array of tau: ``coefficients`` and ``theoretical_solution`` at its
-    records, ``derivatives`` at those that take a step.  Any other
-    provider it calls once per record (``coefficients``,
-    ``theoretical_solution``) or step (``derivatives``).  A run that
-    diverges may so have evaluated them at up to BLOCK_RECORDS - 1
-    records past the record where it stopped; no run evaluates them at
-    a tau past its duration.
+    calls each provider once per block, with the block's array of tau:
+    ``coefficients`` and ``theoretical_solution`` at its records,
+    ``derivatives`` at those that take a step.  A run that diverges may
+    so have evaluated them at up to BLOCK_RECORDS - 1 records past the
+    record where it stopped; no run evaluates them at a tau past its
+    duration.
     """
 
     m: int
@@ -96,6 +99,38 @@ class SylvesterConjugateProblem:
                     f"problem dimension {name} must be an integer >= 1, "
                     f"got {size!r}"
                 )
+        for name in ("coefficients", "derivatives", "theoretical_solution"):
+            provider = getattr(self, name)
+            if provider is not None and not isinstance(provider, BlockProvider):
+                object.__setattr__(self, name, _per_tau(provider))
+
+
+def _per_tau(provider) -> BlockProvider:
+    """A function of one tau as a :class:`BlockProvider`: ``over`` calls it
+    at each tau and stacks its split matrices part by part, after
+    checking that every record has the number and shapes of matrices of
+    the first."""
+
+    def over(taus: np.ndarray):
+        records = [provider(tau) for tau in taus.tolist()]
+        single = not isinstance(records[0], tuple)
+        records = [r if isinstance(r, tuple) else (r,) for r in records]
+        expected = [x.shape for x in records[0]]
+        for matrices in records[1:]:
+            shapes = [x.shape for x in matrices]
+            if shapes != expected:
+                raise ShapeError(
+                    f"provider returned shapes {shapes}; expected {expected}, "
+                    f"the shapes at the first tau of the block"
+                )
+        stacks = []
+        for part in zip(*records):
+            z = np.empty((len(part),) + part[0].shape, dtype=np.complex128)
+            z.real, z.imag = [x.re for x in part], [x.im for x in part]
+            stacks.append(z)
+        return stacks[0] if single else tuple(stacks)
+
+    return BlockProvider(over)
 
 
 @dataclass(frozen=True)
@@ -104,35 +139,6 @@ class InitialState:
 
     x0: SplitComplexMatrix
     seed: int
-
-
-def _check_candidate(problem: SylvesterConjugateProblem, x: SplitComplexMatrix):
-    if x.shape != (problem.m, problem.n):
-        raise ShapeError(
-            f"candidate shape {x.shape} does not match problem "
-            f"dimensions ({problem.m}, {problem.n})"
-        )
-
-
-def equation_residual(
-    problem: SylvesterConjugateProblem, x: SplitComplexMatrix, tau: float
-) -> float:
-    """Frobenius norm of X F - A conj(X) - C at time tau."""
-    _check_candidate(problem, x)
-    f, a, c = problem.coefficients(tau)
-    return frobenius_norm(x @ f - a @ conjugate(x) - c)
-
-
-def solution_error(
-    problem: SylvesterConjugateProblem, x: SplitComplexMatrix, tau: float
-) -> float:
-    """Frobenius norm of x minus the exact solution at time tau."""
-    if problem.theoretical_solution is None:
-        raise CapabilityError(
-            f"problem {problem.label or '<unnamed>'!r} has no theoretical solution"
-        )
-    _check_candidate(problem, x)
-    return frobenius_norm(x - problem.theoretical_solution(tau))
 
 
 def random_initial_state(

@@ -28,14 +28,13 @@ A run works one block of records at a time: :data:`BLOCK_RECORDS`, or
 fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
 (:func:`block_records`).  It evaluates the providers at every record of
 the block as complex128 stacks, and factors the block's operators
-together.  A :class:`~dznd.problems.BlockProvider`, as the registered
-problems have, is called once per block with the block's array of tau;
-any other provider is called at each tau, and its split values are
-stacked.  A run keeps the factors of L while F and A stay bitwise the
-same (their entries are compared as uint64 bit patterns, consecutive
-steps in one array operation, so even a changed sign of zero
-refactors), across block boundaries too: with constant coefficients it
-factors L once.  It counts the factorizations made for the steps taken:
+together.  Each provider is a :class:`~dznd.problems.BlockProvider`
+(a problem adapts a function of one tau when it is built), called once
+per block with the block's array of tau.  A run keeps the factors of L
+while F and A stay bitwise the same (their entries are compared as
+uint64 bit patterns, consecutive steps in one array operation, so even
+a changed sign of zero refactors), across block boundaries too: with
+constant coefficients it factors L once.  It counts the factorizations made for the steps taken:
 below the crossover each operator's W^+; from the crossover up each
 operator's own eigendecompositions (or W^+), so a step solved in
 another operator's eigenbases counts none.  Then the block's steps
@@ -181,7 +180,8 @@ class SolverConfig:
             raise ConfigError(
                 f"duration must be positive and finite, got {self.duration}"
             )
-        ratio = self.duration / self.epsilon
+        # As Python floats: a numpy scalar quotient would warn on overflow.
+        ratio = float(self.duration) / float(self.epsilon)
         k = round(ratio) if math.isfinite(ratio) else 0
         if k < 1 or abs(ratio - k) > _STEP_COUNT_SLACK * max(1.0, abs(ratio)):
             raise ConfigError(
@@ -506,30 +506,13 @@ def _stops(finite, equation_residual, threshold):
 
 
 def _stacks(provider, taus: np.ndarray, check) -> tuple:
-    """The values of ``provider`` at every tau of ``taus`` (at least one)
-    as complex128 stacks, one for each matrix it returns, after ``check``
-    has seen the shapes of one record's matrices.
-
-    A :class:`~dznd.problems.BlockProvider` is called once, with the
-    array of taus.  Any other provider is called at each tau and its
-    split matrices are stacked part by part (see
-    :meth:`~dznd.linalg.SplitComplexMatrix.to_complex`), each record's
-    shapes checked first.
-    """
-    over = getattr(provider, "over", None)
-    if over is None:
-        values = [_matrices(provider(tau)) for tau in taus.tolist()]
-        for matrices in values:
-            check(*(x.shape for x in matrices))
-        stacks = []
-        for part in zip(*values):
-            z = np.empty((len(part),) + part[0].shape, dtype=np.complex128)
-            z.real, z.imag = [x.re for x in part], [x.im for x in part]
-            stacks.append(z)
-        return tuple(stacks)
+    """The values of the :class:`~dznd.problems.BlockProvider`
+    ``provider`` at every tau of ``taus`` (at least one) as complex128
+    stacks, one for each matrix it returns, after ``check`` has seen the
+    shapes of one record's matrices."""
     stacks = tuple(
         np.asarray(z, dtype=np.complex128)
-        for z in _matrices(over(np.array(taus, dtype=np.float64)))
+        for z in _matrices(provider.over(np.array(taus, dtype=np.float64)))
     )
     for z in stacks:
         if z.shape[:1] != (len(taus),):

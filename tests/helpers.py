@@ -8,6 +8,7 @@ systematic error in the split arithmetic cannot cancel out.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -37,6 +38,32 @@ def scalar_matmul_oracle(a: SplitComplexMatrix, b: SplitComplexMatrix):
                 )
             out[s, t] = acc
     return out
+
+
+def _entries(x: SplitComplexMatrix) -> list:
+    """The entries of ``x`` as Python complex scalars, row by row."""
+    return [complex(re, im) for re, im in zip(x.re.ravel().tolist(),
+                                               x.im.ravel().tolist())]
+
+
+def _norm(entries) -> float:
+    return math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in entries))
+
+
+def residual_oracle(problem, x: SplitComplexMatrix, tau: float) -> float:
+    """||X F - A conj(X) - C||_F at ``tau``, with the products from
+    :func:`scalar_matmul_oracle` and the rest in Python scalars."""
+    f, a, c = problem.coefficients(tau)
+    xf = scalar_matmul_oracle(x, f).ravel().tolist()
+    a_conj_x = scalar_matmul_oracle(
+        a, SplitComplexMatrix(x.re, -x.im)).ravel().tolist()
+    return _norm(p - q - r for p, q, r in zip(xf, a_conj_x, _entries(c)))
+
+
+def solution_error_oracle(problem, x: SplitComplexMatrix, tau: float) -> float:
+    """||X - X*||_F at ``tau``, in Python scalars."""
+    exact = _entries(problem.theoretical_solution(tau))
+    return _norm(p - q for p, q in zip(_entries(x), exact))
 
 
 def one_step(problem, state, config, tau):

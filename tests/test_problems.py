@@ -5,22 +5,21 @@ import pytest
 
 from dznd import (
     BlockProvider,
-    CapabilityError,
     ComplexGain,
     Model,
     ShapeError,
     SplitComplexMatrix,
-    equation_residual,
     example1,
     example2,
     frobenius_norm,
     get_problem,
     random_initial_state,
     run,
-    solution_error,
 )
 from dznd.solvers import SolverConfig
 from dznd.problems import PROBLEMS, SylvesterConjugateProblem
+
+from helpers import make_shifted_trig_problem, residual_oracle
 
 
 class TestExample1:
@@ -43,13 +42,13 @@ class TestExample1:
     @pytest.mark.parametrize("tau", [0.0, 7.3])
     def test_exact_solution_residual(self, tau):
         p = example1()
-        assert equation_residual(p, p.theoretical_solution(tau), tau) <= 1e-12
+        assert residual_oracle(p, p.theoretical_solution(tau), tau) <= 1e-12
 
     def test_zero_candidate_residual_is_norm_of_c(self):
         p = example1()
         zero = SplitComplexMatrix(np.zeros((3, 2)), np.zeros((3, 2)))
         _, _, c = p.coefficients(0.0)
-        assert equation_residual(p, zero, 0.0) == pytest.approx(
+        assert residual_oracle(p, zero, 0.0) == pytest.approx(
             frobenius_norm(c), rel=1e-14
         )
 
@@ -67,7 +66,7 @@ class TestExample2:
     @pytest.mark.parametrize("tau", [float(t) for t in range(11)])
     def test_exact_solution_residual(self, tau):
         p = example2()
-        assert equation_residual(p, p.theoretical_solution(tau), tau) <= 1e-10
+        assert residual_oracle(p, p.theoretical_solution(tau), tau) <= 1e-10
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, 9.0])
     def test_analytic_derivatives_match_finite_differences(self, tau):
@@ -80,43 +79,6 @@ class TestExample2:
             fd_im = (numerical_hi.im - numerical_lo.im) / (2 * h)
             assert np.abs(fd_re - analytic.re).max() <= 1e-5
             assert np.abs(fd_im - analytic.im).max() <= 1e-5
-
-
-@pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_exact_solutions_on_dense_grid(name):
-    problem = get_problem(name)
-    for tau in np.linspace(0.0, 10.0, 101):
-        x = problem.theoretical_solution(tau)
-        assert equation_residual(problem, x, tau) <= 1e-10
-
-
-class TestSolutionError:
-    def test_zero_at_exact_solution(self):
-        p = example2()
-        assert solution_error(p, p.theoretical_solution(1.0), 1.0) == 0.0
-
-    def test_single_entry_perturbation(self):
-        p = example1()
-        x = p.theoretical_solution(0.0)
-        bumped = SplitComplexMatrix(
-            x.re + np.array([[1e-3, 0], [0, 0], [0, 0]]), x.im
-        )
-        assert solution_error(p, bumped, 0.0) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_missing_solution_raises_capability_error(self):
-        p = example1()
-        anonymous = SylvesterConjugateProblem(
-            m=p.m, n=p.n, coefficients=p.coefficients, derivatives=p.derivatives
-        )
-        with pytest.raises(CapabilityError):
-            solution_error(anonymous, p.theoretical_solution(0.0), 0.0)
-
-    def test_shape_mismatch(self):
-        p = example1()
-        with pytest.raises(ShapeError):
-            equation_residual(
-                p, SplitComplexMatrix(np.zeros((2, 2)), np.zeros((2, 2))), 0.0
-            )
 
 
 class TestProblemSizes:
@@ -199,20 +161,34 @@ def _assert_block_form_is_per_tau_stack(provider, taus):
         assert z.tobytes() == want.tobytes()
 
 
+def per_tau_trig():
+    """A problem built from plain functions of one tau, which it adapts."""
+    return make_shifted_trig_problem(3, 2, 0)
+
+
+# Each provider of the registered problems, and the two of the adapted
+# per-tau problem, which has no exact solution.
+_BLOCK_FORMS = [
+    pytest.param(factory, provider, id=f"{factory.__name__}-{provider}")
+    for factory in (example1, example2, per_tau_trig)
+    for provider in _PROVIDERS
+    if factory is not per_tau_trig or provider != "theoretical_solution"
+]
+
+
 class TestBlockProviders:
     """The registered problems write each formula once, over an array of
-    tau; a call at one tau evaluates it on a one-element array."""
+    tau; a call at one tau evaluates it on a one-element array.  A
+    problem adapts a provider of one tau to the same form."""
 
-    @pytest.mark.parametrize("provider", _PROVIDERS)
-    @pytest.mark.parametrize("factory", [example1, example2])
+    @pytest.mark.parametrize("factory,provider", _BLOCK_FORMS)
     def test_block_form_equals_per_tau_values_over_a_run(self, factory, provider):
         # The 201 records of a 1 s run at epsilon = 0.005, at the times
         # run() gives them.
         taus = [j * 0.005 for j in range(201)]
         _assert_block_form_is_per_tau_stack(getattr(factory(), provider), taus)
 
-    @pytest.mark.parametrize("provider", _PROVIDERS)
-    @pytest.mark.parametrize("factory", [example1, example2])
+    @pytest.mark.parametrize("factory,provider", _BLOCK_FORMS)
     def test_block_form_equals_per_tau_values_property(self, factory, provider):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -253,3 +229,11 @@ class TestBlockProviders:
                    else "expected|theoretical solution shape")
         with pytest.raises(ShapeError, match=message):
             run(problem, config, random_initial_state(p, 42))
+
+    def test_problem_adapts_per_tau_providers_once(self):
+        p = per_tau_trig()
+        assert all(isinstance(getattr(p, name), BlockProvider)
+                   for name in ("coefficients", "derivatives"))
+        assert p.theoretical_solution is None
+        # Rebuilding the problem keeps its block providers as they are.
+        assert dataclasses.replace(p, label="x").coefficients is p.coefficients

@@ -18,13 +18,11 @@ from dznd import (
     SolverConfig,
     SplitComplexMatrix,
     SylvesterConjugateProblem,
-    equation_residual,
     example1,
     example2,
     random_initial_state,
     run,
     scalar_error_modulus,
-    solution_error,
     state_from_matrix,
     tail_max_equation_residual,
     tail_max_solution_error,
@@ -38,7 +36,13 @@ from dznd.solvers import (
     _norms,
     block_records,
 )
-from helpers import make_shifted_trig_problem, make_trig_problem, one_step
+from helpers import (
+    make_shifted_trig_problem,
+    make_trig_problem,
+    one_step,
+    residual_oracle,
+    solution_error_oracle,
+)
 
 GAMMA10 = ComplexGain(10.0)
 
@@ -118,6 +122,13 @@ class TestSolverConfig:
         capped.validate()
         assert capped.step_count == MAX_STEP_COUNT
 
+    def test_overflowing_numpy_scalar_ratio_is_rejected(self):
+        # A quotient of numpy scalars would overflow with a RuntimeWarning,
+        # which this suite turns into an error.
+        config = _config(epsilon=np.float64(1e-300), duration=np.float64(1e300))
+        with pytest.raises(ConfigError, match="integral step count"):
+            config.validate()
+
     @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
     def test_validate_raises_or_bounds_the_step_count_property(self, model):
         hypothesis = pytest.importorskip("hypothesis")
@@ -132,9 +143,12 @@ class TestSolverConfig:
                                               allow_infinity=False)),
         )
 
+        # Python floats or numpy scalars, as library callers may pass.
+        floats = st.one_of(st.floats(), st.floats().map(np.float64))
+
         @hypothesis.settings(max_examples=100, deadline=None)
-        @hypothesis.given(gains, st.floats(), st.floats(), st.floats(),
-                          st.one_of(st.none(), st.floats()))
+        @hypothesis.given(gains, floats, floats, floats,
+                          st.one_of(st.none(), floats))
         def check(gain, epsilon, duration, threshold, tolerance):
             config = SolverConfig(
                 model=model, gamma=gain, epsilon=epsilon, duration=duration,
@@ -163,14 +177,15 @@ class TestSteps:
         assert len(trajectory) == 101
         start = state_from_matrix(initial.x0)
         assert np.abs(trajectory.states - start).max() <= 1e-12
+        assert trajectory.solution_errors[0] == 0.0
 
     def test_dznd1_deadbeat_contraction_on_constant_problem(self):
         # with epsilon*gamma = 1 one step collapses the whole residual
         problem = example1()
         state = state_from_matrix(random_initial_state(problem, 3).x0)
-        before = equation_residual(problem, _matrix(state, problem), 0.0)
+        before = residual_oracle(problem, _matrix(state, problem), 0.0)
         state = one_step(problem, state, _config(), 0.0).states[1]
-        after = equation_residual(problem, _matrix(state, problem), 0.1)
+        after = residual_oracle(problem, _matrix(state, problem), 0.1)
         assert after <= 1e-8 * before
 
     def test_dznd1_residual_decreases_monotonically(self):
@@ -178,7 +193,7 @@ class TestSteps:
         trajectory = run(problem, _config(epsilon=0.001, duration=0.1),
                          random_initial_state(problem, 5))
         residuals = [
-            equation_residual(problem, _matrix(state, problem), tau)
+            residual_oracle(problem, _matrix(state, problem), tau)
             for state, tau in zip(trajectory.states[:100], trajectory.taus)
         ]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
@@ -197,7 +212,7 @@ class TestSteps:
         trajectory = run(problem, _config(model=Model.DZND2_2I),
                          random_initial_state(problem, 11))
         assert len(trajectory) == 101
-        final = equation_residual(
+        final = residual_oracle(
             problem, _matrix(trajectory.states[-1], problem), 10.0)
         assert final <= 1e-10
 
@@ -395,8 +410,9 @@ class TestRecordLoop:
                                        trajectory.equation_residuals,
                                        trajectory.solution_errors):
             x = _matrix(state, p)
-            assert eq == pytest.approx(equation_residual(p, x, tau), rel=1e-12)
-            assert sol == pytest.approx(solution_error(p, x, tau), rel=1e-12)
+            assert eq == pytest.approx(residual_oracle(p, x, tau), rel=1e-12)
+            assert sol == pytest.approx(solution_error_oracle(p, x, tau),
+                                        rel=1e-12)
 
     def test_wrong_solution_shape_is_rejected(self):
         # Without the check, numpy broadcasting would accept a 1 x n solution.
@@ -756,6 +772,9 @@ class TestBlocks:
     ] + [
         pytest.param("theoretical_solution", lambda x: (x, x), "expected",
                      id="theoretical_solution-tuple"),
+        pytest.param("theoretical_solution", lambda x: (
+            SplitComplexMatrix.from_real(np.zeros((1, 2)))),
+            "provider returned shapes", id="theoretical_solution"),
     ])
     def test_wrong_shape_inside_a_block_is_rejected(
             self, provider, broken, message):
