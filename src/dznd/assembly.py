@@ -19,18 +19,18 @@ U = (F^T kron I_m) and V = (I_n kron A),
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
-:class:`OperatorFactors` solves L(D) = G in two parts: factor L for a
-stack of operators (F, A), then apply the factors of one of them to G.
-A caller whose F and A stay bitwise the same keeps the factors and pays
-only the application; a caller that knows several operators ahead
-factors them in one stack, and a one-shot solve is a stack of one.
-From mn =
+:class:`OperatorFactors` solves L(D) = G in two parts: factor L for the
+steps of a block, given their F and A, then apply the factors of one
+step's operator to G.  It decides which factors serve each step: steps
+whose F and A stay bitwise the same, also across the edge from the
+block before, share them and pay only the application.  A one-shot
+solve is a block of one step.  From mn =
 :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up the factors are those
 of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
 both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
 & Hartwig, SIAM J. Matrix Anal. Appl. 1988), which two
 eigendecompositions solve in O(m^3 + n^3) instead of the O((mn)^3) of a
-dense solve with W.  The members of a stack usually move little from one
+dense solve with W.  A block's members usually move little from one
 to the next, so a member first tries the eigenbases of the last member
 factored: in them its Sylvester form is nearly diagonal, and a few
 Jacobi sweeps solve it in O(m^2 n + m n^2) each, under a certificate of
@@ -214,36 +214,62 @@ class SolvePath(enum.Enum):
 
 
 class OperatorFactors:
-    """The factors of L_i(Z) = Z F_i - A_i conj(Z) for a stack of
-    operators (F_i, A_i) and a pinv cutoff ``tolerance``;
-    :meth:`solve` applies those of member i to any G, and
+    """The factors of L(Z) = Z F_k - A_k conj(Z) for each step k of a
+    block, given the stacks of F_k and A_k, and a pinv cutoff
+    ``tolerance``.
+
+    Consecutive steps whose F and A are bitwise the same (their entries
+    compared as uint64 bit patterns, so even a changed sign of zero
+    differs) share one member, the operator (F_i, A_i); ``members[k]``
+    is the member of step k.  The first step is compared with the last
+    step of the block that ``follows``, the factors of the block before,
+    if any: when it repeats that operator, member 0 takes over that
+    member's state, so a run with constant coefficients factors L once
+    over all its blocks.  Nothing else of ``follows`` is kept.
+
+    :meth:`solve` applies the factors of member i to any G, and
     :meth:`inverse` gives member i's pseudo-inverse of W itself.
     ``structured`` tells whether solves try the Sylvester form, and
     ``finite[i]`` whether W_i = ``real_operator(F_i, A_i)`` is finite:
     F_i and A_i are, and no entry of W_i where an F term and an A term
     add, F_i[t, t] +- A_i[s, s] part by part, overflows.
 
-    Built once, they serve every G for which F and A stay the same.  With
-    at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read when the
-    factors are built), each finite member is factored only when a solve
-    needs it.  Its first solve tries the eigenbases of the base, the
-    member whose Sylvester form this stack factored and certified last
-    (:func:`_reused_factors`); when that fails its certificate, its sweep
-    cap or the backward-error check, the member's own Sylvester form is
-    factored and certified (:func:`_sylvester_factors`), and when
-    certified it becomes the base.  A member keeps what served it: the
-    base's eigenbases while they pass, or else its own factors for every
-    later G.  W^+ is formed only when a G needs it.  ``factorizations``
-    counts the members factored on their own, by eigendecomposition or
-    W^+.  Below that size the W^+ of every finite member is formed at
-    construction, by one :func:`~dznd.linalg.pseudo_inverses` call for
-    the stack, and :meth:`inverses` gives them for any array of members.
-    A member that is not finite raises only when solved.
+    With at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read
+    when the factors are built), each finite member is factored only
+    when a solve needs it.  Its first solve tries the eigenbases of the
+    base, the member whose Sylvester form these factors factored and
+    certified last (:func:`_reused_factors`); the base starts empty.
+    When that fails its certificate, its sweep cap or the backward-error
+    check, the member's own Sylvester form is factored and certified
+    (:func:`_sylvester_factors`), and when certified it becomes the
+    base.  A member keeps what served it: the base's eigenbases while
+    they pass, or else its own factors for every later G.  W^+ is formed
+    only when a G needs it.  Below that size the W^+ of every finite
+    member is formed at construction, by one
+    :func:`~dznd.linalg.pseudo_inverses` call for the stack (a member
+    taken over is formed again, bitwise the same), and :meth:`inverses`
+    gives them for the members of consecutive steps.  A member that is
+    not finite raises only when solved.  :meth:`factorizations` counts
+    the factorizations made for the block.
     """
 
     def __init__(
-        self, f: np.ndarray, a: np.ndarray, tolerance: float | None = None
+        self,
+        f: np.ndarray,
+        a: np.ndarray,
+        tolerance: float | None = None,
+        follows: OperatorFactors | None = None,
     ):
+        rows = _bit_rows(f, a)
+        # Whether each step's F and A differ from the step's before, the
+        # first step's from the last step of follows: every step that
+        # does starts a member, which no earlier block has factored.
+        self._new = _changes(rows, None if follows is None else follows._last)
+        starts = self._new.copy()
+        starts[:1] = True
+        self.members = np.cumsum(starts) - 1
+        self._last = rows[-1].copy() if len(rows) else None
+        f, a = f[starts], a[starts]
         self._f, self._a, self._tolerance = f, a, tolerance
         mn = f.shape[-1] * a.shape[-1]
         self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
@@ -253,6 +279,16 @@ class OperatorFactors:
         self._sylvester: dict[int, _SylvesterFactors | None] = {}
         self._own: set[int] = set()
         self._dense: dict[int, tuple[RealMatrix, bool]] = {}
+        if self.structured and len(starts) and not self._new[0]:
+            last = follows.members[-1]
+            if last in follows._sylvester:
+                self._sylvester[0] = follows._sylvester[last]
+            if last in follows._own:
+                self._own.add(0)
+            if last in follows._dense:
+                self._dense[0] = follows._dense[last]
+        # Member 0's factorizations when taken over were made before.
+        self._before = len(self._own | self._dense.keys())
         if not self.structured:
             if len(f) and self.finite.all():
                 # Every member is finite: the stack serves as it is.
@@ -271,16 +307,18 @@ class OperatorFactors:
                 self._w_plus[finite] = w_plus
                 self._paths[finite] = _DENSE_PATHS[fell_back.astype(np.intp)]
 
-    def __len__(self) -> int:
-        """The number of members."""
-        return len(self.finite)
-
-    @property
-    def factorizations(self) -> int:
-        """From the crossover up, the number of members factored so far
-        on their own: their Sylvester form eigendecomposed, or their W^+
-        formed, or both, counting once."""
-        return len(self._own | self._dense.keys())
+    def factorizations(self, taken: int) -> int:
+        """The factorizations of L made for the block's first ``taken``
+        steps.  Below the crossover, one W^+ for each finite member whose
+        first step is among them.  From it up, the members factored on
+        their own by the solves so far, their Sylvester form
+        eigendecomposed, or their W^+ formed, or both, counting once (a
+        run solves only the steps it takes).  A member taken over from
+        ``follows`` counts only if it is factored here."""
+        if self.structured:
+            return len(self._own | self._dense.keys()) - self._before
+        firsts = self.members[:taken][self._new[:taken]]
+        return int(np.count_nonzero(self.finite[firsts]))
 
     def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
         """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
@@ -336,20 +374,45 @@ class OperatorFactors:
         matrix, fell_back = self._dense[member]
         return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
 
-    def inverses(
-        self, members: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def inverses(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Below the crossover, the stack of ``pinv(W_i, tolerance)`` for
-        each member i of the integer array ``members`` (every member in
-        order for None, without a copy), and the object array of their
-        paths; a member that is not finite has a nan W^+ and path None."""
-        if members is None:
+        each member i of ``members``, a non-decreasing integer array that
+        lists every member (as a selection of consecutive steps' members
+        that keeps each member's first step does), and the object array of
+        their paths; a member that is not finite has a nan W^+ and path
+        None.  When it lists each member once, it is 0 ... k-1 and the
+        stack serves as it is, without a gather."""
+        if len(members) == len(self.finite):
             return self._w_plus, self._paths
         return self._w_plus[members], self._paths[members]
 
 
 # The path of a W^+ from pseudo_inverses, indexed by whether it fell back.
 _DENSE_PATHS = np.array([SolvePath.INVERSE, SolvePath.PINV], dtype=object)
+
+
+def _bit_rows(*stacks: np.ndarray) -> np.ndarray:
+    """The entries of each record of complex128 stacks as one row of
+    uint64 bit patterns: two rows are equal when every entry is bitwise
+    the same, so even a changed sign of zero makes them differ."""
+    records = len(stacks[0])
+    widths = [math.prod(z.shape[1:]) for z in stacks]
+    rows = np.empty((records, sum(widths)), dtype=np.complex128)
+    np.concatenate(
+        [z.reshape(records, w) for z, w in zip(stacks, widths)], axis=1,
+        out=rows,
+    )
+    return rows.view(np.uint64)
+
+
+def _changes(rows: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
+    """Whether each row differs from the row before it; the first is
+    compared with ``previous``, and differs when there is none."""
+    changed = np.empty(len(rows), dtype=bool)
+    if len(rows):
+        changed[0] = previous is None or bool((rows[0] != previous).any())
+        np.any(rows[1:] != rows[:-1], axis=1, out=changed[1:])
+    return changed
 
 
 def _finite_operators(f: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -27,15 +27,16 @@ the steps that took the first path and those that needed the last.
 A run works one block of records at a time: :data:`BLOCK_RECORDS`, or
 fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
 (:func:`block_records`).  It evaluates the providers at every record of
-the block as complex128 stacks, and factors the block's operators
-together.  Each provider is a :class:`~dznd.problems.BlockProvider`
-(a problem adapts a function of one tau when it is built), called once
-per block with the block's array of tau.  A run keeps the factors of L
-while F and A stay bitwise the same (their entries are compared as
-uint64 bit patterns, consecutive steps in one array operation, so even
-a changed sign of zero refactors), across block boundaries too: with
-constant coefficients it factors L once.  It counts the factorizations made for the steps taken:
-below the crossover each operator's W^+; from the crossover up each
+the block as complex128 stacks.  Each provider is a
+:class:`~dznd.problems.BlockProvider` (a problem adapts a function of
+one tau when it is built), called once per block with the block's array
+of tau.  The block's F and A then go to
+:class:`~dznd.assembly.OperatorFactors`, with the previous block's
+factors; it alone decides which of its members serves each step, so
+that a run keeps the factors of L while F and A stay bitwise the same,
+across block boundaries too (with constant coefficients it factors L
+once), and counts the factorizations made for the steps taken: below
+the crossover each operator's W^+; from the crossover up each
 operator's own eigendecompositions (or W^+), so a step solved in
 another operator's eigenbases counts none.  Then the block's steps
 advance in one of two ways:
@@ -64,7 +65,9 @@ advance in one of two ways:
 
 An operator whose real form W is not finite (for non-finite F or A, or
 where F[t, t] +- A[s, s] overflows) is never factored: a step with it
-goes to a nan state, so a run ends DIVERGED rather than raising.
+goes to a nan state, so a run ends DIVERGED rather than raising.  From
+the crossover up, so does a step whose drive is not finite (for a
+non-finite derivative, say), without a solve.
 
 There is one way to integrate: a single step is :func:`run` with
 duration = epsilon.
@@ -342,18 +345,14 @@ class _Block(NamedTuple):
         self,
         states: np.ndarray,
         factors: OperatorFactors,
-        members: np.ndarray,
-        carried: Optional[tuple[OperatorFactors, int]],
         gamma: complex,
         epsilon: float,
         threshold: float,
     ) -> tuple[list[Optional[SolvePath]], np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
         after step j into ``states[j + 1]``; step j solves with member
-        ``members[j]`` of ``factors``, or, where that is negative (only
-        leading steps), with the ``carried`` (factors, member) of the step
-        before the block.  Return the path of each step taken (None for
-        an operator that is not finite) and ||E||_F at each record
+        ``factors.members[j]``.  Return the path of each step taken (None
+        for a step that solves nothing) and ||E||_F at each record
         filled: all of the block's, or those up to an early stop.
 
         Below the structured crossover the step is affine in the state,
@@ -375,11 +374,12 @@ class _Block(NamedTuple):
         From the crossover up each record's E gives its residual norm and
         the drive G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step
         solves L(D) = G with the factors, since they cost O(m^3 + n^3)
-        per solve against O((mn)^3) for W^+; a member whose operator is
-        not finite steps to a nan state.  The steps stop at the first
-        record whose state or ||E||_F is non-finite, or whose ||E||_F
-        passes ``threshold``.
+        per solve against O((mn)^3) for W^+.  A step whose operator or
+        drive is not finite solves nothing and goes to a nan state.  The
+        steps stop at the first record whose state or ||E||_F is
+        non-finite, or whose ||E||_F passes ``threshold``.
         """
+        members = factors.members
         steps, records = len(members), len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
         if not factors.structured:
@@ -391,12 +391,12 @@ class _Block(NamedTuple):
                         self.ad + gamma * self.a[:steps],
                         self.cd + gamma * self.c[:steps],
                     )
-                    starts = _changes(_bit_rows(fs, as_, cs), None)
+                    starts = assembly._changes(
+                        assembly._bit_rows(fs, as_, cs), None
+                    )
                     starts[1:] |= members[1:] != members[:-1]
                     firsts = np.flatnonzero(starts)
-                    inverses, paths = _inverses(
-                        factors, carried, members[firsts]
-                    )
+                    inverses, paths = factors.inverses(members[firsts])
                     p = inverses @ real_operator(fs[firsts], as_[firsts])
                     q = (inverses @ stack(cs[firsts])[..., None])[..., 0]
                     group = np.cumsum(starts) - 1
@@ -420,67 +420,17 @@ class _Block(NamedTuple):
                     eqs[-1], threshold,
                 ):
                     break
-                owner, member = (
-                    (factors, members[j]) if members[j] >= 0 else carried
+                drive = (
+                    self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
+                    - gamma * e
                 )
-                if owner.finite[member]:
-                    drive = (
-                        self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
-                        - gamma * e
-                    )
-                    direction, path = owner.solve(member, drive)
+                if factors.finite[members[j]] and np.isfinite(drive).all():
+                    direction, path = factors.solve(members[j], drive)
                 else:
                     direction, path = math.nan, None
                 states[j + 1] = states[j] + epsilon * direction
                 paths.append(path)
         return paths, np.array(eqs)
-
-
-def _inverses(
-    factors: OperatorFactors,
-    carried: Optional[tuple[OperatorFactors, int]],
-    members: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """W^+ and the solve path of each of ``members`` of ``factors``; the
-    negative members, which lead, stand for the ``carried`` member."""
-    leading = np.count_nonzero(members < 0)
-    members = members[leading:]
-    # Every member's first step starts a group, so the members listed are
-    # 0 ... k-1 in order, each once, exactly when there are k of them;
-    # the stack then serves as it is, without a gather.
-    inverses, paths = factors.inverses(
-        None if len(members) == len(factors) else members
-    )
-    if leading:
-        owner, member = carried
-        w_plus, path = owner.inverses(np.full(leading, member))
-        inverses = np.concatenate([w_plus, inverses])
-        paths = np.concatenate([path, paths])
-    return inverses, paths
-
-
-def _bit_rows(*stacks: np.ndarray) -> np.ndarray:
-    """The entries of each record of complex128 stacks as one row of
-    uint64 bit patterns: two rows are equal when every entry is bitwise
-    the same, so even a changed sign of zero makes them differ."""
-    records = len(stacks[0])
-    widths = [math.prod(z.shape[1:]) for z in stacks]
-    rows = np.empty((records, sum(widths)), dtype=np.complex128)
-    np.concatenate(
-        [z.reshape(records, w) for z, w in zip(stacks, widths)], axis=1,
-        out=rows,
-    )
-    return rows.view(np.uint64)
-
-
-def _changes(rows: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
-    """Whether each row differs from the row before it; the first is
-    compared with ``previous``, and differs when there is none."""
-    changed = np.empty(len(rows), dtype=bool)
-    if len(rows):
-        changed[0] = previous is None or bool((rows[0] != previous).any())
-        np.any(rows[1:] != rows[:-1], axis=1, out=changed[1:])
-    return changed
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -561,10 +511,7 @@ def run(
     diverged_at: Optional[int] = None
     paths = collections.Counter()
     factorizations = 0
-    # F and A of the last step taken, as one row of bit patterns, and the
-    # member of some block's factors that is its operator; both carry
-    # across block boundaries.
-    last, carried = None, None
+    factors = None
 
     size = block_records(m, n)
     for start in range(0, k_total + 1, size):
@@ -572,26 +519,12 @@ def run(
         steps = min(records, k_total - start)
         block_taus = np.arange(start, start + records) * config.epsilon
         block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        # A step whose F and A differ bitwise from those of the step
-        # before (even in the sign of a zero) starts a new member of the
-        # block's factors.
-        rows = _bit_rows(block.f[:steps], block.a[:steps])
-        starts = _changes(rows, last)
-        block_factors = OperatorFactors(
-            block.f[:steps][starts], block.a[:steps][starts],
-            config.pinv_tolerance,
+        factors = OperatorFactors(
+            block.f[:steps], block.a[:steps], config.pinv_tolerance, factors
         )
-        members = np.cumsum(starts) - 1
-
-        # From the crossover up, members are factored by the solves of the
-        # steps taken, those of the carried member's factors too; below
-        # it, every finite member at construction, and those whose first
-        # step is taken count.
-        owner = carried[0] if carried else None
-        made = owner.factorizations if owner else 0
         step_paths, eq = block.advance(
-            states[start:start + steps + 1], block_factors, members, carried,
-            gamma, config.epsilon, config.divergence_threshold,
+            states[start:start + steps + 1], factors, gamma, config.epsilon,
+            config.divergence_threshold,
         )
         kept = slice(start, start + len(eq))
         finite = np.isfinite(states[kept]).all(axis=1) & np.isfinite(eq)
@@ -601,22 +534,12 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
-        if block_factors.structured:
-            factorizations += block_factors.factorizations
-            if owner:
-                factorizations += owner.factorizations - made
-        else:
-            firsts = members[:taken][starts[:taken]]
-            factorizations += int(np.count_nonzero(block_factors.finite[firsts]))
+        factorizations += factors.factorizations(taken)
         paths.update(step_paths[:taken])
         if stop.size:
             outcome = Outcome.DIVERGED
             diverged_at = start + taken
             break
-        if steps:
-            last = rows[-1]
-            if members[-1] >= 0:
-                carried = block_factors, int(members[-1])
 
     records = k_total + 1 if diverged_at is None else diverged_at + 1
     return Trajectory(

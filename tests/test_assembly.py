@@ -235,7 +235,7 @@ class TestSolveOperator:
                 assert path is want_path is SolvePath.STRUCTURED
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(
                     want)
-        assert factors.factorizations == 1
+        assert factors.factorizations(2) == 1
 
     @pytest.mark.parametrize("case,path", [
         (lambda: (np.eye(6, dtype=complex), np.eye(6, dtype=complex)),
@@ -255,7 +255,7 @@ class TestSolveOperator:
         w_plus, _ = pseudo_inverses(real_operator(f, a)[None])
         assert got_path is path
         np.testing.assert_array_equal(got, w_plus[0] @ stack(g))
-        assert factors.factorizations == 2
+        assert factors.factorizations(2) == 2
 
     def test_non_finite_f_raises_numeric_error(self):
         f, a, g = _shifted_coefficients(6, 6)

@@ -223,15 +223,10 @@ class TestNonFiniteData:
     path (6x6): in A at record 0, in a derivative at record 1, the first
     record the derivatives reach."""
 
-    @pytest.mark.parametrize("provider,index,value,record", [
-        ("coefficients", 1, math.inf, 0),
-        ("derivatives", 1, math.inf, 1),
-        ("derivatives", 0, math.nan, 1),
-    ], ids=["inf-A", "inf-Adot", "nan-Fdot"])
-    @pytest.mark.parametrize("start", ["random", "zero"])
-    @pytest.mark.parametrize("size", [2, 6])
-    def test_run_ends_diverged(self, size, start, provider, index, value,
-                               record):
+    @staticmethod
+    def _broken(size, provider, index, value):
+        """The shifted trig problem whose ``provider`` returns matrix
+        ``index`` filled with ``value`` at every tau."""
         p = make_shifted_trig_problem(size, size, 3)
         original = getattr(p, provider)
         bad = SplitComplexMatrix.from_real(np.full((size, size), value))
@@ -241,7 +236,18 @@ class TestNonFiniteData:
             values[index] = bad
             return tuple(values)
 
-        problem = dataclasses.replace(p, **{provider: broken})
+        return dataclasses.replace(p, **{provider: broken})
+
+    @pytest.mark.parametrize("provider,index,value,record", [
+        ("coefficients", 1, math.inf, 0),
+        ("derivatives", 1, math.inf, 1),
+        ("derivatives", 0, math.nan, 1),
+    ], ids=["inf-A", "inf-Adot", "nan-Fdot"])
+    @pytest.mark.parametrize("start", ["random", "zero"])
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_run_ends_diverged(self, size, start, provider, index, value,
+                               record):
+        problem = self._broken(size, provider, index, value)
         initial = random_initial_state(problem, 42)
         if start == "zero":
             initial = InitialState(
@@ -254,6 +260,30 @@ class TestNonFiniteData:
         assert len(trajectory) == record + 1
         assert not trajectory.finite[-1]
         assert trajectory.finite[:-1].all()
+
+    @pytest.mark.parametrize("index,value", [(1, math.inf), (0, math.nan)],
+                             ids=["inf-Adot", "nan-Fdot"])
+    def test_structured_non_finite_drive_solves_nothing(self, monkeypatch,
+                                                        index, value):
+        # F and A are finite, so the operator is; the drive of step 0 is
+        # not, so that step goes to a nan state without a solve and no
+        # W^+ is formed.
+        problem = self._broken(6, "derivatives", index, value)
+
+        def refuse(*args):
+            raise AssertionError("pseudo_inverses was called")
+
+        monkeypatch.setattr(dznd.assembly, "pseudo_inverses", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajectory = run(problem, _config(duration=1.0),
+                             random_initial_state(problem, 42))
+        assert trajectory.outcome is Outcome.DIVERGED
+        assert trajectory.diverged_at == 1
+        assert np.isnan(trajectory.states[-1]).all()
+        assert trajectory.operator_factorizations == 0
+        assert trajectory.structured_solve_steps == 0
+        assert trajectory.pinv_fallback_steps == 0
 
 
 class TestRun:
@@ -667,11 +697,10 @@ class TestSylvesterReuse:
         assert trajectory.operator_factorizations == 0
 
 
-def _segmented_example2(records_per_segment):
-    """example2 with F, A, C and their derivatives held constant over
-    segments of records at epsilon = 0.01, so that a run factors once per
-    segment."""
-    p = example2()
+def _segmented(p, records_per_segment):
+    """``p`` with F, A, C and their derivatives held constant over
+    segments of records at epsilon = 0.01, so that its operator changes
+    only at segment edges."""
 
     def frozen(provider):
         return lambda tau: provider(
@@ -696,16 +725,34 @@ class TestBlocks:
     the same counts, at and around block edges."""
 
     # Lengths at the block edges, and at the edges of the 64-record
-    # blocks runs took before, which now fall inside one block.
-    @pytest.mark.parametrize("records", [
-        2, 63, 64, 65, 129, BLOCK_RECORDS - 1, BLOCK_RECORDS,
-        BLOCK_RECORDS + 1, 2 * BLOCK_RECORDS + 1,
+    # blocks runs took before, which now fall inside one block.  From the
+    # crossover up (6x6), a constant operator carries its factors across
+    # both block edges and factors once; with segment edges on the block
+    # edges, each segment factors once.
+    @pytest.mark.parametrize("factory,records", [
+        pytest.param(factory, records, id=f"{name}-{records}")
+        for name, factory in {
+            "constant": example1,
+            "moving": example2,
+            "segments-of-10": lambda: _segmented(example2(), 10),
+            "segments-at-block-edges": lambda: _segmented(
+                example2(), BLOCK_RECORDS // 4),
+        }.items()
+        for records in [
+            2, 63, 64, 65, 129, BLOCK_RECORDS - 1, BLOCK_RECORDS,
+            BLOCK_RECORDS + 1, 2 * BLOCK_RECORDS + 1,
+        ]
+    ] + [
+        pytest.param(lambda: _frozen_shifted_trig_problem(6, 6, 5),
+                     2 * BLOCK_RECORDS + 1,
+                     id=f"constant-shifted-trig-6x6-{2 * BLOCK_RECORDS + 1}"),
+        pytest.param(lambda: _segmented(make_shifted_trig_problem(6, 6, 5),
+                                        BLOCK_RECORDS),
+                     2 * BLOCK_RECORDS + 1,
+                     id="segments-at-block-edges-shifted-trig-6x6-"
+                        f"{2 * BLOCK_RECORDS + 1}"),
     ])
-    @pytest.mark.parametrize("factory", [
-        example1, example2, lambda: _segmented_example2(10),
-        lambda: _segmented_example2(BLOCK_RECORDS // 4),
-    ], ids=["constant", "moving", "segments-of-10", "segments-at-block-edges"])
-    def test_run_lengths_around_block_edges(self, records, factory):
+    def test_run_lengths_around_block_edges(self, factory, records):
         problem = factory()
         config = _config(epsilon=0.01, duration=0.01 * (records - 1))
         trajectory = _assert_runs_as_one_shot_steps(
@@ -722,7 +769,7 @@ class TestBlocks:
         assert trajectory.diverged_at == 0
 
     def test_divergence_inside_a_block(self):
-        problem = _segmented_example2(10)
+        problem = _segmented(example2(), 10)
         config = _config(gamma=ComplexGain(10.0, 50.0), epsilon=0.01,
                          duration=5.0, divergence_threshold=1e6)
         trajectory = _assert_runs_as_one_shot_steps(
@@ -815,7 +862,7 @@ class TestBlocks:
         (lambda: _frozen_shifted_trig_problem(4, 6, 5), [1, 1]),
         (example1, [1, 1]),
         # Segment s holds steps 10 s to 10 s + 9; a block holds R steps.
-        (lambda: _segmented_example2(10), [
+        (lambda: _segmented(example2(), 10), [
             (BLOCK_RECORDS - 1) // 10 + 1,
             (2 * BLOCK_RECORDS - 1) // 10 - BLOCK_RECORDS // 10 + 1,
         ]),
