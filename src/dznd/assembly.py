@@ -19,25 +19,25 @@ U = (F^T kron I_m) and V = (I_n kron A),
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
-:class:`OperatorFactors` solves L(D) = G in two parts: factor L for the
-steps of a block, given their F and A, then apply the factors of one
-step's operator to G.  It decides which factors serve each step: steps
+:class:`DenseSolver` and :class:`StructuredSolver` solve L(D) = G for
+the steps of a run, which picks one of them once from its mn.  Steps
 whose F and A stay bitwise the same, also across the edge from the
-block before, share them and pay only the application.  A one-shot
-solve is a block of one step.  From mn =
-:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns up the factors are those
-of the Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to
-both sides gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall
-& Hartwig, SIAM J. Matrix Anal. Appl. 1988), which two
-eigendecompositions solve in O(m^3 + n^3) instead of the O((mn)^3) of a
-dense solve with W.  A block's members usually move little from one
-to the next, so a member first tries the eigenbases of the last member
-factored: in them its Sylvester form is nearly diagonal, and a few
-Jacobi sweeps solve it in O(m^2 n + m n^2) each, under a certificate of
-its own.  Below that size, or when the Sylvester answer
-cannot be certified or checked, the factor is W^+ from
-:func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or
-its SVD pseudo-inverse.
+block before, share one operator's factors and pay only their
+application; steps only move forward from one operator to the next, so
+a solver keeps only the current operator's factors.  Below mn =
+:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns the factor is W^+ from
+:func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or its
+SVD pseudo-inverse.  From it up the factors are those of the Sylvester
+form of L: applying T(G) = G conj(F) + A conj(G) to both sides gives
+K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig, SIAM
+J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
+O(m^3 + n^3) instead of the O((mn)^3) of a dense solve with W.  A run's
+operators usually move little from one step to the next, so a new
+operator first tries the eigenbases of the last operator factored: in
+them its Sylvester form is nearly diagonal, and a few Jacobi sweeps
+solve it in O(m^2 n + m n^2) each, under a certificate of its own.  When
+the Sylvester answer cannot be certified or checked, the step takes
+W^+.
 """
 
 from __future__ import annotations
@@ -206,185 +206,174 @@ def _operator_plan(m: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 class SolvePath(enum.Enum):
-    """How :meth:`OperatorFactors.solve` obtained a direction."""
+    """How the solve of a step obtained its direction."""
 
     STRUCTURED = "structured"  # the eigendecomposed Sylvester form
     INVERSE = "inverse"  # the certified inverse of W
     PINV = "pinv"  # the SVD pseudo-inverse of W
 
 
-class OperatorFactors:
-    """The factors of L(Z) = Z F_k - A_k conj(Z) for each step k of a
-    block, given the stacks of F_k and A_k, and a pinv cutoff
+class DenseSolver:
+    """The W^+ of L(Z) = Z F - A conj(Z) for the steps of a run below the
+    structured crossover, one block at a time, with a pinv cutoff
     ``tolerance``.
 
     Consecutive steps whose F and A are bitwise the same (their entries
     compared as uint64 bit patterns, so even a changed sign of zero
-    differs) share one member, the operator (F_i, A_i); ``members[k]``
-    is the member of step k.  The first step is compared with the last
-    step of the block that ``follows``, the factors of the block before,
-    if any: when it repeats that operator, member 0 takes over that
-    member's state, so a run with constant coefficients factors L once
-    over all its blocks.  Nothing else of ``follows`` is kept.
-
-    :meth:`solve` applies the factors of member i to any G, and
-    :meth:`inverse` gives member i's pseudo-inverse of W itself.
-    ``structured`` tells whether solves try the Sylvester form, and
-    ``finite[i]`` whether W_i = ``real_operator(F_i, A_i)`` is finite:
-    F_i and A_i are, and no entry of W_i where an F term and an A term
-    add, F_i[t, t] +- A_i[s, s] part by part, overflows.
-
-    With at least :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns (read
-    when the factors are built), each finite member is factored only
-    when a solve needs it.  Its first solve tries the eigenbases of the
-    base, the member whose Sylvester form these factors factored and
-    certified last (:func:`_reused_factors`); the base starts empty.
-    When that fails its certificate, its sweep cap or the backward-error
-    check, the member's own Sylvester form is factored and certified
-    (:func:`_sylvester_factors`), and when certified it becomes the
-    base.  A member keeps what served it: the base's eigenbases while
-    they pass, or else its own factors for every later G.  W^+ is formed
-    only when a G needs it.  Below that size the W^+ of every finite
-    member is formed at construction, by one
-    :func:`~dznd.linalg.pseudo_inverses` call for the stack (a member
-    taken over is formed again, bitwise the same), and :meth:`inverses`
-    gives them for the members of consecutive steps.  A member that is
-    not finite raises only when solved.  :meth:`factorizations` counts
-    the factorizations made for the block.
+    differs) share one operator; a block's first step is compared with the
+    previous block's last.  :meth:`inverses` forms the W^+ of the block's
+    new operators in one :func:`~dznd.linalg.pseudo_inverses` call, and
+    the solver keeps the last operator's W^+ and path, so a block whose
+    first step repeats it forms nothing for that step: a run with
+    constant coefficients forms W^+ once.
     """
 
-    def __init__(
-        self,
-        f: np.ndarray,
-        a: np.ndarray,
-        tolerance: float | None = None,
-        follows: OperatorFactors | None = None,
-    ):
+    def __init__(self, tolerance: float | None = None):
+        self._tolerance = tolerance
+        self._row: np.ndarray | None = None
+        self._kept: tuple[RealMatrix, SolvePath | None] | None = None
+
+    def inverses(
+        self, f: np.ndarray, a: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For a block's per-step stacks of F and A (at least one step):
+        the operator of each step, an index into the block's operators;
+        the stack of their ``pinv(W_i, tolerance)`` and the object array
+        of their paths, the certified inverse of W or its SVD
+        pseudo-inverse (an operator whose W is not finite, see
+        :func:`_finite_operators`, has a nan W^+ and path None); and
+        whether each step formed its operator's W^+."""
         rows = _bit_rows(f, a)
-        # Whether each step's F and A differ from the step's before, the
-        # first step's from the last step of follows: every step that
-        # does starts a member, which no earlier block has factored.
-        self._new = _changes(rows, None if follows is None else follows._last)
-        starts = self._new.copy()
-        starts[:1] = True
-        self.members = np.cumsum(starts) - 1
-        self._last = rows[-1].copy() if len(rows) else None
+        new = _changes(rows, self._row)
+        starts = new.copy()
+        starts[0] = True
+        operators = np.cumsum(starts) - 1
         f, a = f[starts], a[starts]
-        self._f, self._a, self._tolerance = f, a, tolerance
-        mn = f.shape[-1] * a.shape[-1]
-        self._cutoff = singular_value_cutoff(tolerance, 2 * mn)
-        self.structured = mn >= STRUCTURED_SOLVE_MIN_UNKNOWNS
-        self.finite = _finite_operators(f, a)
+        formed = new[starts] & _finite_operators(f, a)
+        if formed.all():
+            # Every operator is new and finite: the stack serves as it is.
+            w_plus, fell_back = pseudo_inverses(
+                real_operator(f, a), self._tolerance
+            )
+            paths = _DENSE_PATHS[fell_back.astype(np.intp)]
+        else:
+            size = 2 * f.shape[-1] * a.shape[-1]
+            w_plus = np.full((len(f), size, size), math.nan)
+            paths = np.full(len(f), None, dtype=object)
+            if not new[0]:
+                w_plus[0], paths[0] = self._kept
+            todo = np.flatnonzero(formed)
+            if todo.size:
+                w_plus[todo], fell_back = pseudo_inverses(
+                    real_operator(f[todo], a[todo]), self._tolerance
+                )
+                paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
+        self._row = rows[-1].copy()
+        self._kept = w_plus[-1].copy(), paths[-1]
+        return operators, w_plus, paths, formed[operators] & new
+
+
+class StructuredSolver:
+    """Solves of L(Z) = Z F - A conj(Z) for the steps of a run from the
+    structured crossover up, one step at a time, with a pinv cutoff
+    ``tolerance``.
+
+    The solver holds what serves the current operator: the factors of its
+    Sylvester form that solved it (in the base's eigenbases or its own),
+    whether they are its own, and its W^+ once formed.  A step whose F
+    and A are not bitwise the same as the step's before (for a block's
+    first step, the previous block's last) starts a new operator and
+    drops all of these.  It also holds the base, the operator whose
+    Sylvester form it factored and certified last; the base resets at
+    each :meth:`block`.
+
+    A new operator's first solve tries the base's eigenbases
+    (:func:`_reused_factors`).  When that fails its certificate, its
+    sweep cap or the backward-error check, the operator's own Sylvester
+    form is factored and certified (:func:`_sylvester_factors`), and when
+    certified it becomes the base.  The operator keeps what served it:
+    the base's eigenbases while they pass, or else its own factors for
+    every later G.  When neither is certified, or the answer of its own
+    fails the check, its W^+ from :func:`~dznd.linalg.pseudo_inverses` is
+    formed and kept.
+    """
+
+    def __init__(self, tolerance: float | None = None):
+        self._tolerance = tolerance
+        self._row: np.ndarray | None = None
         self._base: _SylvesterFactors | None = None
-        self._sylvester: dict[int, _SylvesterFactors | None] = {}
-        self._own: set[int] = set()
-        self._dense: dict[int, tuple[RealMatrix, bool]] = {}
-        if self.structured and len(starts) and not self._new[0]:
-            last = follows.members[-1]
-            if last in follows._sylvester:
-                self._sylvester[0] = follows._sylvester[last]
-            if last in follows._own:
-                self._own.add(0)
-            if last in follows._dense:
-                self._dense[0] = follows._dense[last]
-        # Member 0's factorizations when taken over were made before.
-        self._before = len(self._own | self._dense.keys())
-        if not self.structured:
-            if len(f) and self.finite.all():
-                # Every member is finite: the stack serves as it is.
-                self._w_plus, fell_back = pseudo_inverses(
-                    real_operator(f, a), tolerance
-                )
-                self._paths = _DENSE_PATHS[fell_back.astype(np.intp)]
-                return
-            self._w_plus = np.full((len(f), 2 * mn, 2 * mn), math.nan)
-            self._paths = np.full(len(f), None, dtype=object)
-            finite = np.flatnonzero(self.finite)
-            if finite.size:
+        self._factors: _SylvesterFactors | None = None
+        self._own = False
+        self._dense: tuple[RealMatrix, SolvePath] | None = None
+
+    def block(self, f: np.ndarray, a: np.ndarray) -> None:
+        """Take a block's per-step stacks of F and A; its steps are then
+        solved in order by :meth:`solve`.  The base resets."""
+        rows = _bit_rows(f, a)
+        # Each step's operator, numbered from the one held now, 0.
+        self._operators = np.cumsum(_changes(rows, self._row))
+        self._operator = 0
+        if len(rows):
+            self._row = rows[-1].copy()
+        self._f, self._a = f, a
+        self._finite = _finite_operators(f, a)
+        self._cutoff = singular_value_cutoff(
+            self._tolerance, 2 * f.shape[-1] * a.shape[-1]
+        )
+        self._base = None
+
+    def solve(
+        self, step: int, g: np.ndarray
+    ) -> tuple[RealVector, SolvePath | None, bool]:
+        """``pinv(W_k, tolerance) @ stack(G)`` for step k of the block,
+        i.e. stack(D) with D F_k - A_k conj(D) = G; the path that gave it;
+        and whether this solve factored L, its own Sylvester form
+        eigendecomposed or its W^+ formed (counted once per operator).
+
+        When W_k (see :func:`_finite_operators`) or G is not finite, the
+        answer is nan and the path None, without a solve."""
+        if self._operators[step] != self._operator:
+            self._operator = self._operators[step]
+            self._factors, self._own, self._dense = None, False, None
+        if not (self._finite[step] and np.isfinite(g).all()):
+            return np.full(2 * g.size, math.nan), None, False
+        factored = self._own or self._dense is not None
+        f, a = self._f[step], self._a[step]
+        d = self._sylvester_solve(f, a, g)
+        if d is not None:
+            direction, path = stack(d), SolvePath.STRUCTURED
+        else:
+            if self._dense is None:
                 w_plus, fell_back = pseudo_inverses(
-                    real_operator(f[finite], a[finite]), tolerance
+                    real_operator(f, a)[None], self._tolerance
                 )
-                self._w_plus[finite] = w_plus
-                self._paths[finite] = _DENSE_PATHS[fell_back.astype(np.intp)]
+                self._dense = w_plus[0], (
+                    SolvePath.PINV if fell_back[0] else SolvePath.INVERSE
+                )
+            matrix, path = self._dense
+            direction = matrix @ stack(g)
+        return direction, path, not factored and (
+            self._own or self._dense is not None
+        )
 
-    def factorizations(self, taken: int) -> int:
-        """The factorizations of L made for the block's first ``taken``
-        steps.  Below the crossover, one W^+ for each finite member whose
-        first step is among them.  From it up, the members factored on
-        their own by the solves so far, their Sylvester form
-        eigendecomposed, or their W^+ formed, or both, counting once (a
-        run solves only the steps it takes).  A member taken over from
-        ``follows`` counts only if it is factored here."""
-        if self.structured:
-            return len(self._own | self._dense.keys()) - self._before
-        firsts = self.members[:taken][self._new[:taken]]
-        return int(np.count_nonzero(self.finite[firsts]))
-
-    def solve(self, member: int, g: np.ndarray) -> tuple[RealVector, SolvePath]:
-        """``pinv(W_i, tolerance) @ stack(G)`` for member i, i.e.
-        stack(D) with D F_i - A_i conj(D) = G, and the path that gave it.
-
-        For finite G on a finite member the Sylvester form is tried first,
-        in the base's eigenbases or the member's own (class docstring).
-        When neither is certified, or the answer of its own fails the
-        backward-error check, the result is that of :meth:`inverse`.
-        """
-        if self.structured and self.finite[member] and np.isfinite(g).all():
-            d = self._sylvester_solve(member, g)
-            if d is not None:
-                return stack(d), SolvePath.STRUCTURED
-        matrix, path = self.inverse(member)
-        return matrix @ stack(g), path
-
-    def _sylvester_solve(self, member: int, g: np.ndarray) -> np.ndarray | None:
-        """D from the Sylvester form of finite member i, or None for the
-        dense path."""
-        f, a = self._f[member], self._a[member]
-        factors = self._sylvester.get(member)
-        if member not in self._own:
+    def _sylvester_solve(
+        self, f: np.ndarray, a: np.ndarray, g: np.ndarray
+    ) -> np.ndarray | None:
+        """D from the Sylvester form of the current operator, or None for
+        the dense path."""
+        factors = self._factors
+        if not self._own:
             if factors is None and self._base is not None:
                 factors = _reused_factors(self._base, f, a, self._cutoff)
             d = None if factors is None else factors.apply(f, a, g)
             if d is not None:
-                self._sylvester[member] = factors
+                self._factors = factors
                 return d
-            self._own.add(member)
-            factors = self._sylvester[member] = _sylvester_factors(
-                f, a, self._cutoff
-            )
+            self._own = True
+            factors = self._factors = _sylvester_factors(f, a, self._cutoff)
             if factors is not None:
                 self._base = factors
         return None if factors is None else factors.apply(f, a, g)
-
-    def inverse(self, member: int) -> tuple[RealMatrix, SolvePath]:
-        """``pinv(W_i, tolerance)`` for member i, and the path it is: the
-        certified inverse of W or its SVD pseudo-inverse, from
-        :func:`~dznd.linalg.pseudo_inverses`.  A member without it from
-        construction forms it now and keeps it; that raises
-        :class:`~dznd.errors.NumericError` for a member that is not
-        finite."""
-        if not self.structured and self.finite[member]:
-            return self._w_plus[member], self._paths[member]
-        if member not in self._dense:
-            w_plus, fell_back = pseudo_inverses(
-                real_operator(self._f[member], self._a[member])[None],
-                self._tolerance,
-            )
-            self._dense[member] = w_plus[0], fell_back[0]
-        matrix, fell_back = self._dense[member]
-        return matrix, SolvePath.PINV if fell_back else SolvePath.INVERSE
-
-    def inverses(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Below the crossover, the stack of ``pinv(W_i, tolerance)`` for
-        each member i of ``members``, a non-decreasing integer array that
-        lists every member (as a selection of consecutive steps' members
-        that keeps each member's first step does), and the object array of
-        their paths; a member that is not finite has a nan W^+ and path
-        None.  When it lists each member once, it is 0 ... k-1 and the
-        stack serves as it is, without a gather."""
-        if len(members) == len(self.finite):
-            return self._w_plus, self._paths
-        return self._w_plus[members], self._paths[members]
 
 
 # The path of a W^+ from pseudo_inverses, indexed by whether it fell back.

@@ -278,9 +278,6 @@ def _fit_orders(rows: Sequence[SweepRow]) -> list[OrderFit]:
         groups.items(), key=lambda kv: (kv[0][0].value, kv[0][1].re, kv[0][1].im)
     ):
         completed = [r for r in members if r.outcome == Outcome.COMPLETED.value]
-        if len({r.epsilon for r in completed}) < 3:
-            fits.append(OrderFit(model, gamma, len(completed), None, None))
-            continue
         eps = [r.epsilon for r in completed]
         fits.append(
             OrderFit(

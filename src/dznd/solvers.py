@@ -6,9 +6,9 @@ dE/dt = -gamma E.  Each step forms, in complex128,
     E = X F - A conj(X) - C,
     G = Cdot + Adot conj(X) - X Fdot - gamma E,
 
-solves L(D) = D F - A conj(D) = G for the direction D with
-:class:`~dznd.assembly.OperatorFactors`, and updates the stacked real
-state as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
+solves L(D) = D F - A conj(D) = G for the direction D with the run's
+solver from :mod:`dznd.assembly`, and updates the stacked real state as
+x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
 
 Written over the reals, dznd2-2i's drive b_dot - W_dot x - gamma (W x - b)
 is the same G, so the two models take the same step; they differ only
@@ -30,16 +30,17 @@ fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
 the block as complex128 stacks.  Each provider is a
 :class:`~dznd.problems.BlockProvider` (a problem adapts a function of
 one tau when it is built), called once per block with the block's array
-of tau.  The block's F and A then go to
-:class:`~dznd.assembly.OperatorFactors`, with the previous block's
-factors; it alone decides which of its members serves each step, so
-that a run keeps the factors of L while F and A stay bitwise the same,
-across block boundaries too (with constant coefficients it factors L
-once), and counts the factorizations made for the steps taken: below
-the crossover each operator's W^+; from the crossover up each
-operator's own eigendecompositions (or W^+), so a step solved in
-another operator's eigenbases counts none.  Then the block's steps
-advance in one of two ways:
+of tau.  The block's F and A then go to the run's one solver, picked
+once from mn: a :class:`~dznd.assembly.DenseSolver` below the
+structured crossover, a :class:`~dznd.assembly.StructuredSolver` from it
+up.  It keeps only the current operator's factors, so a run keeps the
+factors of L while F and A stay bitwise the same, across block
+boundaries too (with constant coefficients it factors L once), and
+tells for each step whether it factored: below the crossover a new
+operator's W^+; from the crossover up an operator's own
+eigendecompositions (or W^+), so a step solved in another operator's
+eigenbases counts none.  A run sums those of the steps it takes.  Then
+the block's steps advance in one of two ways:
 
 * Below the structured crossover the drive is affine in the state,
   G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
@@ -60,7 +61,7 @@ advance in one of two ways:
   step to the next, so most steps solve in the eigenbases of the
   block's last factored operator, with Jacobi sweeps, and factor only
   when that fails its certificate or its check (see
-  :class:`~dznd.assembly.OperatorFactors`).  These steps stop at the
+  :class:`~dznd.assembly.StructuredSolver`).  These steps stop at the
   first record where the run stops, and so do their factorizations.
 
 An operator whose real form W is not finite (for non-finite F or A, or
@@ -95,8 +96,9 @@ import numpy as np
 from . import assembly
 from .assembly import (
     ComplexGain,
-    OperatorFactors,
+    DenseSolver,
     SolvePath,
+    StructuredSolver,
     real_operator,
     stack,
     state_from_matrix,
@@ -150,7 +152,7 @@ def block_records(m: int, n: int) -> int:
     """The records per block of a run of an m x n problem:
     BLOCK_RECORDS, or as many as fit in BLOCK_BYTES of stacks (at least
     one).  The structured crossover is read at call time, as
-    :class:`~dznd.assembly.OperatorFactors` reads it."""
+    :func:`run` reads it when it picks its solver."""
     mn = m * n
     size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
     if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
@@ -223,12 +225,13 @@ class Trajectory:
     ``structured_solve_steps`` counts the steps solved through the
     Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
     the SVD pseudo-inverse because no other path could be certified.
-    ``operator_factorizations`` counts the factorizations of L made for
-    the steps taken: once per run with constant F and A; below the
-    structured crossover once per step when they move; from it up only
-    the steps whose operator was eigendecomposed (or inverted) on its
-    own, so a moving run that solves most steps in an earlier step's
-    eigenbases has fewer factorizations than structured steps.
+    ``operator_factorizations`` counts the factorizations of L actually
+    made for the steps taken, each operator's at most once: below the
+    structured crossover the W^+ formed, one for each new operator (once
+    per run with constant F and A, once per step when they move); from
+    it up the operators eigendecomposed (or inverted) on their own, so a
+    moving run that solves most steps in an earlier step's eigenbases has
+    fewer factorizations than structured steps.
     """
 
     steps: np.ndarray
@@ -344,48 +347,50 @@ class _Block(NamedTuple):
     def advance(
         self,
         states: np.ndarray,
-        factors: OperatorFactors,
+        solver: DenseSolver | StructuredSolver,
         gamma: complex,
         epsilon: float,
         threshold: float,
-    ) -> tuple[list[Optional[SolvePath]], np.ndarray]:
+    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
-        after step j into ``states[j + 1]``; step j solves with member
-        ``factors.members[j]``.  Return the path of each step taken (None
-        for a step that solves nothing) and ||E||_F at each record
-        filled: all of the block's, or those up to an early stop.
+        after step j into ``states[j + 1]``.  Return, for each step taken,
+        its path (None for a step that solves nothing) and whether it
+        factored L, and ||E||_F at each record filled: all of the block's,
+        or those up to an early stop.
 
-        Below the structured crossover the step is affine in the state,
+        With a :class:`~dznd.assembly.DenseSolver` the step is affine in
+        the state,
 
             x_{k+1} = x_k + epsilon (q_k - P_k x_k),
             P_k = W_k^+ real_operator(Fdot_k + gamma F_k, Adot_k + gamma A_k),
             q_k = W_k^+ stack(Cdot_k + gamma C_k),
 
-        with W_k^+ from :meth:`~dznd.assembly.OperatorFactors.inverses`.
-        Consecutive steps with the same member and bitwise the same
+        with W_k^+ from :meth:`~dznd.assembly.DenseSolver.inverses`.
+        Consecutive steps with the same operator and bitwise the same
         Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a group,
         found in one array comparison; P and q are formed in batched
         products once per group, and the loop keeps one matrix-vector
         product and the update.  The residual norms follow for the whole
         block.  All the steps are taken, without warnings: those past a
-        stop are the caller's to discard.  A member whose operator is not
-        finite has a nan W^+, so the state after its step is non-finite.
+        stop are the caller's to discard.  An operator that is not finite
+        has a nan W^+, so the state after its step is non-finite.
 
-        From the crossover up each record's E gives its residual norm and
-        the drive G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step
-        solves L(D) = G with the factors, since they cost O(m^3 + n^3)
-        per solve against O((mn)^3) for W^+.  A step whose operator or
-        drive is not finite solves nothing and goes to a nan state.  The
-        steps stop at the first record whose state or ||E||_F is
-        non-finite, or whose ||E||_F passes ``threshold``.
+        With a :class:`~dznd.assembly.StructuredSolver` each record's E
+        gives its residual norm and the drive
+        G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step solves
+        L(D) = G, since that costs O(m^3 + n^3) per solve against
+        O((mn)^3) for P.  The steps stop at the first record whose state
+        or ||E||_F is non-finite, or whose ||E||_F passes ``threshold``.
         """
-        members = factors.members
-        steps, records = len(members), len(self.f)
+        steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
-        if not factors.structured:
-            paths = []
+        if isinstance(solver, DenseSolver):
+            paths, made = [], []
             with np.errstate(all="ignore"):
                 if steps:
+                    operators, inverses, operator_paths, formed = (
+                        solver.inverses(self.f[:steps], self.a[:steps])
+                    )
                     fs, as_, cs = (
                         self.fd + gamma * self.f[:steps],
                         self.ad + gamma * self.a[:steps],
@@ -394,21 +399,26 @@ class _Block(NamedTuple):
                     starts = assembly._changes(
                         assembly._bit_rows(fs, as_, cs), None
                     )
-                    starts[1:] |= members[1:] != members[:-1]
+                    starts[1:] |= operators[1:] != operators[:-1]
                     firsts = np.flatnonzero(starts)
-                    inverses, paths = factors.inverses(members[firsts])
+                    # Each operator starts a group; with one group each,
+                    # the stack serves as it is.
+                    if len(firsts) > len(inverses):
+                        inverses = inverses[operators[firsts]]
                     p = inverses @ real_operator(fs[firsts], as_[firsts])
                     q = (inverses @ stack(cs[firsts])[..., None])[..., 0]
                     group = np.cumsum(starts) - 1
-                    paths = paths[group].tolist()
+                    paths = operator_paths[operators].tolist()
+                    made = formed.tolist()
                     x = states[0]
                     for j, slot in enumerate(group.tolist(), 1):
                         x = x + epsilon * (q[slot] - p[slot] @ x)
                         states[j] = x
                 x = unstack(states[:records], m, n)
                 eq = _norms(self.equation_error(x, slice(records)))
-            return paths, eq
-        paths, eqs = [], []
+            return paths, made, eq
+        paths, made, eqs = [], [], []
+        solver.block(self.f[:steps], self.a[:steps])
         # A record past overflow is recorded, not warned about.
         with np.errstate(all="ignore"):
             for j in range(records):
@@ -424,13 +434,11 @@ class _Block(NamedTuple):
                     self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
                     - gamma * e
                 )
-                if factors.finite[members[j]] and np.isfinite(drive).all():
-                    direction, path = factors.solve(members[j], drive)
-                else:
-                    direction, path = math.nan, None
+                direction, path, factored = solver.solve(j, drive)
                 states[j + 1] = states[j] + epsilon * direction
                 paths.append(path)
-        return paths, np.array(eqs)
+                made.append(factored)
+        return paths, made, np.array(eqs)
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -511,7 +519,10 @@ def run(
     diverged_at: Optional[int] = None
     paths = collections.Counter()
     factorizations = 0
-    factors = None
+    solver = (
+        DenseSolver if m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
+        else StructuredSolver
+    )(config.pinv_tolerance)
 
     size = block_records(m, n)
     for start in range(0, k_total + 1, size):
@@ -519,11 +530,8 @@ def run(
         steps = min(records, k_total - start)
         block_taus = np.arange(start, start + records) * config.epsilon
         block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        factors = OperatorFactors(
-            block.f[:steps], block.a[:steps], config.pinv_tolerance, factors
-        )
-        step_paths, eq = block.advance(
-            states[start:start + steps + 1], factors, gamma, config.epsilon,
+        step_paths, made, eq = block.advance(
+            states[start:start + steps + 1], solver, gamma, config.epsilon,
             config.divergence_threshold,
         )
         kept = slice(start, start + len(eq))
@@ -534,8 +542,8 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
-        factorizations += factors.factorizations(taken)
         paths.update(step_paths[:taken])
+        factorizations += sum(made[:taken])
         if stop.size:
             outcome = Outcome.DIVERGED
             diverged_at = start + taken

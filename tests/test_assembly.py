@@ -7,7 +7,6 @@ import pytest
 from dznd import (
     ComplexGain,
     Model,
-    NumericError,
     Outcome,
     ShapeError,
     SolverConfig,
@@ -23,9 +22,11 @@ from dznd import (
     vec,
     zero_stability_roots,
 )
+import dznd.assembly
 from dznd.assembly import (
-    OperatorFactors,
+    DenseSolver,
     SolvePath,
+    StructuredSolver,
     real_operator,
     stack,
     unstack,
@@ -184,9 +185,27 @@ def _jordan_block_case():
     return f, 0.5 * np.eye(6) + np.eye(6, k=1), g
 
 
+def _structured(f, a, tolerance=None):
+    """A structured solver holding the block whose steps have the stacks
+    of F and A."""
+    solver = StructuredSolver(tolerance)
+    solver.block(f, a)
+    return solver
+
+
+def _one_shot(f, a, g, tolerance=None):
+    """The direction and path of one solve by a solver of its own."""
+    return _structured(f[None], a[None], tolerance).solve(0, g)[:2]
+
+
+def _refuse(*args):
+    raise AssertionError("pseudo_inverses was called")
+
+
 class TestSolveOperator:
-    """The structured solve against the dense solve with W, and the cases
-    in which it must leave the answer to the dense path."""
+    """The structured solve against the dense solve with W, the cases in
+    which it must leave the answer to the dense path, and the W^+ of the
+    dense solver against one-shot pseudo-inverses."""
 
     @pytest.mark.parametrize("m,n", [(6, 6), (12, 8), (16, 16)])
     def test_structured_solve_matches_dense_solve(self, m, n):
@@ -194,7 +213,7 @@ class TestSolveOperator:
         w = _kron_operator(SplitComplexMatrix.from_complex(f),
                            SplitComplexMatrix.from_complex(a))
         expected = np.linalg.solve(w, stack(g))
-        got, path = OperatorFactors(f[None], a[None]).solve(0, g)
+        got, path = _one_shot(f, a, g)
         assert path is SolvePath.STRUCTURED
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -212,30 +231,32 @@ class TestSolveOperator:
         expected = w_plus[0] @ stack(g)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = OperatorFactors(f[None], a[None], tolerance).solve(0, g)
+            got = _one_shot(f, a, g, tolerance)
         assert got[1] is path
         np.testing.assert_array_equal(got[0], expected)
 
     @pytest.mark.parametrize("m,n", [(6, 6), (12, 8), (16, 16)])
     def test_next_member_solves_in_the_base_eigenbases(self, m, n):
-        # Member 0 is factored and becomes the base; member 1, one step of
-        # 0.01 on, is solved in its eigenbases without a factorization.
+        # Step 0's operator is factored and becomes the base; step 1's,
+        # one step of 0.01 on, is solved in its eigenbases without a
+        # factorization.
         problem = make_shifted_trig_problem(m, n, 4)
         fs, as_ = (np.stack(z) for z in zip(*(
             [c.to_complex() for c in problem.coefficients(tau)[:2]]
             for tau in (0.5, 0.51))))
         g = random_split(np.random.default_rng(4), m, n).to_complex()
-        factors = OperatorFactors(fs, as_)
+        solver = _structured(fs, as_)
+        made = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for member in (0, 1):
-                got, path = factors.solve(member, g)
-                want, want_path = OperatorFactors(
-                    fs[member][None], as_[member][None]).solve(0, g)
+            for step in (0, 1):
+                got, path, factored = solver.solve(step, g)
+                made.append(factored)
+                want, want_path = _one_shot(fs[step], as_[step], g)
                 assert path is want_path is SolvePath.STRUCTURED
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(
                     want)
-        assert factors.factorizations(2) == 1
+        assert made == [True, False]
 
     @pytest.mark.parametrize("case,path", [
         (lambda: (np.eye(6, dtype=complex), np.eye(6, dtype=complex)),
@@ -243,50 +264,75 @@ class TestSolveOperator:
         (lambda: _jordan_block_case()[:2], SolvePath.INVERSE),
     ], ids=["colliding-spectra", "jordan-block"])
     def test_uncertified_member_after_a_good_base(self, case, path):
-        # The base's eigenbases do not serve member 1, nor do its own: it
-        # takes the dense path exactly as a one-shot solve does.
+        # The base's eigenbases do not serve step 1's operator, nor do its
+        # own: it takes the dense path exactly as a one-shot solve does.
         good_f, good_a, g = _shifted_coefficients(6, 6)
         f, a = case()
-        factors = OperatorFactors(np.stack([good_f, f]), np.stack([good_a, a]))
+        solver = _structured(np.stack([good_f, f]), np.stack([good_a, a]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert factors.solve(0, g)[1] is SolvePath.STRUCTURED
-            got, got_path = factors.solve(1, g)
+            _, first_path, first_made = solver.solve(0, g)
+            got, got_path, made = solver.solve(1, g)
+        assert first_path is SolvePath.STRUCTURED
         w_plus, _ = pseudo_inverses(real_operator(f, a)[None])
         assert got_path is path
         np.testing.assert_array_equal(got, w_plus[0] @ stack(g))
-        assert factors.factorizations(2) == 2
+        assert first_made and made
 
-    def test_non_finite_f_raises_numeric_error(self):
+    def test_non_finite_f_solves_nothing(self, monkeypatch):
         f, a, g = _shifted_coefficients(6, 6)
         f[2, 3] = np.nan
-        with pytest.raises(NumericError):
-            OperatorFactors(f[None], a[None]).solve(0, g)
+        monkeypatch.setattr(dznd.assembly, "pseudo_inverses", _refuse)
+        got, path, made = _structured(f[None], a[None]).solve(0, g)
+        assert np.isnan(got).all() and got.shape == (72,)
+        assert path is None
+        assert not made
 
     @pytest.mark.parametrize("m,n,structured", [
         (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),
     ])
-    def test_kept_factors_solve_as_one_shot_solves(self, m, n, structured):
-        # A non-finite G skips the structured solve on kept factors too.
+    def test_kept_factors_solve_as_one_shot_solves(self, monkeypatch, m, n,
+                                                   structured):
         f, a, g = _shifted_coefficients(m, n)
+        if m * n < dznd.assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
+            # Below the crossover the solver keeps W^+ across blocks: each
+            # block of the same operator is served the W^+ of a one-shot
+            # pseudo_inverses, formed once.
+            want, fell_back = pseudo_inverses(real_operator(f, a)[None])
+            assert not fell_back[0]
+            solver = DenseSolver()
+            for block in range(4):
+                operators, w_plus, paths, made = solver.inverses(
+                    f[None], a[None])
+                np.testing.assert_array_equal(w_plus, want)
+                assert operators.tolist() == [0]
+                assert paths.tolist() == [structured]
+                assert made.tolist() == [block == 0]
+                # The later blocks repeat the operator and form nothing.
+                monkeypatch.setattr(dznd.assembly, "pseudo_inverses", _refuse)
+            return
+        # A non-finite G solves nothing on kept factors too.
         bad = g.copy()
         bad[0, 1] = np.inf
         other = np.random.default_rng(1).normal(size=(m, n)) + 0j
-        factors = OperatorFactors(f[None], a[None])
-        paths = []
+        solver = _structured(f[None], a[None])
+        paths, made = [], []
+        monkeypatch.setattr(dznd.assembly, "pseudo_inverses", _refuse)
         for rhs in (g, other, bad, g):
-            got, path = factors.solve(0, rhs)
-            want, want_path = OperatorFactors(f[None], a[None]).solve(0, rhs)
+            got, path, factored = solver.solve(0, rhs)
+            want, want_path = _one_shot(f, a, rhs)
             np.testing.assert_array_equal(got, want)
             assert path is want_path
             paths.append(path)
-        assert paths == [structured, structured, SolvePath.INVERSE, structured]
+            made.append(factored)
+        assert paths == [structured, structured, None, structured]
+        assert made == [True, False, False, False]
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_stack_members_solve_as_one_shot_solves(self, singular):
-        # A singular member makes the stack's inversion raise; every member
-        # then takes its own certified inverse.  A non-finite member raises
-        # only when it is solved.
+        # A singular operator makes the stack's inversion raise; every
+        # operator then takes its own certified inverse.  An operator that
+        # is not finite gets a nan W^+ and forms nothing.
         rng = np.random.default_rng(5)
         fs = [random_split(rng, 3, 3).to_complex() for _ in range(4)]
         as_ = [random_split(rng, 2, 2).to_complex() for _ in range(4)]
@@ -297,21 +343,27 @@ class TestSolveOperator:
         g = random_split(rng, 2, 3).to_complex()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            factors = OperatorFactors(np.stack(fs), np.stack(as_))
+            operators, w_plus, paths, made = DenseSolver().inverses(
+                np.stack(fs), np.stack(as_))
+        assert operators.tolist() == [0, 1, 2, 3]
+        assert made.tolist() == [True, True, False, True]
         for member in (3, 0, 1):
-            got, path = factors.solve(member, g)
-            want, want_path = OperatorFactors(
-                fs[member][None], as_[member][None]).solve(0, g)
-            np.testing.assert_array_equal(got, want)
-            assert path is want_path
-            assert path is (SolvePath.PINV if singular and member == 1
-                            else SolvePath.INVERSE)
-        with pytest.raises(NumericError):
-            factors.solve(2, g)
+            want, fell_back = pseudo_inverses(
+                real_operator(fs[member], as_[member])[None])
+            np.testing.assert_array_equal(w_plus[member], want[0])
+            np.testing.assert_array_equal(w_plus[member] @ stack(g),
+                                          want[0] @ stack(g))
+            assert paths[member] is (SolvePath.PINV if fell_back[0]
+                                     else SolvePath.INVERSE)
+            assert paths[member] is (SolvePath.PINV if singular and member == 1
+                                     else SolvePath.INVERSE)
+        assert np.isnan(w_plus[2]).all()
+        assert paths[2] is None
 
 
 class TestFiniteOperators:
-    """OperatorFactors.finite against the finiteness of W itself, on the
+    """The finiteness of each W that both solvers ask of
+    ``_finite_operators``, against the finiteness of W itself, on the
     whole-stack shortcut and on the member-by-member sums."""
 
     @pytest.mark.parametrize("f_diagonal,a_diagonals,expected", [
@@ -327,7 +379,7 @@ class TestFiniteOperators:
         a = np.stack([d * np.eye(6) + 0.5j for d in a_diagonals])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            finite = OperatorFactors(f, a).finite
+            finite = dznd.assembly._finite_operators(f, a)
         with np.errstate(over="ignore"):
             w = real_operator(f, a)
         np.testing.assert_array_equal(finite, np.isfinite(w).all(axis=(1, 2)))

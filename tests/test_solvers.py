@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -572,6 +573,26 @@ class TestFactorReuse:
                          random_initial_state(p, 42))
         assert trajectory.operator_factorizations == 10
 
+    def test_constant_operator_forms_one_w_plus_across_block_edges(
+            self, monkeypatch):
+        # Below the crossover the solver keeps the last operator's W^+, so
+        # the blocks after the first, which repeat it, form none.
+        formed = []
+        pseudo_inverses = dznd.assembly.pseudo_inverses
+
+        def counting(w, tolerance=None):
+            formed.append(len(w))
+            return pseudo_inverses(w, tolerance)
+
+        monkeypatch.setattr(dznd.assembly, "pseudo_inverses", counting)
+        problem = example1()
+        config = _config(epsilon=0.01, duration=0.01 * (2 * BLOCK_RECORDS + 1))
+        trajectory = run(problem, config, random_initial_state(problem, 8))
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert config.step_count > 2 * block_records(problem.m, problem.n)
+        assert formed == [1]
+        assert trajectory.operator_factorizations == 1
+
 
 def _one_shot_run(problem, config, initial):
     """run() rebuilt from one-step runs: the records, outcome and counts
@@ -891,6 +912,47 @@ class TestBlocks:
         # Each one-step run of the reference forms P for its one step.
         assert sizes[:2] == formed
         assert sizes[2:] == [1] * config.step_count
+
+
+def _colliding_spectra_problem(size):
+    """F = A = (2 + sin tau) I: F conj F = A conj A, so every gap of the
+    Sylvester form is 0, and W, which maps every real Z to 0, is singular.
+    Every step of a run takes the SVD pseudo-inverse of a new operator."""
+    rng = np.random.default_rng(7)
+    c0, c1 = (rng.normal(size=(size, size)) for _ in range(2))
+    eye = np.eye(size)
+
+    def coefficients(tau):
+        f = SplitComplexMatrix.from_real((2.0 + math.sin(tau)) * eye)
+        return f, f, SplitComplexMatrix.from_real(c0 + math.sin(tau) * c1)
+
+    def derivatives(tau):
+        d = SplitComplexMatrix.from_real(math.cos(tau) * eye)
+        return d, d, SplitComplexMatrix.from_real(math.cos(tau) * c1)
+
+    return SylvesterConjugateProblem(m=size, n=size, coefficients=coefficients,
+                                     derivatives=derivatives)
+
+
+def test_structured_run_keeps_one_operators_factors():
+    # The W^+ of each step's operator (128 KB at 8x8) is dropped when the
+    # next step starts another operator: a run's peak memory hardly grows
+    # with its steps, all inside one block.
+    problem = _colliding_spectra_problem(8)
+    peaks = []
+    for steps in (20, 200):
+        config = _config(epsilon=0.01, duration=0.01 * steps)
+        tracemalloc.start()
+        try:
+            trajectory = run(problem, config, random_initial_state(problem, 3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert trajectory.pinv_fallback_steps == steps
+        assert trajectory.operator_factorizations == steps
+    assert steps < block_records(problem.m, problem.n)
+    assert peaks[1] - peaks[0] < 8 * 2**20
 
 
 class TestOverflowingOperator:
