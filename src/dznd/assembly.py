@@ -33,11 +33,13 @@ K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig, SIAM
 J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
 O(m^3 + n^3) instead of the O((mn)^3) of a dense solve with W.  A run's
 operators usually move little from one step to the next, so a new
-operator first tries the eigenbases of the last operator factored: in
-them its Sylvester form is nearly diagonal, and a few Jacobi sweeps
-solve it in O(m^2 n + m n^2) each, under a certificate of its own.  When
-the Sylvester answer cannot be certified or checked, the step takes
-W^+.
+operator first tries the eigenbases of the last operator factored, also
+in an earlier block: in them its Sylvester form is nearly diagonal, and
+a few Jacobi sweeps solve it in O(m^2 n + m n^2) each, under a
+certificate of its own.  That form and its certificate depend on F and A
+alone, so they are formed ahead of the steps, for a window of a block's
+operators at once in batched products.  When the Sylvester answer
+cannot be certified or checked, the step takes W^+.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ from .linalg import (
 # The number of unknowns mn from which the structured solve is tried;
 # below it the dense affine step of dznd.solvers is faster.  Median
 # process time per step of dznd.run on moving shifted trig problems
-# (epsilon = 0.01, 128 steps, 20 runs, one BLAS thread, 2-vCPU host
-# whose speed drifts by up to 50% between runs), dense against
-# structured: 4x4 154/254 us, 4x6 291/334 us, 4x8 453/342 us, 5x7
-# 475/358 us, 6x6 559/319 us.
+# (seed 3, epsilon = 0.01, 128 steps, 9 alternating runs, one BLAS
+# thread, 2-vCPU host whose speed drifts by up to 50% between runs),
+# dense against structured, with the structured solver's coefficient
+# work formed ahead of its steps: 2x2 136/454 us, 4x4 240/404 us, 4x6
+# 355/358 us, 4x8 511/415 us, 5x7 628/433 us, 6x6 653/411 us, 6x8
+# 1096/422 us.  The two meet between mn = 24 and 32.
 STRUCTURED_SOLVE_MIN_UNKNOWNS = 32
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -79,6 +83,11 @@ _HALF_MAX = float(np.finfo(np.float64).max) / 2
 # eigendecompositions it saves about 700 us (one BLAS thread).
 _SWEEP_TOLERANCE = _EPS
 _SWEEP_CAP = 32
+# The Sylvester forms of a block's coming operators in the base's
+# eigenbases are formed REUSE_WINDOW at a time.  Forming the rest of the
+# block at each new base instead made a 16x16 run at epsilon = 0.01 over
+# 300 steps, which factors every dozen steps or so, 37% slower.
+REUSE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -284,17 +293,25 @@ class StructuredSolver:
     and A are not bitwise the same as the step's before (for a block's
     first step, the previous block's last) starts a new operator and
     drops all of these.  It also holds the base, the operator whose
-    Sylvester form it factored and certified last; the base resets at
-    each :meth:`block`.
+    Sylvester form it factored and certified last, across block edges
+    too.
 
-    A new operator's first solve tries the base's eigenbases
-    (:func:`_reused_factors`).  When that fails its certificate, its
-    sweep cap or the backward-error check, the operator's own Sylvester
-    form is factored and certified (:func:`_sylvester_factors`), and when
-    certified it becomes the base.  The operator keeps what served it:
-    the base's eigenbases while they pass, or else its own factors for
-    every later G.  When neither is certified, or the answer of its own
-    fails the check, its W^+ from :func:`~dznd.linalg.pseudo_inverses` is
+    What a solve needs of F and A alone is formed before the steps.
+    :meth:`block` forms P = F conj F, Q = A conj A and s = ||F||_F +
+    ||A||_F of each of the block's operators in batched products; the
+    Sylvester forms of its coming operators in the base's eigenbases,
+    with their certificates (:func:`_reuses`), follow a window of
+    operators at a time (:data:`REUSE_WINDOW`).
+
+    A new operator's first solve takes the base's eigenbases when their
+    certificate holds for it.  When it does not, or the sweeps reach
+    their cap or the answer fails the backward-error check, the
+    operator's own Sylvester form is factored and certified at once
+    (:func:`_sylvester_factors`), and when certified it becomes the base
+    and starts a new window.  The operator keeps what served it: the
+    base's eigenbases while they pass, or else its own factors for every
+    later G.  When neither is certified, or the answer of its own fails
+    the check, its W^+ from :func:`~dznd.linalg.pseudo_inverses` is
     formed and kept.
     """
 
@@ -308,19 +325,30 @@ class StructuredSolver:
 
     def block(self, f: np.ndarray, a: np.ndarray) -> None:
         """Take a block's per-step stacks of F and A; its steps are then
-        solved in order by :meth:`solve`.  The base resets."""
+        solved in order by :meth:`solve`."""
         rows = _bit_rows(f, a)
-        # Each step's operator, numbered from the one held now, 0.
-        self._operators = np.cumsum(_changes(rows, self._row))
-        self._operator = 0
+        new = _changes(rows, self._row)
+        starts = new.copy()
+        starts[:1] = True
+        # Each step's operator, an index into the block's operators; the
+        # first is the one held now unless step 0 starts another.
+        self._operators = (np.cumsum(starts) - 1).tolist()
+        self._operator = 0 if len(new) and not new[0] else -1
         if len(rows):
             self._row = rows[-1].copy()
         self._f, self._a = f, a
-        self._finite = _finite_operators(f, a)
+        self._finite = _finite_operators(f, a).tolist()
         self._cutoff = singular_value_cutoff(
             self._tolerance, 2 * f.shape[-1] * a.shape[-1]
         )
-        self._base = None
+        f, a = f[starts], a[starts]
+        # An operator that is not finite is never solved; its terms are
+        # formed without a warning.
+        with np.errstate(all="ignore"):
+            self._p, self._q = f @ np.conj(f), a @ np.conj(a)
+            self._s = frobenius_norms(f) + frobenius_norms(a)
+        self._reuses: _Reuses | None = None
+        self._first = 0
 
     def solve(
         self, step: int, g: np.ndarray
@@ -332,8 +360,9 @@ class StructuredSolver:
 
         When W_k (see :func:`_finite_operators`) or G is not finite, the
         answer is nan and the path None, without a solve."""
-        if self._operators[step] != self._operator:
-            self._operator = self._operators[step]
+        operator = self._operators[step]
+        if operator != self._operator:
+            self._operator = operator
             self._factors, self._own, self._dense = None, False, None
         if not (self._finite[step] and np.isfinite(g).all()):
             return np.full(2 * g.size, math.nan), None, False
@@ -363,17 +392,43 @@ class StructuredSolver:
         the dense path."""
         factors = self._factors
         if not self._own:
-            if factors is None and self._base is not None:
-                factors = _reused_factors(self._base, f, a, self._cutoff)
+            if factors is None:
+                factors = self._reused()
             d = None if factors is None else factors.apply(f, a, g)
             if d is not None:
                 self._factors = factors
                 return d
             self._own = True
-            factors = self._factors = _sylvester_factors(f, a, self._cutoff)
+            i = self._operator
+            factors = self._factors = _sylvester_factors(
+                self._p[i], self._q[i], float(self._s[i]), self._cutoff
+            )
             if factors is not None:
-                self._base = factors
+                self._base, self._reuses = factors, None
         return None if factors is None else factors.apply(f, a, g)
+
+    def _reused(self) -> _SylvesterFactors | None:
+        """The factors of the current operator's Sylvester form in the
+        base's eigenbases, or None without a base or when their
+        certificate fails.  An operator past the window forms the next
+        one from it on."""
+        if self._base is None:
+            return None
+        i, reuses = self._operator, self._reuses
+        if reuses is None or i >= self._first + len(reuses.certified):
+            end = i + REUSE_WINDOW
+            reuses = self._reuses = _reuses(
+                self._base, self._p[i:end], self._q[i:end], self._s[i:end],
+                self._cutoff,
+            )
+            self._first = i
+        k = i - self._first
+        if not reuses.certified[k]:
+            return None
+        return self._base._replace(
+            gaps=reuses.gaps[k], s=float(self._s[i]),
+            off=(reuses.p_off[k], reuses.q_off[k]),
+        )
 
 
 # The path of a W^+ from pseudo_inverses, indexed by whether it fell back.
@@ -406,17 +461,18 @@ def _changes(rows: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
 
 def _finite_operators(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Whether W_i = ``real_operator(F_i, A_i)`` is finite for each member
-    of stacks of F and A.  :func:`real_operator` adds an A term onto an F
-    term only on W's diagonal blocks, at F[t, t] and A[s, s]; the sums
-    there are Re F[t, t] +- Re A[s, s] and Im F[t, t] +- Im A[s, s], up to
-    sign, so W overflows exactly when some F[t, t] +- A[s, s] does.  No
-    sum overflows when every diagonal part of the stack is below half the
-    largest float, which one test of the whole stack shows; only
-    otherwise are the sums formed member by member."""
+    of stacks of F and A, of any memory layout.  :func:`real_operator`
+    adds an A term onto an F term only on W's diagonal blocks, at F[t, t]
+    and A[s, s]; the sums there are Re F[t, t] +- Re A[s, s] and
+    Im F[t, t] +- Im A[s, s], up to sign, so W overflows exactly when some
+    F[t, t] +- A[s, s] does.  No sum overflows when every diagonal part of
+    the stack is below half the largest float, which one test of the
+    whole stack shows; only otherwise are the sums formed member by
+    member."""
     finite = np.isfinite(f).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
     fd = np.diagonal(f, axis1=1, axis2=2)
     ad = np.diagonal(a, axis1=1, axis2=2)
-    parts = np.concatenate([fd, ad], axis=1).view(np.float64)
+    parts = np.concatenate([fd.real, fd.imag, ad.real, ad.imag], axis=1)
     # A nan part fails the test, as it should.
     if np.abs(parts).max(initial=0.0) < _HALF_MAX:
         return finite
@@ -477,74 +533,115 @@ class _SylvesterFactors(NamedTuple):
             else:
                 return None
         d = self.u @ y @ self.v_inv
-        residual = float(np.linalg.norm(d @ f - a @ np.conj(d) - g))
-        scale = self.s * float(np.linalg.norm(d)) + float(np.linalg.norm(g))
+        r = d @ f - a @ np.conj(d) - g
+        residual = math.sqrt(np.vdot(r, r).real)
+        scale = self.s * math.sqrt(np.vdot(d, d).real) + math.sqrt(
+            np.vdot(g, g).real
+        )
         if not residual <= _EPS * 2 * g.size * scale:
             return None
         return d
 
 
-def _certified(
-    s: float, condition: float, cutoff: float, gap: float, off: float = 0.0
-) -> bool:
+def _certified(s, condition, cutoff, gap, off=0.0) -> bool | np.ndarray:
     """The Sylvester certificate: whether, for ||L|| <= s and the
     Sylvester form in eigenbases U and V with ``condition`` kF(U) kF(V),
     smallest |gap| ``gap`` and off-diagonal norm ``off``
     (||P_off||_F + ||Q_off||_F), delta = off / gap < 1/2 and
-    s^2 kF(U) kF(V) cutoff < gap (1 - delta) / 2.
+    s^2 kF(U) kF(V) cutoff < gap (1 - delta) / 2; elementwise for arrays.
 
     The Neumann series bounds the inverse of the Sylvester form in the
     eigenbases by 1 / (gap (1 - delta)), so ||L^-1|| <= s kF(U) kF(V) /
     (gap (1 - delta)), and the test bounds kappa_2(W) as the certificate
     of :func:`~dznd.linalg.pseudo_inverses` does: pinv would cut no
     singular value and equals the inverse.  It is written without a
-    division, on Python floats: an overflow reads inf and inf * 0 reads
-    nan; neither passes, and a zero gap fails."""
-    return off < 0.5 * gap and s * s * condition * cutoff < 0.5 * (gap - off)
+    division: an overflow reads inf and inf * 0 reads nan; neither
+    passes, and a zero gap fails."""
+    return (off < 0.5 * gap) & (s * s * condition * cutoff < 0.5 * (gap - off))
 
 
 def _sylvester_factors(
-    f: np.ndarray, a: np.ndarray, cutoff: float
+    p: np.ndarray, q: np.ndarray, s: float, cutoff: float
 ) -> _SylvesterFactors | None:
-    """The factors of the Sylvester form of L from its own two
+    """The factors of the Sylvester form of L, with P = F conj F,
+    Q = A conj A and s = ||F||_F + ||A||_F, from its own two
     eigendecompositions, or None when they cannot be certified
     (:func:`_certified` with delta = 0)."""
     try:
-        lam, v = np.linalg.eig(f @ np.conj(f))
-        mu, u = np.linalg.eig(a @ np.conj(a))
+        lam, v = np.linalg.eig(p)
+        mu, u = np.linalg.eig(q)
         v_inv, u_inv = np.linalg.inv(v), np.linalg.inv(u)
     except np.linalg.LinAlgError:
         return None
     gaps = lam - mu[:, None]
-    s = float(np.linalg.norm(f)) + float(np.linalg.norm(a))
     condition = 1.0
     for factor in (u, u_inv, v, v_inv):
-        condition *= float(np.linalg.norm(factor))
+        condition *= math.sqrt(np.vdot(factor, factor).real)
     if not _certified(s, condition, cutoff, float(np.abs(gaps).min())):
         return None
     return _SylvesterFactors(u, u_inv, v, v_inv, gaps, condition, s)
 
 
-def _reused_factors(
-    base: _SylvesterFactors, f: np.ndarray, a: np.ndarray, cutoff: float
-) -> _SylvesterFactors | None:
-    """The factors of the Sylvester form of L in the eigenbases of
-    ``base``, or None when :func:`_certified` does not hold for them: no
-    eigendecomposition, only the transforms V^-1 P V and U^-1 Q U split
-    into their diagonals and off-diagonal parts."""
-    p = base.v_inv @ (f @ np.conj(f)) @ base.v
-    q = base.u_inv @ (a @ np.conj(a)) @ base.u
-    lam, mu = np.diagonal(p).copy(), np.diagonal(q).copy()
-    np.fill_diagonal(p, 0.0)
-    np.fill_diagonal(q, 0.0)
-    gaps = lam - mu[:, None]
-    off = math.sqrt(np.vdot(p, p).real) + math.sqrt(np.vdot(q, q).real)
-    s = float(np.linalg.norm(f)) + float(np.linalg.norm(a))
-    if not _certified(
-        s, base.condition, cutoff, float(np.abs(gaps).min()), off
-    ):
-        return None
-    return base._replace(gaps=gaps, s=s, off=(p, q))
+class _Reuses(NamedTuple):
+    """The Sylvester forms of a stack of operators in the eigenbases of a
+    base (:class:`_SylvesterFactors`): for each, the off-diagonal parts
+    P_off and Q_off, the gaps lam_j - mu_i of the diagonals, and whether
+    :func:`_certified` holds for it."""
+
+    p_off: np.ndarray
+    q_off: np.ndarray
+    gaps: np.ndarray
+    certified: np.ndarray
+
+
+def _reuses(
+    base: _SylvesterFactors,
+    p: np.ndarray,
+    q: np.ndarray,
+    s: np.ndarray,
+    cutoff: float,
+) -> _Reuses:
+    """The Sylvester forms, in the eigenbases of ``base``, of the
+    operators with stacks P = F conj F and Q = A conj A and norms
+    s = ||F||_F + ||A||_F: no eigendecomposition, only the transforms
+    V^-1 P V and U^-1 Q U in batched products, split into their
+    diagonals and off-diagonal parts.  A non-finite operator's form is
+    not certified, and warns nothing."""
+    with np.errstate(all="ignore"):
+        p = base.v_inv @ p @ base.v
+        q = base.u_inv @ q @ base.u
+        # Views of the diagonals, by a step of n + 1 along each member.
+        lam = p.reshape(len(p), -1)[:, :: p.shape[-1] + 1]
+        mu = q.reshape(len(q), -1)[:, :: q.shape[-1] + 1]
+        gaps = lam[:, None, :] - mu[:, :, None]
+        lam[...] = 0.0
+        mu[...] = 0.0
+        # ||P_off||_F + ||Q_off||_F of each member by vdot, as the
+        # backward-error check and the condition take their norms.
+        off = np.array([
+            math.sqrt(np.vdot(pk, pk).real) + math.sqrt(np.vdot(qk, qk).real)
+            for pk, qk in zip(p, q)
+        ])
+        certified = _certified(
+            s, base.condition, cutoff, np.abs(gaps).min(axis=(1, 2)), off
+        )
+    return _Reuses(p, q, gaps, certified)
+
+
+def frobenius_norms(z: np.ndarray) -> np.ndarray:
+    """||Z||_F of each complex matrix of a stack, equal bitwise to
+    ``np.linalg.norm``: that takes sqrt(Re Z . Re Z + Im Z . Im Z) with
+    the dot products over the strided real and imaginary views, and a
+    stacked vector-vector matmul calls the same dot.  (A contiguous copy
+    or ``einsum`` sums in another order and can differ in the last
+    bit.)  Overflow reads inf without a warning, as it does there."""
+    z = z.reshape(len(z), math.prod(z.shape[1:]))
+    re, im = z.real, z.imag
+    with np.errstate(all="ignore"):
+        squares = (
+            re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        )
+        return np.sqrt(squares[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------

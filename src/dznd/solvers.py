@@ -17,9 +17,9 @@ multiplies E in the complex field, and dznd2-2i only a real one.
 
 Each solve equals pinv(W) stack(G) for the 2mn x 2mn real form W of L.
 Above a size crossover it comes, when certified and checked, from the
-Sylvester form of L: in the eigenbases of an earlier step's operator of
-the same block while they are certified for it, else from its own
-O(m^3 + n^3) eigendecompositions; otherwise from the inverse of W
+Sylvester form of L: in the eigenbases of an earlier step's operator,
+also one of an earlier block, while they are certified for it, else from
+its own O(m^3 + n^3) eigendecompositions; otherwise from the inverse of W
 whenever its condition number proves the pseudo-inverse would cut no
 singular value, and from the SVD pseudo-inverse when not.  A run counts
 the steps that took the first path and those that needed the last.
@@ -57,12 +57,14 @@ the block's steps advance in one of two ways:
   warnings.
 * From the crossover up each step forms G from E and solves with the
   Sylvester factors, as P would cost O((mn)^3) per step against the
-  O(m^3 + n^3) of the solve.  A block's operators move little from one
-  step to the next, so most steps solve in the eigenbases of the
-  block's last factored operator, with Jacobi sweeps, and factor only
-  when that fails its certificate or its check (see
-  :class:`~dznd.assembly.StructuredSolver`).  These steps stop at the
-  first record where the run stops, and so do their factorizations.
+  O(m^3 + n^3) of the solve.  A run's operators move little from one
+  step to the next, so most steps solve in the eigenbases of the run's
+  last factored operator, with Jacobi sweeps, and factor only when that
+  fails its certificate or its check.  What that takes of F and A alone,
+  the certificates included, the solver forms before the steps, in
+  batched products (see :class:`~dznd.assembly.StructuredSolver`); the
+  loop keeps what depends on the state.  These steps stop at the first
+  record where the run stops, and so do their factorizations.
 
 An operator whose real form W is not finite (for non-finite F or A, or
 where F[t, t] +- A[s, s] overflows) is never factored: a step with it
@@ -99,6 +101,7 @@ from .assembly import (
     DenseSolver,
     SolvePath,
     StructuredSolver,
+    frobenius_norms,
     real_operator,
     stack,
     state_from_matrix,
@@ -141,9 +144,14 @@ MAX_STEP_COUNT = 10**7
 # that diverges has evaluated its providers at most one block less one
 # record past the record where it stopped, and never past the duration.
 # A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
-# bytes, and below the crossover P and two more stacks of its size (W^+
-# and the real form of the bracket), 3 * 8 (2mn)^2 bytes: 256 records
-# come to 0.5 MB for a 2x2 problem, and a block at mn = 31 holds 67.
+# bytes.  Below the crossover it adds P and two more stacks of its size
+# (W^+ and the real form of the bracket), 3 * 8 (2mn)^2 bytes: 256 records
+# come to 0.5 MB for a 2x2 problem, and a block at mn = 31 holds 67.  From
+# the crossover up it adds the structured solver's P = F conj F and
+# Q = A conj A, 16 (n^2 + m^2) bytes, and the block sets aside the
+# solver's window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and
+# the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
+# records and one at 64x64 11.  Transient products are not counted.
 BLOCK_RECORDS = 256
 BLOCK_BYTES = 8 * 2**20
 
@@ -155,9 +163,13 @@ def block_records(m: int, n: int) -> int:
     :func:`run` reads it when it picks its solver."""
     mn = m * n
     size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
+    budget = BLOCK_BYTES
     if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
         size += 3 * 8 * (2 * mn) ** 2
-    return min(BLOCK_RECORDS, max(1, BLOCK_BYTES // size))
+    else:
+        size += 16 * (n * n + m * m)
+        budget -= assembly.REUSE_WINDOW * 16 * (n * n + m * m + mn)
+    return min(BLOCK_RECORDS, max(1, budget // size))
 
 
 @dataclass(frozen=True)
@@ -342,7 +354,7 @@ class _Block(NamedTuple):
         x = unstack(states, self.a.shape[-1], self.f.shape[-1])
         # States integrated past a stop may overflow; they warn nothing.
         with np.errstate(all="ignore"):
-            return _norms(x - self.exact[:len(states)])
+            return frobenius_norms(x - self.exact[:len(states)])
 
     def advance(
         self,
@@ -377,10 +389,11 @@ class _Block(NamedTuple):
 
         With a :class:`~dznd.assembly.StructuredSolver` each record's E
         gives its residual norm and the drive
-        G = Cdot + Adot conj(X) - X Fdot - gamma E, and the step solves
-        L(D) = G, since that costs O(m^3 + n^3) per solve against
-        O((mn)^3) for P.  The steps stop at the first record whose state
-        or ||E||_F is non-finite, or whose ||E||_F passes ``threshold``.
+        G = Cdot + Adot conj(X) - X Fdot - gamma E, from one conj(X), and
+        the step solves L(D) = G, since that costs O(m^3 + n^3) per solve
+        against O((mn)^3) for P.  The steps stop at the first record whose
+        state or ||E||_F is non-finite, or whose ||E||_F passes
+        ``threshold``.
         """
         steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
@@ -415,7 +428,7 @@ class _Block(NamedTuple):
                         x = x + epsilon * (q[slot] - p[slot] @ x)
                         states[j] = x
                 x = unstack(states[:records], m, n)
-                eq = _norms(self.equation_error(x, slice(records)))
+                eq = frobenius_norms(self.equation_error(x, slice(records)))
             return paths, made, eq
         paths, made, eqs = [], [], []
         solver.block(self.f[:steps], self.a[:steps])
@@ -423,15 +436,16 @@ class _Block(NamedTuple):
         with np.errstate(all="ignore"):
             for j in range(records):
                 x = unstack(states[j], m, n)
-                e = self.equation_error(x, j)
+                x_conj = np.conj(x)
+                e = x @ self.f[j] - self.a[j] @ x_conj - self.c[j]
                 eqs.append(np.linalg.norm(e))
                 if j == steps or _stops(
-                    np.isfinite(states[j]).all() and np.isfinite(eqs[-1]),
+                    np.isfinite(states[j]).all() and math.isfinite(eqs[-1]),
                     eqs[-1], threshold,
                 ):
                     break
                 drive = (
-                    self.cd[j] + self.ad[j] @ np.conj(x) - x @ self.fd[j]
+                    self.cd[j] + self.ad[j] @ x_conj - x @ self.fd[j]
                     - gamma * e
                 )
                 direction, path, factored = solver.solve(j, drive)
@@ -439,22 +453,6 @@ class _Block(NamedTuple):
                 paths.append(path)
                 made.append(factored)
         return paths, made, np.array(eqs)
-
-
-def _norms(z: np.ndarray) -> np.ndarray:
-    """||Z||_F of each complex matrix of a stack, equal bitwise to
-    ``np.linalg.norm``: that takes sqrt(Re Z . Re Z + Im Z . Im Z) with
-    the dot products over the strided real and imaginary views, and a
-    stacked vector-vector matmul calls the same dot.  (A contiguous copy
-    or ``einsum`` sums in another order and can differ in the last
-    bit.)  Overflow reads inf without a warning, as it does there."""
-    z = z.reshape(len(z), -1)
-    re, im = z.real, z.imag
-    with np.errstate(all="ignore"):
-        squares = (
-            re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-        )
-        return np.sqrt(squares[:, 0, 0])
 
 
 def _stops(finite, equation_residual, threshold):

@@ -385,6 +385,23 @@ class TestFiniteOperators:
         np.testing.assert_array_equal(finite, np.isfinite(w).all(axis=(1, 2)))
         np.testing.assert_array_equal(finite, expected)
 
+    @pytest.mark.parametrize("layout", [
+        # A stride-0 leading axis, as problems._held builds example1's.
+        lambda z: np.broadcast_to(z[0], z.shape),
+        np.asfortranarray,
+    ], ids=["broadcast", "fortran"])
+    @pytest.mark.parametrize("f_diagonal,a_diagonal,expected", [
+        (3.0, 1.0, True), (1e308, -1e308, False),
+    ], ids=["small", "real-overflow"])
+    def test_any_memory_layout(self, layout, f_diagonal, a_diagonal,
+                               expected):
+        f = np.stack([f_diagonal * np.eye(6) + 0.5j] * 3)
+        a = np.stack([a_diagonal * np.eye(6) + 0.5] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            finite = dznd.assembly._finite_operators(layout(f), layout(a))
+        assert finite.tolist() == [expected] * 3
+
 
 _STEP_CASES = [
     (example2, 0),

@@ -28,13 +28,17 @@ from dznd import (
     tail_max_equation_residual,
     tail_max_solution_error,
 )
-from dznd.assembly import real_operator, unstack
-from dznd.problems import InitialState
+from dznd.assembly import (
+    REUSE_WINDOW,
+    frobenius_norms,
+    real_operator,
+    unstack,
+)
+from dznd.problems import BlockProvider, InitialState, _held
 from dznd.solvers import (
     BLOCK_BYTES,
     BLOCK_RECORDS,
     MAX_STEP_COUNT,
-    _norms,
     block_records,
 )
 from helpers import (
@@ -524,6 +528,20 @@ def _frozen_shifted_trig_problem(m, n, seed):
                                derivatives=lambda tau: zeros)
 
 
+def _held_shifted_trig_problem(m, n, seed):
+    """The frozen shifted trig problem with block providers that return
+    read-only broadcast stacks (a stride-0 leading axis), built as
+    example1's are."""
+    problem = _frozen_shifted_trig_problem(m, n, seed)
+    values = [z.to_complex() for z in problem.coefficients(0.0)]
+    zeros = [np.zeros_like(z) for z in values]
+    return dataclasses.replace(
+        problem,
+        coefficients=BlockProvider(lambda taus: _held(taus, *values)),
+        derivatives=BlockProvider(lambda taus: _held(taus, *zeros)),
+    )
+
+
 class TestFactorReuse:
     """run() keeps L's factors while F and A are bitwise unchanged, and
     steps exactly as one-step runs do; example2 refactors every step."""
@@ -532,9 +550,10 @@ class TestFactorReuse:
         (example1, "inverse"),
         (lambda: _zero_problem(2), "pinv"),
         (lambda: _frozen_shifted_trig_problem(6, 6, 5), "structured"),
+        (lambda: _held_shifted_trig_problem(6, 6, 5), "structured"),
         (example2, "inverse"),
     ], ids=["example1", "zero-operator", "constant-shifted-trig-6x6",
-            "example2"])
+            "held-shifted-trig-6x6", "example2"])
     def test_cached_factors_step_as_one_shot_solves(self, factory, path):
         problem = factory()
         config = _config(epsilon=0.01, duration=0.2)
@@ -643,7 +662,7 @@ def _assert_runs_as_one_shot_steps(problem, config, initial):
 
 class TestSylvesterReuse:
     """From the crossover up a moving run solves each step in the
-    eigenbases of the block's last factored operator while the reuse
+    eigenbases of the run's last factored operator while the reuse
     certificate holds, so it factors less often than it steps, and its
     records agree with a loop of one-step runs, each factoring afresh.  A
     run counts only the factorizations it makes."""
@@ -692,11 +711,17 @@ class TestSylvesterReuse:
         initial = random_initial_state(problem, 6)
         # The block's base is the operator of step 0.  With a zero cutoff
         # only delta can fail the reuse certificate.
-        f, a = (z.to_complex() for z in problem.coefficients(0.0)[:2])
-        base = dznd.assembly._sylvester_factors(f, a, 0.0)
-        f, a = (z.to_complex() for z in other.coefficients(0.003)[:2])
+        def terms(p, tau):
+            # P = F conj F, Q = A conj A and s = ||F||_F + ||A||_F.
+            f, a = (z.to_complex() for z in p.coefficients(tau)[:2])
+            return (f @ np.conj(f), a @ np.conj(a),
+                    np.linalg.norm(f) + np.linalg.norm(a))
+
+        base = dznd.assembly._sylvester_factors(*terms(problem, 0.0), 0.0)
+        p, q, s = terms(other, 0.003)
         assert base is not None
-        assert dznd.assembly._reused_factors(base, f, a, 0.0) is None
+        assert not dznd.assembly._reuses(
+            base, p[None], q[None], np.array([s]), 0.0).certified[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             trajectory = run(jump, config, initial)
@@ -704,6 +729,29 @@ class TestSylvesterReuse:
         assert trajectory.structured_solve_steps == 6
         assert trajectory.operator_factorizations == 2
         for got, want in zip(trajectory.states, states, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m,n", [(6, 6), (12, 8)])
+    def test_block_edges_do_not_move_the_factorizations(self, monkeypatch,
+                                                       m, n):
+        # The base carries across block edges, so a run factors where its
+        # operators move too far from it, not where its blocks start.
+        problem = make_shifted_trig_problem(m, n, 5)
+        config = _config(epsilon=0.01, duration=1.2)
+        initial = random_initial_state(problem, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            whole = run(problem, config, initial)
+            monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", 7)
+            assert block_records(m, n) == 7
+            cut = run(problem, config, initial)
+        counts = ("structured_solve_steps", "pinv_fallback_steps",
+                  "operator_factorizations")
+        assert [getattr(cut, name) for name in counts] == [
+            getattr(whole, name) for name in counts]
+        assert whole.structured_solve_steps == config.step_count == 120
+        assert cut.outcome is whole.outcome is Outcome.COMPLETED
+        for got, want in zip(cut.states, whole.states, strict=True):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("size", [1, 6])
@@ -1001,10 +1049,11 @@ class TestNorms:
     def _assert_bitwise(z):
         with np.errstate(over="ignore"):
             want = np.array([np.linalg.norm(w) for w in z])
-        # Where the per-matrix norm overflows it warns; _norms does not.
+        # Where the per-matrix norm overflows it warns; frobenius_norms
+        # does not.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _norms(z)
+            got = frobenius_norms(z)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -1030,14 +1079,19 @@ class TestNorms:
 
 
 def test_block_records_cap_the_block_stacks():
-    # Every registered and benchmark problem (3x2, 2x2, 16x16, 12x8)
-    # takes full blocks; below the crossover a block holds 3 (2mn)^2
-    # floats per record besides the provider stacks.
-    for m, n in [(3, 2), (2, 2), (16, 16), (12, 8), (6, 6)]:
+    # The registered problems (3x2, 2x2) and the benchmark's 12x8 take
+    # full blocks.  Below the crossover a block holds 3 (2mn)^2 floats per
+    # record besides the provider stacks; from it up it holds P and Q,
+    # 16 (n^2 + m^2) bytes a record, and sets aside a window of
+    # REUSE_WINDOW Sylvester forms, 16 (n^2 + m^2 + mn) bytes each.
+    for m, n in [(3, 2), (2, 2), (12, 8), (6, 6)]:
         assert block_records(m, n) == BLOCK_RECORDS
     assert block_records(31, 1) == BLOCK_BYTES // (
         16 * (2 + 2 * 31**2 + 3 * 31) + 24 * 62**2) == 67
-    assert block_records(64, 64) == BLOCK_BYTES // (16 * 7 * 64**2) == 18
+    for size, records in [(16, 224), (64, 11)]:
+        window = REUSE_WINDOW * 16 * 3 * size**2
+        assert block_records(size, size) == (BLOCK_BYTES - window) // (
+            16 * 9 * size**2) == records
     assert block_records(2048, 2048) == 1
 
 
