@@ -66,10 +66,10 @@ from .linalg import (
 # process time per step of dznd.run on moving shifted trig problems
 # (seed 3, epsilon = 0.01, 128 steps, 9 alternating runs, one BLAS
 # thread, 2-vCPU host whose speed drifts by up to 50% between runs),
-# dense against structured, with the structured solver's coefficient
-# work formed ahead of its steps: 2x2 136/454 us, 4x4 240/404 us, 4x6
-# 355/358 us, 4x8 511/415 us, 5x7 628/433 us, 6x6 653/411 us, 6x8
-# 1096/422 us.  The two meet between mn = 24 and 32.
+# dense against structured, with the dense step one product with the
+# lifted step matrix: 2x2 121/419 us, 4x4 231/394 us, 4x6 368/399 us,
+# 4x8 542/405 us, 5x7 582/245 us, 6x6 440/235 us, 6x8 731/228 us.  The
+# two meet between mn = 24 and 32.
 STRUCTURED_SOLVE_MIN_UNKNOWNS = 32
 
 _EPS = float(np.finfo(np.float64).eps)

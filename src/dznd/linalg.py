@@ -156,7 +156,7 @@ def singular_value_cutoff(tolerance: float | None, size: int) -> float:
         return float(np.finfo(np.float64).eps) * size
     if tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    return tolerance
+    return float(tolerance)
 
 
 def _checked_pinv_input(
@@ -184,7 +184,8 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
 
     Singular values at or below ``tolerance`` times the largest singular
     value are treated as zero.  The default tolerance is
-    ``eps * max(rows, cols)``, the usual SVD cutoff.
+    ``eps * max(rows, cols)``, the usual SVD cutoff.  A product that
+    overflows cuts every singular value, without a warning.
     """
     w, tolerance = _checked_pinv_input(w, tolerance)
     try:
@@ -194,7 +195,8 @@ def pinv(w: RealMatrix, tolerance: float | None = None) -> RealMatrix:
             f"SVD of {w.shape[0]}x{w.shape[1]} matrix failed: {exc}; "
             f"max|entry|={np.abs(w).max():.3e}"
         ) from exc
-    cutoff = tolerance * (s[0] if s.size else 0.0)
+    # As Python floats: an overflow reads inf, where a numpy product warns.
+    cutoff = tolerance * float(s[0]) if s.size else 0.0
     keep = s > cutoff
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]

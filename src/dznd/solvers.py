@@ -45,13 +45,16 @@ the block's steps advance in one of two ways:
 * Below the structured crossover the drive is affine in the state,
   G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
   so each step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and
-  q_k known before the loop: W_k^+ times the real form of the bracket,
-  and W_k^+ stack(Cdot_k + gamma C_k).  P and q of the whole block come
-  from batched products, formed once for each group of consecutive
-  steps that share W^+ and bitwise the same shifted coefficients (once
-  per block when the coefficients are constant), and the loop keeps one
-  matrix-vector product and the update.  At these sizes the Python
-  overhead of some twenty small numpy calls per step cost more than the
+  q_k known before the loop: W_k^+ times the real form R_k of the
+  bracket, and W_k^+ c_k with c_k = stack(Cdot_k + gamma C_k).  On the
+  lifted state [x; 1] that step is one product with the lifted step
+  matrix S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  The S of the
+  whole block come from one batched product W^+ [R | -c] = [P | -q],
+  formed once for each group of consecutive steps that share W^+ and
+  bitwise the same shifted coefficients (once per block when the
+  coefficients are constant), and the loop makes one matrix-vector
+  product per step, reading the 8 (2mn + 1)^2 bytes of its S.  At these
+  sizes the Python overhead of each numpy call costs more than the
   arithmetic.  The block integrates all its steps, also those past the
   record where the run stops; they are discarded, and run without
   warnings.
@@ -87,7 +90,6 @@ and factorization counts cover the steps taken before it.
 
 from __future__ import annotations
 
-import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -144,10 +146,11 @@ MAX_STEP_COUNT = 10**7
 # that diverges has evaluated its providers at most one block less one
 # record past the record where it stopped, and never past the duration.
 # A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
-# bytes.  Below the crossover it adds P and two more stacks of its size
-# (W^+ and the real form of the bracket), 3 * 8 (2mn)^2 bytes: 256 records
-# come to 0.5 MB for a 2x2 problem, and a block at mn = 31 holds 67.  From
-# the crossover up it adds the structured solver's P = F conj F and
+# bytes.  Below the crossover it adds W^+, the real form of the bracket
+# with the drive's column [R | -c], the lifted step matrix S and the
+# lifted state, 8 ((2mn)^2 + 2 (2mn + 1)^2) bytes in all: 256 records
+# come to 0.6 MB for a 2x2 problem, and a block at mn = 31 holds 66.
+# From the crossover up it adds the structured solver's P = F conj F and
 # Q = A conj A, 16 (n^2 + m^2) bytes, and the block sets aside the
 # solver's window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and
 # the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
@@ -165,7 +168,7 @@ def block_records(m: int, n: int) -> int:
     size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
     budget = BLOCK_BYTES
     if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
-        size += 3 * 8 * (2 * mn) ** 2
+        size += 8 * ((2 * mn) ** 2 + 2 * (2 * mn + 1) ** 2)
     else:
         size += 16 * (n * n + m * m)
         budget -= assembly.REUSE_WINDOW * 16 * (n * n + m * m + mn)
@@ -363,29 +366,35 @@ class _Block(NamedTuple):
         gamma: complex,
         epsilon: float,
         threshold: float,
-    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
-        after step j into ``states[j + 1]``.  Return, for each step taken,
-        its path (None for a step that solves nothing) and whether it
-        factored L, and ||E||_F at each record filled: all of the block's,
-        or those up to an early stop.
+        after step j into ``states[j + 1]``.  Return, as arrays over the
+        steps taken, each step's path (an object array, None for a step
+        that solves nothing) and whether it factored L, and ||E||_F at
+        each record filled: all of the block's, or those up to an early
+        stop.
 
         With a :class:`~dznd.assembly.DenseSolver` the step is affine in
         the state,
 
             x_{k+1} = x_k + epsilon (q_k - P_k x_k),
-            P_k = W_k^+ real_operator(Fdot_k + gamma F_k, Adot_k + gamma A_k),
-            q_k = W_k^+ stack(Cdot_k + gamma C_k),
+            P_k = W_k^+ R_k,  R_k = real_operator(Fdot_k + gamma F_k,
+                                                  Adot_k + gamma A_k),
+            q_k = W_k^+ c_k,  c_k = stack(Cdot_k + gamma C_k),
 
-        with W_k^+ from :meth:`~dznd.assembly.DenseSolver.inverses`.
+        with W_k^+ from :meth:`~dznd.assembly.DenseSolver.inverses`, and
+        on the lifted state [x_k; 1] it is [x_{k+1}; 1] = S_k [x_k; 1]
+        with S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].
         Consecutive steps with the same operator and bitwise the same
         Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a group,
-        found in one array comparison; P and q are formed in batched
-        products once per group, and the loop keeps one matrix-vector
-        product and the update.  The residual norms follow for the whole
-        block.  All the steps are taken, without warnings: those past a
-        stop are the caller's to discard.  An operator that is not finite
-        has a nan W^+, so the state after its step is non-finite.
+        found in one array comparison; each group's S comes from one
+        batched product W^+ [R | -c] = [P | -q], and the loop makes one
+        matrix-vector product per step into a lifted buffer, whose
+        states are copied back once per block.  The residual norms
+        follow for the whole block.  All the steps are taken, without
+        warnings: those past a stop are the caller's to discard.  An
+        operator that is not finite has a nan W^+, hence a nan S, so the
+        state after its step is non-finite.
 
         With a :class:`~dznd.assembly.StructuredSolver` each record's E
         gives its residual norm and the drive
@@ -398,12 +407,14 @@ class _Block(NamedTuple):
         steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
         if isinstance(solver, DenseSolver):
-            paths, made = [], []
+            paths = np.empty(0, dtype=object)
+            made = np.zeros(0, dtype=bool)
             with np.errstate(all="ignore"):
                 if steps:
-                    operators, inverses, operator_paths, formed = (
+                    operators, inverses, operator_paths, made = (
                         solver.inverses(self.f[:steps], self.a[:steps])
                     )
+                    paths = operator_paths[operators]
                     fs, as_, cs = (
                         self.fd + gamma * self.f[:steps],
                         self.ad + gamma * self.a[:steps],
@@ -418,15 +429,26 @@ class _Block(NamedTuple):
                     # the stack serves as it is.
                     if len(firsts) > len(inverses):
                         inverses = inverses[operators[firsts]]
-                    p = inverses @ real_operator(fs[firsts], as_[firsts])
-                    q = (inverses @ stack(cs[firsts])[..., None])[..., 0]
-                    group = np.cumsum(starts) - 1
-                    paths = operator_paths[operators].tolist()
-                    made = formed.tolist()
-                    x = states[0]
-                    for j, slot in enumerate(group.tolist(), 1):
-                        x = x + epsilon * (q[slot] - p[slot] @ x)
-                        states[j] = x
+                    size = 2 * m * n
+                    bracket = np.concatenate([
+                        real_operator(fs[firsts], as_[firsts]),
+                        -stack(cs[firsts])[..., None],
+                    ], axis=-1)
+                    # The top rows W^+ [R | -c] = [P | -q] become
+                    # [I - epsilon P | epsilon q]; the last row is e^T.
+                    s = np.zeros((len(firsts), size + 1, size + 1))
+                    np.matmul(inverses, bracket, out=s[:, :size])
+                    s[:, :size] *= -epsilon
+                    s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
+                    lifted = np.zeros((steps + 1, size + 1))
+                    lifted[0, :size], lifted[0, size] = states[0], 1.0
+                    matrices = list(s)
+                    x = lifted[0]
+                    for out, slot in zip(
+                        lifted[1:], (np.cumsum(starts) - 1).tolist()
+                    ):
+                        x = np.dot(matrices[slot], x, out=out)
+                    states[1:] = lifted[1:, :size]
                 x = unstack(states[:records], m, n)
                 eq = frobenius_norms(self.equation_error(x, slice(records)))
             return paths, made, eq
@@ -452,7 +474,10 @@ class _Block(NamedTuple):
                 states[j + 1] = states[j] + epsilon * direction
                 paths.append(path)
                 made.append(factored)
-        return paths, made, np.array(eqs)
+        return (
+            np.array(paths, dtype=object), np.array(made, dtype=bool),
+            np.array(eqs),
+        )
 
 
 def _stops(finite, equation_residual, threshold):
@@ -515,8 +540,7 @@ def run(
     finite_flags = np.empty(k_total + 1, dtype=bool)
     outcome = Outcome.COMPLETED
     diverged_at: Optional[int] = None
-    paths = collections.Counter()
-    factorizations = 0
+    pinv_steps = structured_steps = factorizations = 0
     solver = (
         DenseSolver if m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
         else StructuredSolver
@@ -540,8 +564,12 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
-        paths.update(step_paths[:taken])
-        factorizations += sum(made[:taken])
+        taken_paths = step_paths[:taken]
+        pinv_steps += np.count_nonzero(taken_paths == SolvePath.PINV)
+        structured_steps += np.count_nonzero(
+            taken_paths == SolvePath.STRUCTURED
+        )
+        factorizations += np.count_nonzero(made[:taken])
         if stop.size:
             outcome = Outcome.DIVERGED
             diverged_at = start + taken
@@ -557,7 +585,7 @@ def run(
         finite=finite_flags[:records],
         outcome=outcome,
         diverged_at=diverged_at,
-        pinv_fallback_steps=paths[SolvePath.PINV],
-        structured_solve_steps=paths[SolvePath.STRUCTURED],
-        operator_factorizations=factorizations,
+        pinv_fallback_steps=int(pinv_steps),
+        structured_solve_steps=int(structured_steps),
+        operator_factorizations=int(factorizations),
     )

@@ -66,6 +66,38 @@ def solution_error_oracle(problem, x: SplitComplexMatrix, tau: float) -> float:
     return _norm(p - q for p, q in zip(_entries(x), exact))
 
 
+def euler_step_oracle(problem, gamma: complex, epsilon: float, x0, steps: int):
+    """The stacked states of ``steps`` Euler-forward steps from the
+    complex m x n matrix ``x0``, each x <- x + epsilon pinv(W_k)
+    stack(G_k(X)), as a (steps + 1) x 2mn array.
+
+    W_k is built from its Kronecker form, with U = F_k^T kron I_m and
+    V = I_n kron A_k, [[U_re - V_re, -(U_im + V_im)], [U_im - V_im,
+    U_re + V_re]], and pinv is numpy's; the drive is G = Cdot + Adot
+    conj(X) - X Fdot - gamma (X F - A conj(X) - C) in complex
+    arithmetic, and stack(Z) = [vec(Z_re); vec(Z_im)], vec column-major.
+    Only the providers are the package's.
+    """
+    m, n = problem.m, problem.n
+    taus = np.arange(steps) * epsilon
+    f, a, c = problem.coefficients.over(taus)
+    fd, ad, cd = problem.derivatives.over(taus)
+    states = np.empty((steps + 1, 2 * m * n))
+    x = np.array(x0, dtype=complex)
+    states[0] = np.concatenate([x.ravel("F").real, x.ravel("F").imag])
+    for k in range(steps):
+        u, v = np.kron(f[k].T, np.eye(m)), np.kron(np.eye(n), a[k])
+        w = np.block([[u.real - v.real, -(u.imag + v.imag)],
+                      [u.imag - v.imag, u.real + v.real]])
+        e = x @ f[k] - a[k] @ np.conj(x) - c[k]
+        g = (cd[k] + ad[k] @ np.conj(x) - x @ fd[k] - gamma * e).ravel("F")
+        d = np.linalg.pinv(w) @ np.concatenate([g.real, g.imag])
+        states[k + 1] = states[k] + epsilon * d
+        x = (states[k + 1, :m * n] + 1j * states[k + 1, m * n:]).reshape(
+            (m, n), order="F")
+    return states
+
+
 def one_step(problem, state, config, tau):
     """One step of ``config``'s model from the stacked ``state`` at time
     ``tau``, taken by ``run``: a driver, not an oracle, for tests that

@@ -228,6 +228,17 @@ class TestPinv:
         tight = pinv(w, tolerance=1e-10)
         np.testing.assert_allclose(tight, np.diag([1.0, 1e8]), rtol=1e-10)
 
+    @pytest.mark.parametrize("tolerance", [1e308, np.float64(1e308)])
+    def test_overflowing_cutoff_cuts_every_singular_value(self, tolerance):
+        # tolerance * 4 overflows to inf, which no singular value exceeds.
+        w = np.diag([4.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(pinv(w, tolerance), np.zeros((2, 2)))
+            w_plus, fell_back = pseudo_inverses(w[None], tolerance)
+        assert fell_back[0]
+        np.testing.assert_array_equal(w_plus[0], np.zeros((2, 2)))
+
     def test_non_finite_input_raises_numeric_error(self):
         w = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(NumericError, match="non-finite"):
