@@ -366,13 +366,12 @@ class _Block(NamedTuple):
         gamma: complex,
         epsilon: float,
         threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
         """Take the block's steps from ``states[0]``, writing the state
-        after step j into ``states[j + 1]``.  Return, as arrays over the
-        steps taken, each step's path (an object array, None for a step
-        that solves nothing) and whether it factored L, and ||E||_F at
-        each record filled: all of the block's, or those up to an early
-        stop.
+        after step j into ``states[j + 1]``.  Return, for each step taken,
+        its path (None for a step that solves nothing) and whether it
+        factored L, and ||E||_F at each record filled: all of the block's,
+        or those up to an early stop.
 
         With a :class:`~dznd.assembly.DenseSolver` the step is affine in
         the state,
@@ -407,14 +406,12 @@ class _Block(NamedTuple):
         steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
         if isinstance(solver, DenseSolver):
-            paths = np.empty(0, dtype=object)
-            made = np.zeros(0, dtype=bool)
+            paths, made = [], []
             with np.errstate(all="ignore"):
                 if steps:
-                    operators, inverses, operator_paths, made = (
+                    operators, inverses, operator_paths, formed = (
                         solver.inverses(self.f[:steps], self.a[:steps])
                     )
-                    paths = operator_paths[operators]
                     fs, as_, cs = (
                         self.fd + gamma * self.f[:steps],
                         self.ad + gamma * self.a[:steps],
@@ -442,12 +439,13 @@ class _Block(NamedTuple):
                     s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
                     lifted = np.zeros((steps + 1, size + 1))
                     lifted[0, :size], lifted[0, size] = states[0], 1.0
+                    group = np.cumsum(starts) - 1
+                    paths = operator_paths[operators].tolist()
+                    made = formed.tolist()
                     matrices = list(s)
                     x = lifted[0]
-                    for out, slot in zip(
-                        lifted[1:], (np.cumsum(starts) - 1).tolist()
-                    ):
-                        x = np.dot(matrices[slot], x, out=out)
+                    for out, slot in zip(lifted[1:], group.tolist()):
+                        x = matrices[slot].dot(x, out)
                     states[1:] = lifted[1:, :size]
                 x = unstack(states[:records], m, n)
                 eq = frobenius_norms(self.equation_error(x, slice(records)))
@@ -474,10 +472,7 @@ class _Block(NamedTuple):
                 states[j + 1] = states[j] + epsilon * direction
                 paths.append(path)
                 made.append(factored)
-        return (
-            np.array(paths, dtype=object), np.array(made, dtype=bool),
-            np.array(eqs),
-        )
+        return paths, made, np.array(eqs)
 
 
 def _stops(finite, equation_residual, threshold):
@@ -564,12 +559,11 @@ def run(
 
         stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
         taken = int(stop[0]) if stop.size else steps
+        # list.count compares by identity in C: no Enum hash per step.
         taken_paths = step_paths[:taken]
-        pinv_steps += np.count_nonzero(taken_paths == SolvePath.PINV)
-        structured_steps += np.count_nonzero(
-            taken_paths == SolvePath.STRUCTURED
-        )
-        factorizations += np.count_nonzero(made[:taken])
+        pinv_steps += taken_paths.count(SolvePath.PINV)
+        structured_steps += taken_paths.count(SolvePath.STRUCTURED)
+        factorizations += made[:taken].count(True)
         if stop.size:
             outcome = Outcome.DIVERGED
             diverged_at = start + taken
@@ -585,7 +579,7 @@ def run(
         finite=finite_flags[:records],
         outcome=outcome,
         diverged_at=diverged_at,
-        pinv_fallback_steps=int(pinv_steps),
-        structured_solve_steps=int(structured_steps),
-        operator_factorizations=int(factorizations),
+        pinv_fallback_steps=pinv_steps,
+        structured_solve_steps=structured_steps,
+        operator_factorizations=factorizations,
     )

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the package's own kernels: complex
 products are computed entry by entry with Python complex scalars, so any
-systematic error in the split arithmetic cannot cancel out.
+systematic error in the split arithmetic cannot cancel out, and the step
+oracle builds each step's real operator from numpy's Kronecker products
+and inverts it with numpy's pinv.
 """
 
 from __future__ import annotations
