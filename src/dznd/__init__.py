@@ -38,6 +38,7 @@ from .solvers import (
     SolverConfig,
     Trajectory,
     run,
+    run_batch,
     scalar_error_modulus,
     tail_max_equation_residual,
     tail_max_solution_error,
@@ -72,6 +73,7 @@ __all__ = [
     "pinv",
     "random_initial_state",
     "run",
+    "run_batch",
     "scalar_error_modulus",
     "state_from_matrix",
     "tail_max_equation_residual",

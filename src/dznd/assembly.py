@@ -629,19 +629,21 @@ def _reuses(
 
 
 def frobenius_norms(z: np.ndarray) -> np.ndarray:
-    """||Z||_F of each complex matrix of a stack, equal bitwise to
-    ``np.linalg.norm``: that takes sqrt(Re Z . Re Z + Im Z . Im Z) with
-    the dot products over the strided real and imaginary views, and a
-    stacked vector-vector matmul calls the same dot.  (A contiguous copy
-    or ``einsum`` sums in another order and can differ in the last
-    bit.)  Overflow reads inf without a warning, as it does there."""
-    z = z.reshape(len(z), math.prod(z.shape[1:]))
+    """||Z||_F of each complex matrix of a stack along leading axes, equal
+    bitwise to ``np.linalg.norm``: that takes
+    sqrt(Re Z . Re Z + Im Z . Im Z) with the dot products over the
+    strided real and imaginary views, and a stacked vector-vector matmul
+    calls the same dot.  (A contiguous copy or ``einsum`` sums in another
+    order and can differ in the last bit.)  Overflow reads inf without a
+    warning, as it does there."""
+    z = z.reshape(z.shape[:-2] + (math.prod(z.shape[-2:]),))
     re, im = z.real, z.imag
     with np.errstate(all="ignore"):
         squares = (
-            re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+            re[..., None, :] @ re[..., :, None]
+            + im[..., None, :] @ im[..., :, None]
         )
-        return np.sqrt(squares[:, 0, 0])
+        return np.sqrt(squares[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,15 @@ repeated runs with the same inputs produce byte-identical trajectory
 files.  Sweep rows additionally record wall time, which naturally varies
 between invocations.
 
-At a real gain both models take the same step, so a sweep integrates
-each real-gain (gamma, epsilon) point once and reports that run in the
-row of every requested model, ``wall_time_seconds`` included: a shared
-row reports the wall time of the one run behind it.
+A sweep integrates the points of one epsilon together, in one
+:func:`~dznd.solvers.run_batch` call that shares their provider values
+and, below the structured crossover, their W^+.  At a real gain both
+models take the same step, so a real-gain (gamma, epsilon) point is one
+member of its batch and is reported in the row of every requested model.
+A config that cannot run (dznd2-2i at a complex gain) is a batch of its
+own, so its failure stays its own row; a batch that raises otherwise
+fails every row it holds.  ``wall_time_seconds`` is the wall time of the
+batch behind a row, the same in every row of that batch.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assembly import ComplexGain
+from .errors import ConfigError
 from .problems import (
     InitialState,
     SylvesterConjugateProblem,
@@ -34,7 +40,7 @@ from .solvers import (
     Outcome,
     SolverConfig,
     Trajectory,
-    run,
+    run_batch,
     scalar_error_modulus,
     tail_max_equation_residual,
     tail_max_solution_error,
@@ -194,66 +200,92 @@ def run_sweep(
 ) -> SweepReport:
     """Run every grid point; failures become rows, never aborts.
 
-    A real-gain point is run once and its row repeated for every model
-    (module docstring).  Tail statistics cover the second half of the
-    horizon and are reported only for completed runs.
+    The points of one epsilon run as one batch, and a real-gain point
+    once for every model (module docstring).  Tail statistics cover the
+    second half of the horizon and are reported only for completed runs.
     """
     tail_from = duration / 2.0
     # Every point starts from the same state, drawn once; a draw that
-    # raises is retried, and fails, at each point.
+    # raises is retried, and fails, in each batch.
     initial = functools.cache(lambda: random_initial_state(problem, seed))
     results: dict[tuple, tuple] = {}
-    rows = []
-    for model in models:
-        for gamma in gammas:
-            for epsilon in epsilons:
-                config = SolverConfig(
+    for epsilon in dict.fromkeys(epsilons):
+        points: dict[tuple, SolverConfig] = {}
+        for model in models:
+            for gamma in gammas:
+                points.setdefault(_point(model, gamma, epsilon), SolverConfig(
                     model=model,
                     gamma=gamma,
                     epsilon=epsilon,
                     duration=duration,
                     pinv_tolerance=pinv_tolerance,
                     divergence_threshold=divergence_threshold,
-                )
-                # At a real gain the two models take the same steps.
-                key = (gamma, epsilon)
-                if not gamma.is_real:
-                    key = (model, gamma, epsilon)
-                if key not in results:
-                    results[key] = _run_point(
-                        problem, config, initial, tail_from
-                    )
-                rows.append(SweepRow(epsilon, gamma, model, *results[key]))
+                ))
+        # A config that cannot run would fail the whole batch: it fails
+        # alone, as a batch of its own.
+        valid = [key for key, config in points.items() if _valid(config)]
+        for keys in [valid, *([key] for key in points if key not in valid)]:
+            if keys:
+                results.update(zip(keys, _sweep_batch(
+                    problem, [points[key] for key in keys], initial, tail_from
+                )))
+    rows = [
+        SweepRow(epsilon, gamma, model,
+                 *results[_point(model, gamma, epsilon)])
+        for model in models for gamma in gammas for epsilon in epsilons
+    ]
     rows.sort(key=lambda r: (r.model.value, r.gamma.re, r.gamma.im, r.epsilon))
     return SweepReport(
         rows=tuple(rows), fits=tuple(_fit_orders(rows)), tail_from=tail_from
     )
 
 
-def _run_point(
+def _point(model: Model, gamma: ComplexGain, epsilon: float) -> tuple:
+    """The key of a sweep point: at a real gain the two models take the
+    same steps, so one run serves both."""
+    return (gamma, epsilon) if gamma.is_real else (model, gamma, epsilon)
+
+
+def _valid(config: SolverConfig) -> bool:
+    try:
+        config.validate()
+    except ConfigError:  # reported by the config's own batch
+        return False
+    return True
+
+
+def _sweep_batch(
     problem: SylvesterConjugateProblem,
-    config: SolverConfig,
+    configs: list[SolverConfig],
     initial: Callable[[], InitialState],
     tail_from: float,
-) -> tuple[str, float, float, int, float]:
-    """The outcome, both tail maxima, the record count and the wall time
-    of one sweep run from the state ``initial()``, in :class:`SweepRow`
-    field order."""
+) -> list[tuple[str, float, float, int, float]]:
+    """For each of ``configs``, the outcome, both tail maxima, the record
+    count and the wall time of one batch of sweep runs from the state
+    ``initial()``, in :class:`SweepRow` field order.  A batch that raises
+    gives each of its configs an ``ERROR`` outcome."""
     started = time.perf_counter()
     try:
-        trajectory = run(problem, config, initial())
-        outcome = trajectory.outcome.value
-        if trajectory.outcome is Outcome.COMPLETED:
-            tail_eq = tail_max_equation_residual(trajectory, tail_from)
-            tail_sol = tail_max_solution_error(trajectory, tail_from)
-        else:
-            tail_eq = tail_sol = math.nan
-        steps = len(trajectory)
+        trajectories = run_batch(problem, configs, initial())
     except Exception as exc:  # noqa: BLE001 - row-per-failure contract
-        outcome = f"ERROR({type(exc).__name__})"
+        results = [(f"ERROR({type(exc).__name__})", math.nan, math.nan, 0)]
+        results *= len(configs)
+    else:
+        results = [_summary(trajectory, tail_from)
+                   for trajectory in trajectories]
+    wall = time.perf_counter() - started
+    return [(*result, wall) for result in results]
+
+
+def _summary(trajectory: Trajectory, tail_from: float):
+    """The outcome, both tail maxima (nan unless completed) and the
+    record count of one sweep run."""
+    if trajectory.outcome is Outcome.COMPLETED:
+        tail_eq = tail_max_equation_residual(trajectory, tail_from)
+        tail_sol = tail_max_solution_error(trajectory, tail_from)
+    else:
         tail_eq = tail_sol = math.nan
-        steps = 0
-    return outcome, tail_eq, tail_sol, steps, time.perf_counter() - started
+    return trajectory.outcome.value, tail_eq, tail_sol, len(trajectory)
 
 
 def _loglog_slope(epsilons: list[float], tails: list[float]) -> Optional[float]:

@@ -75,8 +75,19 @@ goes to a nan state, so a run ends DIVERGED rather than raising.  From
 the crossover up, so does a step whose drive is not finite (for a
 non-finite derivative, say), without a solve.
 
-There is one way to integrate: a single step is :func:`run` with
-duration = epsilon.
+Runs that share epsilon, duration and the pinv tolerance, and differ in
+model, gain or divergence threshold, go in lockstep as one batch,
+:func:`run_batch`, whose members each equal their own run bitwise.  The
+members share each block's provider values.  Below the crossover they
+also share its W^+, and the shifted coefficients, brackets, lifted step
+matrices, residual norms and solution errors of all members are each
+formed in one stacked operation along a member axis: only the recurrence
+is a loop per member.  From the crossover up each member solves with a
+solver of its own, since a solve's path depends on its drive.  A member
+that stops keeps its records and leaves the batch.
+
+There is one way to integrate: :func:`run` is a batch of one, and a
+single step is :func:`run` with duration = epsilon.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
@@ -93,7 +104,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -146,29 +157,36 @@ MAX_STEP_COUNT = 10**7
 # that diverges has evaluated its providers at most one block less one
 # record past the record where it stopped, and never past the duration.
 # A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
-# bytes.  Below the crossover it adds W^+, the real form of the bracket
-# with the drive's column [R | -c], the lifted step matrix S and the
-# lifted state, 8 ((2mn)^2 + 2 (2mn + 1)^2) bytes in all: 256 records
-# come to 0.6 MB for a 2x2 problem, and a block at mn = 31 holds 66.
-# From the crossover up it adds the structured solver's P = F conj F and
+# bytes, which the members of a batch share.  Below the crossover it adds
+# W^+, 8 (2mn)^2 bytes, also shared, and for each member the real form of
+# the bracket with the drive's column [R | -c], the lifted step matrix S,
+# the lifted state and the states, 8 (2 (2mn + 1)^2 + 2mn) bytes: 256
+# records come to 0.6 MB for a run of a 2x2 problem, and a block of a run
+# at mn = 31 holds 66 records, one of a three-member batch 32.  From the
+# crossover up it adds the structured solver's P = F conj F and
 # Q = A conj A, 16 (n^2 + m^2) bytes, and the block sets aside the
 # solver's window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and
 # the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
-# records and one at 64x64 11.  Transient products are not counted.
+# records and one at 64x64 11.  There each member of a batch takes the
+# blocks of its own run, and has a solver of its own, so every member
+# past the first adds its P, Q and window.  Transient products are not
+# counted.
 BLOCK_RECORDS = 256
 BLOCK_BYTES = 8 * 2**20
 
 
-def block_records(m: int, n: int) -> int:
-    """The records per block of a run of an m x n problem:
-    BLOCK_RECORDS, or as many as fit in BLOCK_BYTES of stacks (at least
-    one).  The structured crossover is read at call time, as
-    :func:`run` reads it when it picks its solver."""
+def block_records(m: int, n: int, members: int = 1) -> int:
+    """The records per block of a run of an m x n problem, or of a batch
+    of ``members`` runs below the structured crossover: BLOCK_RECORDS, or
+    as many as fit in BLOCK_BYTES of stacks (at least one).  The
+    structured crossover is read at call time, as :func:`run_batch` reads
+    it when it picks its solver."""
     mn = m * n
     size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
     budget = BLOCK_BYTES
     if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
-        size += 8 * ((2 * mn) ** 2 + 2 * (2 * mn + 1) ** 2)
+        member = 2 * (2 * mn + 1) ** 2 + 2 * mn
+        size += 8 * ((2 * mn) ** 2 + members * member)
     else:
         size += 16 * (n * n + m * m)
         budget -= assembly.REUSE_WINDOW * 16 * (n * n + m * m + mn)
@@ -292,9 +310,10 @@ class _Block(NamedTuple):
     C and, when asked for, X* at every record, and the derivatives of F,
     A and C at the records that take a step.
 
-    Everything in a step that depends on tau alone comes from here;
-    :meth:`advance` takes the block's steps, and with
-    :meth:`solution_errors` gives its records' residuals.
+    Everything in a step that depends on tau alone comes from here, once
+    for every member of a batch; :meth:`advance_dense` takes the block's
+    steps of all members at once, :meth:`advance_structured` those of one,
+    and with :meth:`solution_errors` they give the records' residuals.
     """
 
     f: np.ndarray
@@ -350,106 +369,128 @@ class _Block(NamedTuple):
         return x @ self.f[at] - self.a[at] @ np.conj(x) - self.c[at]
 
     def solution_errors(self, states: np.ndarray) -> np.ndarray:
-        """||X - X*||_F (nan without X*) at the block's first len(states)
-        records, whose stacked states are ``states``."""
+        """||X - X*||_F (nan without X*) at the block's first records,
+        whose stacked states are the rows of ``states``, or of each
+        member's stack along a leading axis."""
         if self.exact is None:
-            return np.full(len(states), math.nan)
+            return np.full(states.shape[:-1], math.nan)
         x = unstack(states, self.a.shape[-1], self.f.shape[-1])
         # States integrated past a stop may overflow; they warn nothing.
         with np.errstate(all="ignore"):
-            return frobenius_norms(x - self.exact[:len(states)])
+            return frobenius_norms(x - self.exact[:states.shape[-2]])
 
-    def advance(
+    def advance_dense(
         self,
-        states: np.ndarray,
-        solver: DenseSolver | StructuredSolver,
-        gamma: complex,
+        x0: np.ndarray,
+        solver: DenseSolver,
+        gammas: np.ndarray,
         epsilon: float,
-        threshold: float,
-    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
-        """Take the block's steps from ``states[0]``, writing the state
-        after step j into ``states[j + 1]``.  Return, for each step taken,
-        its path (None for a step that solves nothing) and whether it
-        factored L, and ||E||_F at each record filled: all of the block's,
-        or those up to an early stop.
+    ) -> tuple[np.ndarray, list[Optional[SolvePath]], list[bool], np.ndarray]:
+        """Take the block's steps for each member of a batch, from its
+        stacked state ``x0[i]`` at gain ``gammas[i]``.  Return the
+        stack of the members' states at the block's steps and after its
+        last, one row per member; for each step its path (None for a step
+        that solves nothing) and whether it factored L, which the members
+        share; and ||E||_F at each of the block's records, one row per
+        member.
 
-        With a :class:`~dznd.assembly.DenseSolver` the step is affine in
-        the state,
+        The step is affine in the state,
 
             x_{k+1} = x_k + epsilon (q_k - P_k x_k),
             P_k = W_k^+ R_k,  R_k = real_operator(Fdot_k + gamma F_k,
                                                   Adot_k + gamma A_k),
             q_k = W_k^+ c_k,  c_k = stack(Cdot_k + gamma C_k),
 
-        with W_k^+ from :meth:`~dznd.assembly.DenseSolver.inverses`, and
-        on the lifted state [x_k; 1] it is [x_{k+1}; 1] = S_k [x_k; 1]
-        with S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].
-        Consecutive steps with the same operator and bitwise the same
-        Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a group,
-        found in one array comparison; each group's S comes from one
-        batched product W^+ [R | -c] = [P | -q], and the loop makes one
-        matrix-vector product per step into a lifted buffer, whose
-        states are copied back once per block.  The residual norms
-        follow for the whole block.  All the steps are taken, without
-        warnings: those past a stop are the caller's to discard.  An
-        operator that is not finite has a nan W^+, hence a nan S, so the
-        state after its step is non-finite.
+        with W_k^+ from one :meth:`~dznd.assembly.DenseSolver.inverses`
+        call for the whole batch, and on the lifted state [x_k; 1] it is
+        [x_{k+1}; 1] = S_k [x_k; 1] with
+        S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  Consecutive
+        steps with the same operator and, for every member, bitwise the
+        same Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a
+        group, found in one array comparison; a member's own groups are
+        unions of these, and each finer group forms bitwise the same S.
+        The S of every group and member come from one batched product
+        W^+ [R | -c] = [P | -q], stacked along a member axis, and only
+        the recurrence is a loop per member: one matrix-vector
+        product per step into the member's lifted buffer.  The residual
+        norms follow for the whole stack.  All the steps are taken,
+        without warnings: those past a stop are the caller's to discard.
+        An operator that is not finite has a nan W^+, hence a nan S, so
+        the state after its step is non-finite.
+        """
+        records, (count, size) = len(self.f), x0.shape
+        steps = len(self.fd) if self.fd is not None else 0
+        m, n = self.a.shape[-1], self.f.shape[-1]
+        paths, made = [], []
+        lifted = np.zeros((count, steps + 1, size + 1))
+        lifted[:, 0, :size], lifted[:, 0, size] = x0, 1.0
+        with np.errstate(all="ignore"):
+            if steps:
+                operators, inverses, operator_paths, formed = (
+                    solver.inverses(self.f[:steps], self.a[:steps])
+                )
+                # Stacks of shape (steps, members, ., .): one row of
+                # bits per step holds every member's coefficients.
+                gamma = gammas[:, None, None]
+                fs, as_, cs = (
+                    self.fd[:, None] + gamma * self.f[:steps, None],
+                    self.ad[:, None] + gamma * self.a[:steps, None],
+                    self.cd[:, None] + gamma * self.c[:steps, None],
+                )
+                firsts = assembly._changes(
+                    assembly._bit_rows(fs, as_, cs), None
+                )
+                firsts[1:] |= operators[1:] != operators[:-1]
+                group = (np.cumsum(firsts) - 1).tolist()
+                firsts = np.flatnonzero(firsts)
+                # Each operator starts a group; with one group each,
+                # the stack serves as it is.
+                if len(firsts) > len(inverses):
+                    inverses = inverses[operators[firsts]]
+                bracket = np.concatenate([
+                    real_operator(fs[firsts], as_[firsts]),
+                    -stack(cs[firsts])[..., None],
+                ], axis=-1)
+                # The top rows W^+ [R | -c] = [P | -q] become
+                # [I - epsilon P | epsilon q]; the last row is e^T.
+                s = np.zeros((len(firsts), count, size + 1, size + 1))
+                np.matmul(inverses[:, None], bracket, out=s[..., :size, :])
+                s[..., :size, :] *= -epsilon
+                s.reshape(len(firsts) * count, -1)[:, ::size + 2] += 1.0
+                paths = operator_paths[operators].tolist()
+                made = formed.tolist()
+                for matrices, buffer in zip(s.swapaxes(0, 1), lifted):
+                    matrices, x = list(matrices), buffer[0]
+                    for out, slot in zip(buffer[1:], group):
+                        x = matrices[slot].dot(x, out)
+            states = lifted[:, :, :size]
+            x = unstack(states[:, :records], m, n)
+            eq = frobenius_norms(self.equation_error(x, slice(records)))
+        return states, paths, made, eq
 
-        With a :class:`~dznd.assembly.StructuredSolver` each record's E
-        gives its residual norm and the drive
+    def advance_structured(
+        self,
+        states: np.ndarray,
+        solver: StructuredSolver,
+        gamma: complex,
+        epsilon: float,
+        threshold: float,
+    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
+        """Take the block's steps of one run from ``states[0]``, writing
+        the state after step j into ``states[j + 1]``.  Return, for each
+        step taken, its path (None for a step that solves nothing) and
+        whether it factored L, and ||E||_F at each record filled: all of
+        the block's, or those up to an early stop.
+
+        Each record's E gives its residual norm and the drive
         G = Cdot + Adot conj(X) - X Fdot - gamma E, from one conj(X), and
-        the step solves L(D) = G, since that costs O(m^3 + n^3) per solve
-        against O((mn)^3) for P.  The steps stop at the first record whose
-        state or ||E||_F is non-finite, or whose ||E||_F passes
-        ``threshold``.
+        the step solves L(D) = G with the run's own ``solver``, since that
+        costs O(m^3 + n^3) per solve against O((mn)^3) for P.  The steps
+        stop at the first record whose state or ||E||_F is non-finite, or
+        whose ||E||_F passes ``threshold``.
         """
         steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
-        if isinstance(solver, DenseSolver):
-            paths, made = [], []
-            with np.errstate(all="ignore"):
-                if steps:
-                    operators, inverses, operator_paths, formed = (
-                        solver.inverses(self.f[:steps], self.a[:steps])
-                    )
-                    fs, as_, cs = (
-                        self.fd + gamma * self.f[:steps],
-                        self.ad + gamma * self.a[:steps],
-                        self.cd + gamma * self.c[:steps],
-                    )
-                    starts = assembly._changes(
-                        assembly._bit_rows(fs, as_, cs), None
-                    )
-                    starts[1:] |= operators[1:] != operators[:-1]
-                    firsts = np.flatnonzero(starts)
-                    # Each operator starts a group; with one group each,
-                    # the stack serves as it is.
-                    if len(firsts) > len(inverses):
-                        inverses = inverses[operators[firsts]]
-                    size = 2 * m * n
-                    bracket = np.concatenate([
-                        real_operator(fs[firsts], as_[firsts]),
-                        -stack(cs[firsts])[..., None],
-                    ], axis=-1)
-                    # The top rows W^+ [R | -c] = [P | -q] become
-                    # [I - epsilon P | epsilon q]; the last row is e^T.
-                    s = np.zeros((len(firsts), size + 1, size + 1))
-                    np.matmul(inverses, bracket, out=s[:, :size])
-                    s[:, :size] *= -epsilon
-                    s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
-                    lifted = np.zeros((steps + 1, size + 1))
-                    lifted[0, :size], lifted[0, size] = states[0], 1.0
-                    group = np.cumsum(starts) - 1
-                    paths = operator_paths[operators].tolist()
-                    made = formed.tolist()
-                    matrices = list(s)
-                    x = lifted[0]
-                    for out, slot in zip(lifted[1:], group.tolist()):
-                        x = matrices[slot].dot(x, out)
-                    states[1:] = lifted[1:, :size]
-                x = unstack(states[:records], m, n)
-                eq = frobenius_norms(self.equation_error(x, slice(records)))
-            return paths, made, eq
         paths, made, eqs = [], [], []
         solver.block(self.f[:steps], self.a[:steps])
         # A record past overflow is recorded, not warned about.
@@ -505,81 +546,168 @@ def _matrices(values) -> tuple:
     return values if isinstance(values, tuple) else (values,)
 
 
+class _Member:
+    """One run of a batch: its config and gain, its records and path and
+    factorization counts as its blocks are taken, where it stopped, and,
+    from the structured crossover up, its own solver."""
+
+    def __init__(self, config: SolverConfig, x0: np.ndarray):
+        records = config.step_count + 1
+        self.config = config
+        self.gamma = complex(config.gamma.re, config.gamma.im)
+        self.states = np.empty((records, len(x0)))
+        self.states[0] = x0
+        self.equation_residuals = np.empty(records)
+        self.solution_errors = np.empty(records)
+        self.finite = np.empty(records, dtype=bool)
+        self.pinv_steps = self.structured_steps = self.factorizations = 0
+        self.diverged_at: Optional[int] = None
+        self.solver: Optional[StructuredSolver] = None
+
+    def record(
+        self,
+        start: int,
+        steps: int,
+        eq: np.ndarray,
+        errors: np.ndarray,
+        paths: list[Optional[SolvePath]],
+        made: list[bool],
+    ) -> None:
+        """Keep the residuals ``eq`` and solution errors ``errors`` of the
+        records from ``start`` on, whose states are in place, and count the
+        paths and factorizations of the block's ``steps`` steps up to the
+        first record where the run stops, if any."""
+        kept = slice(start, start + len(eq))
+        finite = np.isfinite(self.states[kept]).all(axis=1) & np.isfinite(eq)
+        self.equation_residuals[kept], self.finite[kept] = eq, finite
+        self.solution_errors[kept] = errors
+        stop = np.flatnonzero(
+            _stops(finite, eq, self.config.divergence_threshold)
+        )
+        taken = int(stop[0]) if stop.size else steps
+        # list.count compares by identity in C: no Enum hash per step.
+        taken_paths = paths[:taken]
+        self.pinv_steps += taken_paths.count(SolvePath.PINV)
+        self.structured_steps += taken_paths.count(SolvePath.STRUCTURED)
+        self.factorizations += made[:taken].count(True)
+        if stop.size:
+            self.diverged_at = start + taken
+
+    def trajectory(self, taus: np.ndarray) -> Trajectory:
+        """The run's records up to where it stopped, at times ``taus``."""
+        if self.diverged_at is None:
+            records, outcome = len(self.states), Outcome.COMPLETED
+        else:
+            records, outcome = self.diverged_at + 1, Outcome.DIVERGED
+        return Trajectory(
+            steps=np.arange(records, dtype=np.int64),
+            taus=taus[:records],
+            states=self.states[:records],
+            equation_residuals=self.equation_residuals[:records],
+            solution_errors=self.solution_errors[:records],
+            finite=self.finite[:records],
+            outcome=outcome,
+            diverged_at=self.diverged_at,
+            pinv_fallback_steps=self.pinv_steps,
+            structured_solve_steps=self.structured_steps,
+            operator_factorizations=self.factorizations,
+        )
+
+
+def run_batch(
+    problem: SylvesterConjugateProblem,
+    configs: Sequence[SolverConfig],
+    initial: InitialState,
+) -> list[Trajectory]:
+    """Integrate one run of ``problem`` from ``initial`` for each of
+    ``configs`` (at least one), in lockstep; trajectory i equals
+    ``run(problem, configs[i], initial)`` bitwise, counts included.
+
+    The members may differ in model, gain and divergence threshold, and
+    must share epsilon, duration and the pinv tolerance.  Every config is
+    validated, and the shared fields compared, before any provider call;
+    a violation raises :class:`ConfigError`.  The members share each
+    block's provider values and, below the structured crossover, its W^+
+    and stacked step products (module docstring); from the crossover up
+    each member solves with a solver of its own, as its solves' paths
+    depend on its drives.  A member that stops keeps its records and
+    leaves the batch; the others go on.
+    """
+    if not configs:
+        raise ConfigError("a batch needs at least one member")
+    for config in configs:
+        config.validate()
+    lead = configs[0]
+    for config in configs[1:]:
+        for name in ("epsilon", "duration", "pinv_tolerance"):
+            if getattr(config, name) != getattr(lead, name):
+                raise ConfigError(
+                    f"batch members must share {name}, got "
+                    f"{getattr(lead, name)!r} and {getattr(config, name)!r}"
+                )
+    m, n = problem.m, problem.n
+    if initial.x0.shape != (m, n):
+        raise ShapeError(
+            f"initial state shape {initial.x0.shape} does not match problem "
+            f"dimensions ({m}, {n})"
+        )
+    has_solution = problem.theoretical_solution is not None
+    k_total, epsilon = lead.step_count, lead.epsilon
+    x0 = state_from_matrix(initial.x0)
+    members = [_Member(config, x0) for config in configs]
+    taus = np.empty(k_total + 1)
+    if m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
+        solver = DenseSolver(lead.pinv_tolerance)
+        size = block_records(m, n, len(members))
+    else:
+        solver = None
+        for member in members:
+            member.solver = StructuredSolver(lead.pinv_tolerance)
+        # A member takes the blocks of its own run: those of a structured
+        # run can differ in the last bits with the block edges.
+        size = block_records(m, n)
+
+    active = members
+    for start in range(0, k_total + 1, size):
+        records = min(size, k_total + 1 - start)
+        steps = min(records, k_total - start)
+        block_taus = np.arange(start, start + records) * epsilon
+        taus[start:start + records] = block_taus
+        block = _Block.evaluate(problem, block_taus, steps, has_solution)
+        if solver is not None:
+            states, step_paths, made, eqs = block.advance_dense(
+                np.array([member.states[start] for member in active]),
+                solver, np.array([member.gamma for member in active]), epsilon,
+            )
+            errors = block.solution_errors(states[:, :records])
+            for member, x, eq, error in zip(active, states, eqs, errors):
+                member.states[start + 1:start + steps + 1] = x[1:]
+                member.record(start, steps, eq, error, step_paths, made)
+        else:
+            for member in active:
+                member_states = member.states[start:start + steps + 1]
+                step_paths, made, eq = block.advance_structured(
+                    member_states, member.solver, member.gamma, epsilon,
+                    member.config.divergence_threshold,
+                )
+                errors = block.solution_errors(member_states[:len(eq)])
+                member.record(start, steps, eq, errors, step_paths, made)
+        active = [member for member in active if member.diverged_at is None]
+        if not active:
+            break
+    return [member.trajectory(taus) for member in members]
+
+
 def run(
     problem: SylvesterConjugateProblem,
     config: SolverConfig,
     initial: InitialState,
 ) -> Trajectory:
-    """Integrate the configured model over k = duration/epsilon steps.
+    """Integrate the configured model over k = duration/epsilon steps: a
+    batch of one, ``run_batch(problem, [config], initial)[0]``.
 
     Deterministic for fixed inputs.  Halts early with a DIVERGED outcome
     as soon as a record is non-finite or its equation residual exceeds
     the divergence threshold; the offending record is kept.
     """
-    config.validate()
-    if initial.x0.shape != (problem.m, problem.n):
-        raise ShapeError(
-            f"initial state shape {initial.x0.shape} does not match problem "
-            f"dimensions ({problem.m}, {problem.n})"
-        )
-    has_solution = problem.theoretical_solution is not None
-    k_total = config.step_count
-    m, n = problem.m, problem.n
-
-    gamma = complex(config.gamma.re, config.gamma.im)
-    taus = np.empty(k_total + 1)
-    states = np.empty((k_total + 1, 2 * m * n))
-    states[0] = state_from_matrix(initial.x0)
-    eq_residuals = np.empty(k_total + 1)
-    sol_errors = np.empty(k_total + 1)
-    finite_flags = np.empty(k_total + 1, dtype=bool)
-    outcome = Outcome.COMPLETED
-    diverged_at: Optional[int] = None
-    pinv_steps = structured_steps = factorizations = 0
-    solver = (
-        DenseSolver if m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
-        else StructuredSolver
-    )(config.pinv_tolerance)
-
-    size = block_records(m, n)
-    for start in range(0, k_total + 1, size):
-        records = min(size, k_total + 1 - start)
-        steps = min(records, k_total - start)
-        block_taus = np.arange(start, start + records) * config.epsilon
-        block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        step_paths, made, eq = block.advance(
-            states[start:start + steps + 1], solver, gamma, config.epsilon,
-            config.divergence_threshold,
-        )
-        kept = slice(start, start + len(eq))
-        finite = np.isfinite(states[kept]).all(axis=1) & np.isfinite(eq)
-        taus[kept] = block_taus[:len(eq)]
-        eq_residuals[kept], finite_flags[kept] = eq, finite
-        sol_errors[kept] = block.solution_errors(states[kept])
-
-        stop = np.flatnonzero(_stops(finite, eq, config.divergence_threshold))
-        taken = int(stop[0]) if stop.size else steps
-        # list.count compares by identity in C: no Enum hash per step.
-        taken_paths = step_paths[:taken]
-        pinv_steps += taken_paths.count(SolvePath.PINV)
-        structured_steps += taken_paths.count(SolvePath.STRUCTURED)
-        factorizations += made[:taken].count(True)
-        if stop.size:
-            outcome = Outcome.DIVERGED
-            diverged_at = start + taken
-            break
-
-    records = k_total + 1 if diverged_at is None else diverged_at + 1
-    return Trajectory(
-        steps=np.arange(records, dtype=np.int64),
-        taus=taus[:records],
-        states=states[:records],
-        equation_residuals=eq_residuals[:records],
-        solution_errors=sol_errors[:records],
-        finite=finite_flags[:records],
-        outcome=outcome,
-        diverged_at=diverged_at,
-        pinv_fallback_steps=pinv_steps,
-        structured_solve_steps=structured_steps,
-        operator_factorizations=factorizations,
-    )
+    return run_batch(problem, [config], initial)[0]

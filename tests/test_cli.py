@@ -165,6 +165,40 @@ class TestSweepCommand:
         # 0.05, integrated once for both models.
         assert len(calls) == 10 + 20
 
+    def test_each_epsilon_is_integrated_as_one_batch(self):
+        p = example2()
+        calls = []
+        counted = dataclasses.replace(
+            p, derivatives=lambda tau: calls.append(tau) or p.derivatives(tau)
+        )
+        report = run_sweep(counted, "example2", list(Model),
+                           [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
+                           [0.1, 0.05], duration=1.0)
+        assert len(report.rows) == 8
+        # Both gains at one epsilon share one derivative evaluation per
+        # step: 10 steps at 0.1 and 20 at 0.05.
+        assert len(calls) == 10 + 20
+
+    def test_a_failing_batch_fails_only_its_epsilon(self):
+        p = example2()
+
+        def failing(tau):
+            # Of the two step sizes, only 0.05 reaches odd multiples of it.
+            if round(tau / 0.05) % 2:
+                raise ValueError("no derivative")
+            return p.derivatives(tau)
+
+        gains = [ComplexGain(10.0), ComplexGain(10.0, 20.0)]
+        report = run_sweep(dataclasses.replace(p, derivatives=failing),
+                           "example2", [Model.DZND1_2I], gains, [0.1, 0.05],
+                           duration=1.0)
+        outcomes = {(row.gamma, row.epsilon): (row.outcome, row.steps)
+                    for row in report.rows}
+        assert outcomes == {
+            **{(gain, 0.1): ("COMPLETED", 11) for gain in gains},
+            **{(gain, 0.05): ("ERROR(ValueError)", 0) for gain in gains},
+        }
+
     def test_initial_state_is_drawn_once_per_sweep(self, monkeypatch):
         draws = []
 

@@ -23,6 +23,7 @@ from dznd import (
     example2,
     random_initial_state,
     run,
+    run_batch,
     scalar_error_modulus,
     state_from_matrix,
     tail_max_equation_residual,
@@ -1103,6 +1104,148 @@ class TestNorms:
         self._assert_bitwise(z)
 
 
+_TRAJECTORY_ARRAYS = ("steps", "taus", "states", "equation_residuals",
+                      "solution_errors", "finite")
+_TRAJECTORY_SCALARS = ("outcome", "diverged_at", "pinv_fallback_steps",
+                       "structured_solve_steps", "operator_factorizations")
+
+
+def _assert_same_trajectory(got, want):
+    """Every field of two trajectories equal, arrays to the last bit."""
+    for name in _TRAJECTORY_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in _TRAJECTORY_SCALARS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestRunBatch:
+    """run_batch integrates the runs of configs that share epsilon,
+    duration and the pinv tolerance in lockstep; each member equals its
+    own run() to the last bit, with the same counts."""
+
+    def test_members_equal_their_own_runs_property(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # Real and complex gains; at epsilon 0.1 and 0.05 the complex ones
+        # and the large real one diverge, growing the residual by 1.1 to
+        # 3.5 per step, so thresholds of up to 10^6 times the first
+        # residual stop the members at different records.
+        gains = st.sampled_from([
+            ComplexGain(10.0), ComplexGain(3.0), ComplexGain(45.0),
+            ComplexGain(10.0, 20.0), ComplexGain(5.0, -30.0),
+        ])
+        members = st.lists(
+            st.tuples(gains, st.floats(min_value=-0.5, max_value=6.0)),
+            min_size=1, max_size=3,
+        )
+        # m and n from 1 to 6; half the draws are 6x6 (mn = 36), which
+        # takes the structured solve.
+        shapes = st.one_of(st.just((6, 6)),
+                           st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+        # Blocks of 2 to 7 records put the stops in different blocks.
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(
+            shapes, st.integers(0, 2**16), st.sampled_from([0.1, 0.05]),
+            st.integers(1, 20), members, st.integers(2, 7),
+        )
+        def check(shape, seed, epsilon, steps, drawn, block):
+            monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", block)
+            problem = make_shifted_trig_problem(*shape, seed)
+            initial = random_initial_state(problem, seed)
+            first = residual_oracle(problem, initial.x0, 0.0)
+            configs = [
+                _config(model=Model.DZND2_2I if gain.is_real and seed % 2
+                        else Model.DZND1_2I, gamma=gain, epsilon=epsilon,
+                        duration=epsilon * steps,
+                        divergence_threshold=first * 10.0**exponent)
+                for gain, exponent in drawn
+            ]
+            batch = run_batch(problem, configs, initial)
+            assert len(batch) == len(configs)
+            for got, config in zip(batch, configs, strict=True):
+                _assert_same_trajectory(got, run(problem, config, initial))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check()
+
+    def test_members_stop_in_different_blocks(self, monkeypatch):
+        # At gain 10+20i and epsilon 0.1 the residual doubles each step;
+        # with blocks of 4 records the three thresholds stop the members
+        # in the first, second and fourth block, and the real gain
+        # completes.
+        monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", 4)
+        problem = example2()
+        initial = random_initial_state(problem, 3)
+        configs = [
+            _config(gamma=ComplexGain(10.0, 20.0), duration=2.0,
+                    divergence_threshold=threshold)
+            for threshold in (1e2, 1e3, 1e5)
+        ] + [_config(duration=2.0)]
+        batch = run_batch(problem, configs, initial)
+        for got, config in zip(batch, configs, strict=True):
+            _assert_same_trajectory(got, run(problem, config, initial))
+        stops = [t.diverged_at for t in batch]
+        assert stops[-1] is None
+        assert len({stop // 4 for stop in stops[:-1]}) == 3
+
+    def test_run_is_a_batch_of_one(self):
+        problem = example1()
+        config = _config(gamma=ComplexGain(10.0, 20.0), epsilon=0.01)
+        initial = random_initial_state(problem, 4)
+        [trajectory] = run_batch(problem, [config], initial)
+        _assert_same_trajectory(trajectory, run(problem, config, initial))
+
+    def test_members_share_the_providers(self):
+        p = example2()
+        calls = {"coefficients": 0, "derivatives": 0,
+                 "theoretical_solution": 0}
+
+        def counting(name):
+            def provider(tau):
+                calls[name] += 1
+                return getattr(p, name)(tau)
+            return provider
+
+        counted = dataclasses.replace(
+            p, **{name: counting(name) for name in calls})
+        configs = [_config(gamma=gain, duration=1.0) for gain in (
+            GAMMA10, ComplexGain(5.0), ComplexGain(10.0, 20.0))]
+        run_batch(counted, configs, random_initial_state(p, 42))
+        assert calls == {"coefficients": 11, "derivatives": 10,
+                         "theoretical_solution": 11}
+
+    @pytest.mark.parametrize("other", [
+        _config(epsilon=0.05),
+        _config(duration=5.0),
+        _config(pinv_tolerance=1e-10),
+        _config(model=Model.DZND2_2I, gamma=ComplexGain(10.0, 20.0)),
+        _config(epsilon=0.3),
+    ], ids=["epsilon", "duration", "tolerance", "invalid-model-gain",
+            "invalid-step-count"])
+    def test_config_errors_come_before_any_provider_call(self, other):
+        def refusing(tau):
+            raise AssertionError("provider called")
+
+        p = example2()
+        problem = dataclasses.replace(
+            p, coefficients=refusing, derivatives=refusing,
+            theoretical_solution=refusing)
+        initial = random_initial_state(p, 1)
+        for configs in ([_config(), other], [other, _config()]):
+            with pytest.raises(ConfigError):
+                run_batch(problem, configs, initial)
+
+    def test_empty_batch_is_a_config_error(self):
+        p = example2()
+        with pytest.raises(ConfigError, match="at least one member"):
+            run_batch(p, [], random_initial_state(p, 1))
+
+
 def test_block_records_cap_the_block_stacks():
     # The registered problems (3x2, 2x2) and the benchmark's 12x8 take
     # full blocks.  Below the crossover a block holds W^+, [R | -c], the
@@ -1119,6 +1262,17 @@ def test_block_records_cap_the_block_stacks():
         assert block_records(size, size) == (BLOCK_BYTES - window) // (
             16 * 9 * size**2) == records
     assert block_records(2048, 2048) == 1
+    # A batch below the crossover shares W^+ and the provider stacks, and
+    # each member adds its bracket, S, lifted state and states, 8 (2
+    # (2mn + 1)^2 + 2mn) bytes a record.
+    for members, records in [(1, 66), (2, 43), (3, 32)]:
+        assert block_records(31, 1, members) == BLOCK_BYTES // (
+            16 * (2 + 2 * 31**2 + 3 * 31)
+            + 8 * (62**2 + members * (2 * 63**2 + 62))) == records
+    for m, n in [(3, 2), (2, 2)]:
+        assert block_records(m, n, 3) == BLOCK_RECORDS
+    # From the crossover up each member takes its own run's blocks.
+    assert block_records(16, 16, 3) == block_records(16, 16) == 224
 
 
 def test_running_both_models_does_not_import_scipy():
