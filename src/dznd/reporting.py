@@ -12,9 +12,12 @@ and, below the structured crossover, their W^+.  At a real gain both
 models take the same step, so a real-gain (gamma, epsilon) point is one
 member of its batch and is reported in the row of every requested model.
 A config that cannot run (dznd2-2i at a complex gain) is a batch of its
-own, so its failure stays its own row; a batch that raises otherwise
-fails every row it holds.  ``wall_time_seconds`` is the wall time of the
-batch behind a row, the same in every row of that batch.
+own, so its failure stays its own row.  A batch that raises otherwise
+(a provider that fails at some tau, say) is retried config by config, so
+every row reports what its own run gives: a run that diverged before
+that tau stays DIVERGED.  ``wall_time_seconds`` is the wall time of the
+batch, or of the retried run, behind a row; the rows of one batch report
+the same time.
 """
 
 from __future__ import annotations
@@ -263,13 +266,17 @@ def _sweep_batch(
     """For each of ``configs``, the outcome, both tail maxima, the record
     count and the wall time of one batch of sweep runs from the state
     ``initial()``, in :class:`SweepRow` field order.  A batch that raises
-    gives each of its configs an ``ERROR`` outcome."""
+    is retried config by config, as a member that stopped before the
+    failure keeps its own outcome; a config whose own run raises has an
+    ``ERROR`` outcome."""
     started = time.perf_counter()
     try:
         trajectories = run_batch(problem, configs, initial())
     except Exception as exc:  # noqa: BLE001 - row-per-failure contract
+        if len(configs) > 1:
+            return [result for config in configs for result in
+                    _sweep_batch(problem, [config], initial, tail_from)]
         results = [(f"ERROR({type(exc).__name__})", math.nan, math.nan, 0)]
-        results *= len(configs)
     else:
         results = [_summary(trajectory, tail_from)
                    for trajectory in trajectories]

@@ -199,6 +199,25 @@ class TestSweepCommand:
             **{(gain, 0.05): ("ERROR(ValueError)", 0) for gain in gains},
         }
 
+    def test_a_run_that_stops_before_a_failure_keeps_its_outcome(self):
+        # At epsilon 0.001 gain 2500 diverges at record 59, in the first
+        # block; gain 10 goes on into the blocks whose derivatives raise.
+        p = example2()
+
+        def failing(tau):
+            if tau >= 0.5:
+                raise ValueError("no derivative")
+            return p.derivatives(tau)
+
+        report = run_sweep(dataclasses.replace(p, derivatives=failing),
+                           "example2", [Model.DZND1_2I],
+                           [ComplexGain(10.0), ComplexGain(2500.0)], [0.001],
+                           duration=1.0)
+        assert [(row.gamma, row.outcome, row.steps) for row in report.rows] == [
+            (ComplexGain(10.0), "ERROR(ValueError)", 0),
+            (ComplexGain(2500.0), "DIVERGED", 60),
+        ]
+
     def test_initial_state_is_drawn_once_per_sweep(self, monkeypatch):
         draws = []
 
