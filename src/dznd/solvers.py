@@ -50,9 +50,9 @@ the block's steps advance in one of two ways:
   lifted state [x; 1] that step is one product with the lifted step
   matrix S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  The S of the
   whole block come from one batched product W^+ [R | -c] = [P | -q],
-  formed once for each group of consecutive steps that share W^+ and
-  bitwise the same shifted coefficients (once per block when the
-  coefficients are constant), and the loop makes one matrix-vector
+  formed once for each group of consecutive steps whose provider values
+  are bitwise the same (once per block when the coefficients are
+  constant), whatever the gain, and the loop makes one matrix-vector
   product per step, reading the 8 (2mn + 1)^2 bytes of its S.  At these
   sizes the Python overhead of each numpy call costs more than the
   arithmetic.  The block integrates all its steps, also those past the
@@ -79,12 +79,13 @@ Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
 :func:`run_batch`, whose members each equal their own run bitwise.  The
 members share each block's provider values.  Below the crossover they
-also share its W^+, and the shifted coefficients, brackets, lifted step
-matrices, residual norms and solution errors of all members are each
-formed in one stacked operation along a member axis: only the recurrence
-is a loop per member.  From the crossover up each member solves with a
-solver of its own, since a solve's path depends on its drive.  A member
-that stops keeps its records and leaves the batch.
+also share its W^+ and its step groups, and the shifted coefficients,
+brackets, lifted step matrices, residual norms and solution errors of
+all members are each formed in one stacked operation along a member
+axis: only the recurrence is a loop per member.  From the crossover up
+each member solves with a solver of its own, since a solve's path
+depends on its drive.  A member that stops keeps its records and leaves
+the batch.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -94,9 +95,10 @@ equation residual ||E||_F and the solution error ||X - X*||_F (nan when
 the problem has no known solution): below the crossover for the whole
 block from its stored states, in batched norms equal bitwise to
 ``np.linalg.norm``, from the crossover up record by record from the E
-of the drive.  It stops at the first record that is non-finite or whose
-residual passes the divergence threshold; that record is kept, and path
-and factorization counts cover the steps taken before it.
+of the drive.  It stops at the first record whose state or residual is
+non-finite or whose residual passes the divergence threshold; that
+record is kept, and path and factorization counts cover the steps taken
+before it.
 """
 
 from __future__ import annotations
@@ -144,11 +146,11 @@ class Outcome(enum.Enum):
 
 # Relative slack when deciding whether duration/epsilon is an integer.
 _STEP_COUNT_SLACK = 1e-9
-# A run allocates all k+1 records up front, 33 + 16mn bytes each (a step
-# index, a time, two residuals, a finite flag and 2mn state floats): about
-# 0.1 kB for a 2x2 problem, so the 10^7-record cap bounds a 2x2 run at
-# about 1 GB and a 16x16 run at about 41 GB.  Past it a run is refused
-# rather than left to exhaust memory.
+# A run allocates all k+1 records up front, 32 + 16mn bytes each (a step
+# index, a time, two residuals and 2mn state floats): about 0.1 kB for a
+# 2x2 problem, so the 10^7-record cap bounds a 2x2 run at about 1 GB and
+# a 16x16 run at about 41 GB.  Past it a run is refused rather than left
+# to exhaust memory.
 MAX_STEP_COUNT = 10**7
 # A run evaluates its providers, converts their values to complex128,
 # factors its operators and, below the structured crossover, takes its
@@ -253,8 +255,9 @@ class Trajectory:
     """Per-step records of a run, stored as aligned arrays.
 
     Record i holds step index ``steps[i]``, sample time ``taus[i]``
-    (= steps[i] * epsilon), the stacked state ``states[i]``, both
-    residuals, and whether everything was still finite.
+    (= steps[i] * epsilon), the stacked state ``states[i]`` and both
+    residuals.  A run stops at its first record whose state or equation
+    residual is non-finite, so only the last record can be.
     ``structured_solve_steps`` counts the steps solved through the
     Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
     the SVD pseudo-inverse because no other path could be certified.
@@ -272,7 +275,6 @@ class Trajectory:
     states: np.ndarray
     equation_residuals: np.ndarray
     solution_errors: np.ndarray
-    finite: np.ndarray
     outcome: Outcome
     diverged_at: Optional[int] = None
     pinv_fallback_steps: int = 0
@@ -394,29 +396,21 @@ class _Block(NamedTuple):
         share; and ||E||_F at each of the block's records, one row per
         member.
 
-        The step is affine in the state,
-
-            x_{k+1} = x_k + epsilon (q_k - P_k x_k),
-            P_k = W_k^+ R_k,  R_k = real_operator(Fdot_k + gamma F_k,
-                                                  Adot_k + gamma A_k),
-            q_k = W_k^+ c_k,  c_k = stack(Cdot_k + gamma C_k),
-
-        with W_k^+ from one :meth:`~dznd.assembly.DenseSolver.inverses`
-        call for the whole batch, and on the lifted state [x_k; 1] it is
-        [x_{k+1}; 1] = S_k [x_k; 1] with
-        S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  Consecutive
-        steps with the same operator and, for every member, bitwise the
-        same Fdot + gamma F, Adot + gamma A and Cdot + gamma C form a
-        group, found in one array comparison; a member's own groups are
-        unions of these, and each finer group forms bitwise the same S.
-        The S of every group and member come from one batched product
-        W^+ [R | -c] = [P | -q], stacked along a member axis, and only
-        the recurrence is a loop per member: one matrix-vector
-        product per step into the member's lifted buffer.  The residual
-        norms follow for the whole stack.  All the steps are taken,
-        without warnings: those past a stop are the caller's to discard.
-        An operator that is not finite has a nan W^+, hence a nan S, so
-        the state after its step is non-finite.
+        Each step is the product [x_{k+1}; 1] = S_k [x_k; 1] with the
+        lifted step matrix of the module docstring, whose W_k^+ come from
+        one :meth:`~dznd.assembly.DenseSolver.inverses` call for the
+        whole batch.  Consecutive steps with bitwise the same F, A, C,
+        Fdot, Adot and Cdot form a group, found in one array comparison
+        of the block's own values; a group shares one operator, and for
+        any gain one S.  The shifted coefficients are formed at the group
+        starts only, and the S of every group and member come from one
+        batched product W^+ [R | -c] = [P | -q], stacked along a member
+        axis, and only the recurrence is a loop per member: one
+        matrix-vector product per step into the member's lifted buffer.
+        The residual norms follow for the whole stack.  All the steps are
+        taken, without warnings: those past a stop are the caller's to
+        discard.  An operator that is not finite has a nan W^+, hence a
+        nan S, so the state after its step is non-finite.
         """
         records, (count, size) = len(self.f), x0.shape
         steps = len(self.fd) if self.fd is not None else 0
@@ -429,28 +423,31 @@ class _Block(NamedTuple):
                 operators, inverses, operator_paths, formed = (
                     solver.inverses(self.f[:steps], self.a[:steps])
                 )
-                # Stacks of shape (steps, members, ., .): one row of
-                # bits per step holds every member's coefficients.
-                gamma = gammas[:, None, None]
-                fs, as_, cs = (
-                    self.fd[:, None] + gamma * self.f[:steps, None],
-                    self.ad[:, None] + gamma * self.a[:steps, None],
-                    self.cd[:, None] + gamma * self.c[:steps, None],
-                )
-                firsts = assembly._changes(
-                    assembly._bit_rows(fs, as_, cs), None
-                )
-                firsts[1:] |= operators[1:] != operators[:-1]
+                # Groups from the bits of F, A, C, Fdot, Adot and Cdot.
+                rows = assembly._bit_rows(*(z[:steps] for z in self[:6]))
+                firsts = assembly._changes(rows, None)
                 group = (np.cumsum(firsts) - 1).tolist()
                 firsts = np.flatnonzero(firsts)
                 # Each operator starts a group; with one group each,
                 # the stack serves as it is.
                 if len(firsts) > len(inverses):
                     inverses = inverses[operators[firsts]]
-                bracket = np.concatenate([
-                    real_operator(fs[firsts], as_[firsts]),
-                    -stack(cs[firsts])[..., None],
-                ], axis=-1)
+                # Each member's shifted coefficients at the group starts,
+                # one product over the rows [F A C | Fdot Adot Cdot]: at
+                # least three entries, as numpy rounds a product of one
+                # complex entry differently from one of several.
+                values = rows.view(np.complex128)[firsts, None]
+                half = values.shape[-1] // 2
+                shifted = (values[..., half:]
+                           + gammas[:, None] * values[..., :half])
+                edges = [0, n * n, n * n + m * m, half]
+                fs, as_, cs = (
+                    shifted[..., lo:hi].reshape(shifted.shape[:2] + z.shape[1:])
+                    for lo, hi, z in zip(edges, edges[1:], self[:3])
+                )
+                bracket = np.concatenate(
+                    [real_operator(fs, as_), -stack(cs)[..., None]], axis=-1
+                )
                 # The top rows W^+ [R | -c] = [P | -q] become
                 # [I - epsilon P | epsilon q]; the last row is e^T.
                 s = np.zeros((len(firsts), count, size + 1, size + 1))
@@ -559,7 +556,6 @@ class _Member:
         self.states[0] = x0
         self.equation_residuals = np.empty(records)
         self.solution_errors = np.empty(records)
-        self.finite = np.empty(records, dtype=bool)
         self.pinv_steps = self.structured_steps = self.factorizations = 0
         self.diverged_at: Optional[int] = None
         self.solver: Optional[StructuredSolver] = None
@@ -579,7 +575,7 @@ class _Member:
         first record where the run stops, if any."""
         kept = slice(start, start + len(eq))
         finite = np.isfinite(self.states[kept]).all(axis=1) & np.isfinite(eq)
-        self.equation_residuals[kept], self.finite[kept] = eq, finite
+        self.equation_residuals[kept] = eq
         self.solution_errors[kept] = errors
         stop = np.flatnonzero(
             _stops(finite, eq, self.config.divergence_threshold)
@@ -605,7 +601,6 @@ class _Member:
             states=self.states[:records],
             equation_residuals=self.equation_residuals[:records],
             solution_errors=self.solution_errors[:records],
-            finite=self.finite[:records],
             outcome=outcome,
             diverged_at=self.diverged_at,
             pinv_fallback_steps=self.pinv_steps,

@@ -94,10 +94,12 @@ class TestProblemSizes:
         sized = SylvesterConjugateProblem(
             m=np.int64(2), n=np.intp(2), coefficients=p.coefficients,
             derivatives=p.derivatives)
-        assert run(sized, SolverConfig(model=Model.DZND1_2I,
-                                       gamma=ComplexGain(10.0), epsilon=0.1,
-                                       duration=0.1),
-                   random_initial_state(p, 42)).finite.all()
+        trajectory = run(sized, SolverConfig(model=Model.DZND1_2I,
+                                             gamma=ComplexGain(10.0),
+                                             epsilon=0.1, duration=0.1),
+                         random_initial_state(p, 42))
+        assert np.isfinite(trajectory.states).all()
+        assert np.isfinite(trajectory.equation_residuals).all()
         with pytest.raises(ShapeError, match="integer >= 1"):
             SylvesterConjugateProblem(m=2.0, n=2, coefficients=p.coefficients,
                                       derivatives=p.derivatives)

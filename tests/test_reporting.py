@@ -25,7 +25,6 @@ def _trajectory(equation_residuals, solution_errors, states):
         states=np.asarray(states, dtype=np.float64),
         equation_residuals=np.asarray(equation_residuals, dtype=np.float64),
         solution_errors=np.asarray(solution_errors, dtype=np.float64),
-        finite=np.ones(records, dtype=bool),
         outcome=Outcome.COMPLETED,
     )
 

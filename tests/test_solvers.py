@@ -63,6 +63,12 @@ def _matrix(state, problem):
     return SplitComplexMatrix.from_complex(unstack(state, problem.m, problem.n))
 
 
+def _finite(trajectory):
+    """Whether each record's state and equation residual are finite."""
+    return (np.isfinite(trajectory.states).all(axis=1)
+            & np.isfinite(trajectory.equation_residuals))
+
+
 class TestScalarErrorModulus:
     def test_deadbeat_combination(self):
         assert scalar_error_modulus(GAMMA10, 0.1) == 0.0
@@ -265,8 +271,8 @@ class TestNonFiniteData:
         assert trajectory.outcome is Outcome.DIVERGED
         assert trajectory.diverged_at == record
         assert len(trajectory) == record + 1
-        assert not trajectory.finite[-1]
-        assert trajectory.finite[:-1].all()
+        assert not _finite(trajectory)[-1]
+        assert _finite(trajectory)[:-1].all()
 
     @pytest.mark.parametrize("index,value", [(1, math.inf), (0, math.nan)],
                              ids=["inf-Adot", "nan-Fdot"])
@@ -312,7 +318,7 @@ class TestRun:
         np.testing.assert_allclose(
             trajectory.taus, trajectory.steps * 0.1, rtol=0, atol=1e-12
         )
-        assert trajectory.finite.all()
+        assert _finite(trajectory).all()
         assert trajectory.diverged_at is None
 
     def test_divergence_halts_early_and_flags_step(self):
@@ -325,7 +331,7 @@ class TestRun:
         last = trajectory.equation_residuals[-1]
         assert (not np.isfinite(last)) or last > config.divergence_threshold
         # every record before the trip point is finite
-        assert trajectory.finite[:-1].all()
+        assert _finite(trajectory)[:-1].all()
 
     def test_divergence_predictor_matches_outcomes(self):
         problem = example2()
@@ -942,8 +948,8 @@ class TestBlocks:
             "moving"])
     def test_p_is_formed_once_per_distinct_step(self, monkeypatch, factory,
                                                 formed):
-        # Below the crossover, consecutive steps with the same W^+ and
-        # bitwise the same shifted F, A and C share P and q.  The 4x6
+        # Below the crossover, consecutive steps with bitwise the same
+        # F, A, C and derivatives share P and q.  The 4x6
         # problem has 24 unknowns, so it takes the dense path with one P
         # for every block.  Each run takes two full blocks of steps.
         sizes = []
@@ -962,6 +968,57 @@ class TestBlocks:
         # Each one-step run of the reference forms P for its one step.
         assert sizes[:2] == formed
         assert sizes[2:] == [1] * config.step_count
+
+    @staticmethod
+    def _decaying_c_problem():
+        """example1 with C = exp(-10 tau) C_1, so that Cdot = -10 C: at
+        gain 10 the shifted Cdot + gamma C is 0 at every step while C
+        moves, and F and A are constant."""
+        p = example1()
+        f, a, c = p.coefficients(0.0)
+        fd, ad, _ = p.derivatives(0.0)
+
+        def coefficients(tau):
+            return f, a, SplitComplexMatrix.from_complex(
+                math.exp(-10.0 * tau) * c.to_complex())
+
+        def derivatives(tau):
+            return fd, ad, SplitComplexMatrix.from_complex(
+                -10.0 * coefficients(tau)[2].to_complex())
+
+        return SylvesterConjugateProblem(
+            m=p.m, n=p.n, coefficients=coefficients, derivatives=derivatives)
+
+    @pytest.mark.parametrize("gamma", [GAMMA10, ComplexGain(10.0, 20.0)],
+                             ids=["10", "10+20i"])
+    def test_repeated_shifted_coefficients_of_moving_values(
+            self, monkeypatch, gamma):
+        # Steps group by their provider values, not by the shifted
+        # coefficients: at gain 10 those repeat bitwise while C moves,
+        # and each step still forms its own S, as at any other gain.
+        sizes = []
+
+        def counting(f, a):
+            sizes.append(len(f))
+            return real_operator(f, a)
+
+        problem = self._decaying_c_problem()
+        config = _config(gamma=gamma, epsilon=0.01, duration=1.0)
+        monkeypatch.setattr(dznd.solvers, "real_operator", counting)
+        trajectory = _assert_runs_as_one_shot_steps(
+            problem, config, random_initial_state(problem, 8))
+        assert trajectory.outcome is Outcome.COMPLETED
+        assert trajectory.operator_factorizations == 1
+        assert sizes[0] == config.step_count
+
+    def test_repeated_shifted_coefficients_in_a_batch(self):
+        problem = self._decaying_c_problem()
+        initial = random_initial_state(problem, 8)
+        configs = [_config(gamma=ComplexGain(gain), epsilon=0.01,
+                           duration=1.0) for gain in (10.0, 5.0)]
+        batch = run_batch(problem, configs, initial)
+        for got, config in zip(batch, configs, strict=True):
+            _assert_same_trajectory(got, run(problem, config, initial))
 
 
 def _colliding_spectra_problem(size):
@@ -1061,8 +1118,8 @@ class TestOverflowingOperator:
             trajectory = run(problem, _config(), initial)
         assert trajectory.outcome is Outcome.DIVERGED
         assert trajectory.diverged_at == (0 if start == "random" else 1)
-        assert not trajectory.finite[-1]
-        assert trajectory.finite[:-1].all()
+        assert not _finite(trajectory)[-1]
+        assert _finite(trajectory)[:-1].all()
         assert trajectory.pinv_fallback_steps == 0
         assert trajectory.structured_solve_steps == 0
 
@@ -1105,7 +1162,7 @@ class TestNorms:
 
 
 _TRAJECTORY_ARRAYS = ("steps", "taus", "states", "equation_residuals",
-                      "solution_errors", "finite")
+                      "solution_errors")
 _TRAJECTORY_SCALARS = ("outcome", "diverged_at", "pinv_fallback_steps",
                        "structured_solve_steps", "operator_factorizations")
 
@@ -1192,6 +1249,20 @@ class TestRunBatch:
         stops = [t.diverged_at for t in batch]
         assert stops[-1] is None
         assert len({stop // 4 for stop in stops[:-1]}) == 3
+
+    @pytest.mark.parametrize("m,n,seed", [(1, 1, 0), (3, 1, 0), (1, 3, 2)])
+    def test_one_step_with_one_entry_coefficients(self, m, n, seed):
+        # One step of a problem with n = 1 (or m = 1): a member's F (or
+        # A) is one complex entry, and numpy rounds a product of one
+        # entry differently from one of several.  A member's shifted
+        # coefficients must not depend on how many members there are.
+        problem = make_shifted_trig_problem(m, n, seed)
+        initial = random_initial_state(problem, seed)
+        configs = [_config(gamma=gain, duration=0.1)
+                   for gain in (GAMMA10, ComplexGain(10.0, 20.0))]
+        batch = run_batch(problem, configs, initial)
+        for got, config in zip(batch, configs, strict=True):
+            _assert_same_trajectory(got, run(problem, config, initial))
 
     def test_run_is_a_batch_of_one(self):
         problem = example1()
