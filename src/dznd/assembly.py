@@ -20,11 +20,12 @@ and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
 :class:`DenseSolver` and :class:`StructuredSolver` solve L(D) = G for
-the steps of a run, which picks one of them once from its mn.  Steps
-whose F and A stay bitwise the same, also across the edge from the
-block before, share one operator's factors and pay only their
-application; steps only move forward from one operator to the next, so
-a solver keeps only the current operator's factors.  Below mn =
+the steps of a run, which picks one of them once from its mn.
+:func:`find_operators` decides once per block, for either solver and
+every member of a batch, which steps share an operator: those whose F
+and A stay bitwise the same, also across the edge from the block before.
+Steps only move forward from one operator to the next, so a solver keeps
+only the current operator's factors.  Below mn =
 :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns the factor is W^+ from
 :func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or its
 SVD pseudo-inverse.  From it up the factors are those of the Sylvester
@@ -222,86 +223,89 @@ class SolvePath(enum.Enum):
     PINV = "pinv"  # the SVD pseudo-inverse of W
 
 
+class Operators(NamedTuple):
+    """The operators of a block's steps, from :func:`find_operators`."""
+
+    index: np.ndarray  # each step's operator
+    starts: np.ndarray  # whether a step starts an operator
+    f: np.ndarray  # F and A of each operator
+    a: np.ndarray
+    new: np.ndarray  # not the previous block's last; only the first can be
+    finite: np.ndarray  # whether its W is finite (_finite_operators)
+
+
+def find_operators(
+    rows: np.ndarray, previous: np.ndarray | None, f: np.ndarray, a: np.ndarray
+) -> Operators:
+    """The operators of a block's steps (at least one), from the stacks
+    ``f`` and ``a`` of their F and A, the ``rows`` of their bits
+    (:func:`_bit_rows`) and the row ``previous`` of the step before the
+    block, or None: a step starts one when its F or A changes a bit."""
+    starts = _changes(rows)
+    f, a = f[starts], a[starts]
+    new = np.ones(len(f), dtype=bool)
+    new[0] = previous is None or bool((rows[0] != previous).any())
+    finite = _finite_operators(f, a)
+    return Operators(np.cumsum(starts) - 1, starts, f, a, new, finite)
+
+
+def sylvester_terms(operators: Operators) -> tuple[np.ndarray, ...]:
+    """P = F conj F, Q = A conj A and s = ||F||_F + ||A||_F of each of a
+    block's operators, in batched products, without a warning: an
+    operator that is not finite is never solved."""
+    f, a = operators.f, operators.a
+    with np.errstate(all="ignore"):
+        s = frobenius_norms(f) + frobenius_norms(a)
+        return f @ np.conj(f), a @ np.conj(a), s
+
+
 class DenseSolver:
     """The W^+ of L(Z) = Z F - A conj(Z) for the steps of a run below the
-    structured crossover, one block at a time, with a pinv cutoff
-    ``tolerance``.
-
-    Consecutive steps whose F and A are bitwise the same (their entries
-    compared as uint64 bit patterns, so even a changed sign of zero
-    differs) share one operator; a block's first step is compared with the
-    previous block's last.  :meth:`inverses` forms the W^+ of the block's
-    new operators in one :func:`~dznd.linalg.pseudo_inverses` call, and
-    the solver keeps the last operator's W^+ and path, so a block whose
-    first step repeats it forms nothing for that step: a run with
-    constant coefficients forms W^+ once.
-    """
+    structured crossover, with a pinv cutoff ``tolerance``: for a block's
+    operators (:func:`find_operators`), :meth:`inverses` forms those of
+    the new finite ones in one :func:`~dznd.linalg.pseudo_inverses` call.
+    The solver keeps only the last operator's W^+ and path, which serve a
+    block whose first operator repeats it: a run with constant
+    coefficients forms W^+ once."""
 
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
-        self._row: np.ndarray | None = None
         self._kept: tuple[RealMatrix, SolvePath | None] | None = None
 
-    def inverses(
-        self, f: np.ndarray, a: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """For a block's per-step stacks of F and A (at least one step):
-        the operator of each step, an index into the block's operators;
-        the stack of their ``pinv(W_i, tolerance)`` and the object array
-        of their paths, the certified inverse of W or its SVD
-        pseudo-inverse (an operator whose W is not finite, see
-        :func:`_finite_operators`, has a nan W^+ and path None); and
-        whether each step formed its operator's W^+."""
-        rows = _bit_rows(f, a)
-        new = _changes(rows, self._row)
-        starts = new.copy()
-        starts[0] = True
-        operators = np.cumsum(starts) - 1
-        f, a = f[starts], a[starts]
-        formed = new[starts] & _finite_operators(f, a)
-        if formed.all():
-            # Every operator is new and finite: the stack serves as it is.
-            w_plus, fell_back = pseudo_inverses(
-                real_operator(f, a), self._tolerance
+    def inverses(self, operators: Operators) -> tuple[np.ndarray, ...]:
+        """For each of a block's operators: its ``pinv(W_i, tolerance)``,
+        stacked; its path, the certified inverse of W or its SVD
+        pseudo-inverse, in an object array (an operator whose W is not
+        finite has a nan W^+ and path None); and whether this block formed
+        its W^+."""
+        f, a = operators.f, operators.a
+        size = 2 * f.shape[-1] * a.shape[-1]
+        w_plus = np.full((len(f), size, size), math.nan)
+        paths = np.full(len(f), None, dtype=object)
+        if not operators.new[0]:
+            w_plus[0], paths[0] = self._kept
+        formed = operators.new & operators.finite
+        todo = np.flatnonzero(formed)
+        if todo.size:
+            w_plus[todo], fell_back = pseudo_inverses(
+                real_operator(f[todo], a[todo]), self._tolerance
             )
-            paths = _DENSE_PATHS[fell_back.astype(np.intp)]
-        else:
-            size = 2 * f.shape[-1] * a.shape[-1]
-            w_plus = np.full((len(f), size, size), math.nan)
-            paths = np.full(len(f), None, dtype=object)
-            if not new[0]:
-                w_plus[0], paths[0] = self._kept
-            todo = np.flatnonzero(formed)
-            if todo.size:
-                w_plus[todo], fell_back = pseudo_inverses(
-                    real_operator(f[todo], a[todo]), self._tolerance
-                )
-                paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
-        self._row = rows[-1].copy()
+            paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
         self._kept = w_plus[-1].copy(), paths[-1]
-        return operators, w_plus, paths, formed[operators] & new
+        return w_plus, paths, formed
 
 
 class StructuredSolver:
     """Solves of L(Z) = Z F - A conj(Z) for the steps of a run from the
     structured crossover up, one step at a time, with a pinv cutoff
-    ``tolerance``.
-
-    The solver holds what serves the current operator: the factors of its
-    Sylvester form that solved it (in the base's eigenbases or its own),
-    whether they are its own, and its W^+ once formed.  A step whose F
-    and A are not bitwise the same as the step's before (for a block's
-    first step, the previous block's last) starts a new operator and
-    drops all of these.  It also holds the base, the operator whose
-    Sylvester form it factored and certified last, across block edges
-    too.
-
-    What a solve needs of F and A alone is formed before the steps.
-    :meth:`block` forms P = F conj F, Q = A conj A and s = ||F||_F +
-    ||A||_F of each of the block's operators in batched products; the
-    Sylvester forms of its coming operators in the base's eigenbases,
-    with their certificates (:func:`_reuses`), follow a window of
-    operators at a time (:data:`REUSE_WINDOW`).
+    ``tolerance``.  :meth:`block` takes a block's operators
+    (:func:`find_operators`) and their :func:`sylvester_terms`, which the
+    members of a batch share.  The solver keeps its base, the operator
+    whose Sylvester form it factored and certified last, across block
+    edges too; the Sylvester forms of a window of :data:`REUSE_WINDOW`
+    coming operators in the base's eigenbases, with their certificates
+    (:func:`_reuses`); and, until a step starts a new operator, what
+    served the current one.
 
     A new operator's first solve takes the base's eigenbases when their
     certificate holds for it.  When it does not, or the sweeps reach
@@ -317,36 +321,22 @@ class StructuredSolver:
 
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
-        self._row: np.ndarray | None = None
         self._base: _SylvesterFactors | None = None
         self._factors: _SylvesterFactors | None = None
         self._own = False
         self._dense: tuple[RealMatrix, SolvePath] | None = None
 
-    def block(self, f: np.ndarray, a: np.ndarray) -> None:
-        """Take a block's per-step stacks of F and A; its steps are then
-        solved in order by :meth:`solve`."""
-        rows = _bit_rows(f, a)
-        new = _changes(rows, self._row)
-        starts = new.copy()
-        starts[:1] = True
-        # Each step's operator, an index into the block's operators; the
-        # first is the one held now unless step 0 starts another.
-        self._operators = (np.cumsum(starts) - 1).tolist()
-        self._operator = 0 if len(new) and not new[0] else -1
-        if len(rows):
-            self._row = rows[-1].copy()
-        self._f, self._a = f, a
-        self._finite = _finite_operators(f, a).tolist()
+    def block(self, operators: Operators, terms: tuple) -> None:
+        """Take a block's operators and their Sylvester ``terms``; its
+        steps are then solved in order by :meth:`solve`."""
+        self._operators = operators
+        self._steps = operators.index.tolist()
+        # The first operator is the one held now unless it is new.
+        self._operator = -1 if operators.new[0] else 0
+        self._p, self._q, self._s = terms
         self._cutoff = singular_value_cutoff(
-            self._tolerance, 2 * f.shape[-1] * a.shape[-1]
+            self._tolerance, 2 * operators.f.shape[-1] * operators.a.shape[-1]
         )
-        f, a = f[starts], a[starts]
-        # An operator that is not finite is never solved; its terms are
-        # formed without a warning.
-        with np.errstate(all="ignore"):
-            self._p, self._q = f @ np.conj(f), a @ np.conj(a)
-            self._s = frobenius_norms(f) + frobenius_norms(a)
         self._reuses: _Reuses | None = None
         self._first = 0
 
@@ -360,14 +350,14 @@ class StructuredSolver:
 
         When W_k (see :func:`_finite_operators`) or G is not finite, the
         answer is nan and the path None, without a solve."""
-        operator = self._operators[step]
+        operator = self._steps[step]
         if operator != self._operator:
             self._operator = operator
             self._factors, self._own, self._dense = None, False, None
-        if not (self._finite[step] and np.isfinite(g).all()):
+        if not (self._operators.finite[operator] and np.isfinite(g).all()):
             return np.full(2 * g.size, math.nan), None, False
         factored = self._own or self._dense is not None
-        f, a = self._f[step], self._a[step]
+        f, a = self._operators.f[operator], self._operators.a[operator]
         d = self._sylvester_solve(f, a, g)
         if d is not None:
             direction, path = stack(d), SolvePath.STRUCTURED
@@ -376,9 +366,7 @@ class StructuredSolver:
                 w_plus, fell_back = pseudo_inverses(
                     real_operator(f, a)[None], self._tolerance
                 )
-                self._dense = w_plus[0], (
-                    SolvePath.PINV if fell_back[0] else SolvePath.INVERSE
-                )
+                self._dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
             matrix, path = self._dense
             direction = matrix @ stack(g)
         return direction, path, not factored and (
@@ -449,14 +437,10 @@ def _bit_rows(*stacks: np.ndarray) -> np.ndarray:
     return rows.view(np.uint64)
 
 
-def _changes(rows: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
-    """Whether each row differs from the row before it; the first is
-    compared with ``previous``, and differs when there is none."""
-    changed = np.empty(len(rows), dtype=bool)
-    if len(rows):
-        changed[0] = previous is None or bool((rows[0] != previous).any())
-        np.any(rows[1:] != rows[:-1], axis=1, out=changed[1:])
-    return changed
+def _changes(rows: np.ndarray) -> np.ndarray:
+    """Whether each of rows (at least one) differs from the row before
+    it; the first does."""
+    return np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])
 
 
 def _finite_operators(f: np.ndarray, a: np.ndarray) -> np.ndarray:

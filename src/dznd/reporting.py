@@ -208,11 +208,13 @@ def run_sweep(
     second half of the horizon and are reported only for completed runs.
     """
     tail_from = duration / 2.0
+    # A point named twice, as 10 and 10.0 say, is run and reported once.
+    models, gammas, epsilons = map(dict.fromkeys, (models, gammas, epsilons))
     # Every point starts from the same state, drawn once; a draw that
     # raises is retried, and fails, in each batch.
     initial = functools.cache(lambda: random_initial_state(problem, seed))
     results: dict[tuple, tuple] = {}
-    for epsilon in dict.fromkeys(epsilons):
+    for epsilon in epsilons:
         points: dict[tuple, SolverConfig] = {}
         for model in models:
             for gamma in gammas:

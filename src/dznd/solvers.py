@@ -30,17 +30,18 @@ fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
 the block as complex128 stacks.  Each provider is a
 :class:`~dznd.problems.BlockProvider` (a problem adapts a function of
 one tau when it is built), called once per block with the block's array
-of tau.  The block's F and A then go to the run's one solver, picked
-once from mn: a :class:`~dznd.assembly.DenseSolver` below the
-structured crossover, a :class:`~dznd.assembly.StructuredSolver` from it
-up.  It keeps only the current operator's factors, so a run keeps the
-factors of L while F and A stay bitwise the same, across block
-boundaries too (with constant coefficients it factors L once), and
-tells for each step whether it factored: below the crossover a new
-operator's W^+; from the crossover up an operator's own
-eigendecompositions (or W^+), so a step solved in another operator's
-eigenbases counts none.  A run sums those of the steps it takes.  Then
-the block's steps advance in one of two ways:
+of tau.  :func:`~dznd.assembly.find_operators` then finds the block's
+operators once, from the bits of its F and A and of the last step before
+it, which the run carries.  They go to the run's one solver, picked once
+from mn: a :class:`~dznd.assembly.DenseSolver` below the structured
+crossover, a :class:`~dznd.assembly.StructuredSolver` from it up.  It
+keeps only the current operator's factors, so a run factors L once while
+F and A stay bitwise the same, across block edges too, and tells for
+each step whether it factored: below the crossover a new operator's W^+;
+from the crossover up an operator's own eigendecompositions (or W^+), so
+a step solved in another operator's eigenbases counts none.  A run sums
+those of the steps it takes.  Then the block's steps advance in one of
+two ways:
 
 * Below the structured crossover the drive is affine in the state,
   G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
@@ -63,11 +64,12 @@ the block's steps advance in one of two ways:
   O(m^3 + n^3) of the solve.  A run's operators move little from one
   step to the next, so most steps solve in the eigenbases of the run's
   last factored operator, with Jacobi sweeps, and factor only when that
-  fails its certificate or its check.  What that takes of F and A alone,
-  the certificates included, the solver forms before the steps, in
-  batched products (see :class:`~dznd.assembly.StructuredSolver`); the
-  loop keeps what depends on the state.  These steps stop at the first
-  record where the run stops, and so do their factorizations.
+  fails its certificate or its check.  What that takes of F and A alone
+  is formed before the steps, in batched products: P = F conj F,
+  Q = A conj A and s once per block, the certificates by the solver (see
+  :class:`~dznd.assembly.StructuredSolver`); the loop keeps what depends
+  on the state.  These steps stop at the first record where the run
+  stops, and so do their factorizations.
 
 An operator whose real form W is not finite (for non-finite F or A, or
 where F[t, t] +- A[s, s] overflows) is never factored: a step with it
@@ -78,14 +80,14 @@ non-finite derivative, say), without a solve.
 Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
 :func:`run_batch`, whose members each equal their own run bitwise.  The
-members share each block's provider values.  Below the crossover they
-also share its W^+ and its step groups, and the shifted coefficients,
-brackets, lifted step matrices, residual norms and solution errors of
-all members are each formed in one stacked operation along a member
-axis: only the recurrence is a loop per member.  From the crossover up
-each member solves with a solver of its own, since a solve's path
-depends on its drive.  A member that stops keeps its records and leaves
-the batch.
+members share each block's provider values and operators.  Below the
+crossover they also share its W^+ and its step groups, and the shifted
+coefficients, brackets, lifted step matrices, residual norms and
+solution errors of all members are each formed in one stacked operation
+along a member axis: only the recurrence is a loop per member.  From the
+crossover up they share the operators' P, Q and s, and each member
+solves with a solver of its own, since a solve's path depends on its
+drive.  A member that stops keeps its records and leaves the batch.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -165,14 +167,13 @@ MAX_STEP_COUNT = 10**7
 # the lifted state and the states, 8 (2 (2mn + 1)^2 + 2mn) bytes: 256
 # records come to 0.6 MB for a run of a 2x2 problem, and a block of a run
 # at mn = 31 holds 66 records, one of a three-member batch 32.  From the
-# crossover up it adds the structured solver's P = F conj F and
-# Q = A conj A, 16 (n^2 + m^2) bytes, and the block sets aside the
-# solver's window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and
-# the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
-# records and one at 64x64 11.  There each member of a batch takes the
-# blocks of its own run, and has a solver of its own, so every member
-# past the first adds its P, Q and window.  Transient products are not
-# counted.
+# crossover up it adds the operators' P = F conj F and Q = A conj A,
+# 16 (n^2 + m^2) bytes, also shared, and the block sets aside a solver's
+# window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and the
+# gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
+# records and one at 64x64 11.  There each member of a batch has a solver
+# of its own, so every member past the first adds its window.  Transient
+# products are not counted.
 BLOCK_RECORDS = 256
 BLOCK_BYTES = 8 * 2**20
 
@@ -385,24 +386,27 @@ class _Block(NamedTuple):
         self,
         x0: np.ndarray,
         solver: DenseSolver,
+        operators: Optional[assembly.Operators],
+        rows: Optional[np.ndarray],
         gammas: np.ndarray,
         epsilon: float,
     ) -> tuple[np.ndarray, list[Optional[SolvePath]], list[bool], np.ndarray]:
         """Take the block's steps for each member of a batch, from its
-        stacked state ``x0[i]`` at gain ``gammas[i]``.  Return the
-        stack of the members' states at the block's steps and after its
-        last, one row per member; for each step its path (None for a step
-        that solves nothing) and whether it factored L, which the members
-        share; and ||E||_F at each of the block's records, one row per
-        member.
+        stacked state ``x0[i]`` at gain ``gammas[i]``, given the steps'
+        ``operators`` and the ``rows`` of their bits (both None without a
+        step).  Return the stack of the members' states at the block's
+        steps and after its last, one row per member; for each step its
+        path (None for a step that solves nothing) and whether it factored
+        L, which the members share; and ||E||_F at each of the block's
+        records, one row per member.
 
         Each step is the product [x_{k+1}; 1] = S_k [x_k; 1] with the
         lifted step matrix of the module docstring, whose W_k^+ come from
         one :meth:`~dznd.assembly.DenseSolver.inverses` call for the
         whole batch.  Consecutive steps with bitwise the same F, A, C,
-        Fdot, Adot and Cdot form a group, found in one array comparison
-        of the block's own values; a group shares one operator, and for
-        any gain one S.  The shifted coefficients are formed at the group
+        Fdot, Adot and Cdot (their ``rows``, which begin with the bits of
+        F and A) form a group; a group shares one operator, and for any
+        gain one S.  The shifted coefficients are formed at the group
         starts only, and the S of every group and member come from one
         batched product W^+ [R | -c] = [P | -q], stacked along a member
         axis, and only the recurrence is a loop per member: one
@@ -420,18 +424,15 @@ class _Block(NamedTuple):
         lifted[:, 0, :size], lifted[:, 0, size] = x0, 1.0
         with np.errstate(all="ignore"):
             if steps:
-                operators, inverses, operator_paths, formed = (
-                    solver.inverses(self.f[:steps], self.a[:steps])
-                )
-                # Groups from the bits of F, A, C, Fdot, Adot and Cdot.
-                rows = assembly._bit_rows(*(z[:steps] for z in self[:6]))
-                firsts = assembly._changes(rows, None)
+                inverses, operator_paths, formed = solver.inverses(operators)
+                firsts = operators.starts | assembly._changes(
+                    rows[:, 2 * (n * n + m * m):])
                 group = (np.cumsum(firsts) - 1).tolist()
                 firsts = np.flatnonzero(firsts)
-                # Each operator starts a group; with one group each,
-                # the stack serves as it is.
+                # With one group for each operator, the stack serves as
+                # it is.
                 if len(firsts) > len(inverses):
-                    inverses = inverses[operators[firsts]]
+                    inverses = inverses[operators.index[firsts]]
                 # Each member's shifted coefficients at the group starts,
                 # one product over the rows [F A C | Fdot Adot Cdot]: at
                 # least three entries, as numpy rounds a product of one
@@ -454,8 +455,8 @@ class _Block(NamedTuple):
                 np.matmul(inverses[:, None], bracket, out=s[..., :size, :])
                 s[..., :size, :] *= -epsilon
                 s.reshape(len(firsts) * count, -1)[:, ::size + 2] += 1.0
-                paths = operator_paths[operators].tolist()
-                made = formed.tolist()
+                paths = operator_paths[operators.index].tolist()
+                made = (operators.starts & formed[operators.index]).tolist()
                 for matrices, buffer in zip(s.swapaxes(0, 1), lifted):
                     matrices, x = list(matrices), buffer[0]
                     for out, slot in zip(buffer[1:], group):
@@ -481,15 +482,15 @@ class _Block(NamedTuple):
 
         Each record's E gives its residual norm and the drive
         G = Cdot + Adot conj(X) - X Fdot - gamma E, from one conj(X), and
-        the step solves L(D) = G with the run's own ``solver``, since that
-        costs O(m^3 + n^3) per solve against O((mn)^3) for P.  The steps
-        stop at the first record whose state or ||E||_F is non-finite, or
-        whose ||E||_F passes ``threshold``.
+        the step solves L(D) = G with the run's own ``solver``, which holds
+        the block's operators, since that costs O(m^3 + n^3) per solve
+        against O((mn)^3) for P.  The steps stop at the first record whose
+        state or ||E||_F is non-finite, or whose ||E||_F passes
+        ``threshold``.
         """
         steps, records = len(states) - 1, len(self.f)
         m, n = self.a.shape[-1], self.f.shape[-1]
         paths, made, eqs = [], [], []
-        solver.block(self.f[:steps], self.a[:steps])
         # A record past overflow is recorded, not warned about.
         with np.errstate(all="ignore"):
             for j in range(records):
@@ -524,9 +525,10 @@ def _stacks(provider, taus: np.ndarray, check) -> tuple:
     ``provider`` at every tau of ``taus`` (at least one) as complex128
     stacks, one for each matrix it returns, after ``check`` has seen the
     shapes of one record's matrices."""
+    values = provider.over(np.array(taus, dtype=np.float64))
     stacks = tuple(
         np.asarray(z, dtype=np.complex128)
-        for z in _matrices(provider.over(np.array(taus, dtype=np.float64)))
+        for z in (values if isinstance(values, tuple) else (values,))
     )
     for z in stacks:
         if z.shape[:1] != (len(taus),):
@@ -536,11 +538,6 @@ def _stacks(provider, taus: np.ndarray, check) -> tuple:
             )
     check(*(z.shape[1:] for z in stacks))
     return stacks
-
-
-def _matrices(values) -> tuple:
-    """A provider's value as a tuple: (F, A, C), or (X*,)."""
-    return values if isinstance(values, tuple) else (values,)
 
 
 class _Member:
@@ -622,11 +619,10 @@ def run_batch(
     must share epsilon, duration and the pinv tolerance.  Every config is
     validated, and the shared fields compared, before any provider call;
     a violation raises :class:`ConfigError`.  The members share each
-    block's provider values and, below the structured crossover, its W^+
-    and stacked step products (module docstring); from the crossover up
-    each member solves with a solver of its own, as its solves' paths
-    depend on its drives.  A member that stops keeps its records and
-    leaves the batch; the others go on.
+    block's provider values and operators and, below the structured
+    crossover, its W^+ and stacked step products, from it up the
+    operators' P, Q and s (module docstring).  A member that stops keeps
+    its records and leaves the batch; the others go on.
     """
     if not configs:
         raise ConfigError("a batch needs at least one member")
@@ -651,17 +647,18 @@ def run_batch(
     x0 = state_from_matrix(initial.x0)
     members = [_Member(config, x0) for config in configs]
     taus = np.empty(k_total + 1)
-    if m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
+    dense = m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
+    if dense:
         solver = DenseSolver(lead.pinv_tolerance)
         size = block_records(m, n, len(members))
     else:
-        solver = None
         for member in members:
             member.solver = StructuredSolver(lead.pinv_tolerance)
-        # A member takes the blocks of its own run: those of a structured
-        # run can differ in the last bits with the block edges.
+        # The blocks are those of a run of one member: a structured run
+        # can differ in the last bits with its block edges.
         size = block_records(m, n)
-
+    # The bits of F and A at the last step taken.
+    width, row = 2 * (n * n + m * m), None
     active = members
     for start in range(0, k_total + 1, size):
         records = min(size, k_total + 1 - start)
@@ -669,10 +666,25 @@ def run_batch(
         block_taus = np.arange(start, start + records) * epsilon
         taus[start:start + records] = block_taus
         block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        if solver is not None:
+        rows = operators = None
+        if steps:
+            # Below the crossover the step groups take the bits of all six
+            # stacks, whose rows begin with those of F and A.
+            stacks = block[:6] if dense else block[:2]
+            rows = assembly._bit_rows(*(z[:steps] for z in stacks))
+            operators = assembly.find_operators(
+                rows[:, :width], row, block.f[:steps], block.a[:steps]
+            )
+            row = rows[-1, :width].copy()
+            if not dense:
+                terms = assembly.sylvester_terms(operators)
+                for member in active:
+                    member.solver.block(operators, terms)
+        if dense:
             states, step_paths, made, eqs = block.advance_dense(
                 np.array([member.states[start] for member in active]),
-                solver, np.array([member.gamma for member in active]), epsilon,
+                solver, operators, rows,
+                np.array([member.gamma for member in active]), epsilon,
             )
             errors = block.solution_errors(states[:, :records])
             for member, x, eq, error in zip(active, states, eqs, errors):

@@ -27,8 +27,11 @@ from dznd.assembly import (
     DenseSolver,
     SolvePath,
     StructuredSolver,
+    _bit_rows,
+    find_operators,
     real_operator,
     stack,
+    sylvester_terms,
     unstack,
 )
 from dznd.linalg import pseudo_inverses
@@ -185,11 +188,18 @@ def _jordan_block_case():
     return f, 0.5 * np.eye(6) + np.eye(6, k=1), g
 
 
+def _operators(f, a, previous=None):
+    """The operators of a block whose steps have the stacks of F and A,
+    after a step whose bit row is ``previous``."""
+    return find_operators(_bit_rows(f, a), previous, f, a)
+
+
 def _structured(f, a, tolerance=None):
     """A structured solver holding the block whose steps have the stacks
     of F and A."""
     solver = StructuredSolver(tolerance)
-    solver.block(f, a)
+    operators = _operators(f, a)
+    solver.block(operators, sylvester_terms(operators))
     return solver
 
 
@@ -200,6 +210,29 @@ def _one_shot(f, a, g, tolerance=None):
 
 def _refuse(*args):
     raise AssertionError("pseudo_inverses was called")
+
+
+def test_find_operators_compares_bits_across_the_block_edge():
+    # Steps 0 and 1 repeat the previous block's last F and A; step 2
+    # flips the sign of a zero in A, which compares equal but differs in
+    # its bytes, and step 3 repeats step 2.
+    rng = np.random.default_rng(6)
+    f = random_split(rng, 3, 3).to_complex()
+    a = random_split(rng, 2, 2).to_complex()
+    a[0, 1] = 0.0
+    flipped = a.copy()
+    flipped[0, 1] = complex(-0.0, 0.0)
+    fs, as_ = np.stack([f] * 4), np.stack([a, a, flipped, flipped])
+    previous = _bit_rows(f[None], a[None])[-1]
+    for before, new in ((previous, [False, True]), (None, [True, True])):
+        operators = _operators(fs, as_, before)
+        assert operators.index.tolist() == [0, 0, 1, 1]
+        assert operators.starts.tolist() == [True, False, True, False]
+        assert operators.new.tolist() == new
+        assert operators.finite.tolist() == [True, True]
+        np.testing.assert_array_equal(operators.a.view(np.uint64),
+                                      as_[[0, 2]].view(np.uint64))
+        np.testing.assert_array_equal(operators.f, fs[[0, 2]])
 
 
 class TestSolveOperator:
@@ -300,12 +333,14 @@ class TestSolveOperator:
             # pseudo_inverses, formed once.
             want, fell_back = pseudo_inverses(real_operator(f, a)[None])
             assert not fell_back[0]
-            solver = DenseSolver()
+            solver, row = DenseSolver(), None
             for block in range(4):
-                operators, w_plus, paths, made = solver.inverses(
-                    f[None], a[None])
+                operators = _operators(f[None], a[None], row)
+                row = _bit_rows(f[None], a[None])[-1]
+                w_plus, paths, made = solver.inverses(operators)
                 np.testing.assert_array_equal(w_plus, want)
-                assert operators.tolist() == [0]
+                assert operators.index.tolist() == [0]
+                assert operators.new.tolist() == [block == 0]
                 assert paths.tolist() == [structured]
                 assert made.tolist() == [block == 0]
                 # The later blocks repeat the operator and form nothing.
@@ -343,9 +378,10 @@ class TestSolveOperator:
         g = random_split(rng, 2, 3).to_complex()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            operators, w_plus, paths, made = DenseSolver().inverses(
-                np.stack(fs), np.stack(as_))
-        assert operators.tolist() == [0, 1, 2, 3]
+            operators = _operators(np.stack(fs), np.stack(as_))
+            w_plus, paths, made = DenseSolver().inverses(operators)
+        assert operators.index.tolist() == [0, 1, 2, 3]
+        assert operators.finite.tolist() == [True, True, False, True]
         assert made.tolist() == [True, True, False, True]
         for member in (3, 0, 1):
             want, fell_back = pseudo_inverses(

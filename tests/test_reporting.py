@@ -9,6 +9,7 @@ import numpy as np
 
 from dznd import ComplexGain, Model, Outcome, SolverConfig
 from dznd import svgplot
+from dznd.cli import main
 from dznd.reporting import write_residual_svg, write_trajectory_csv
 from dznd.solvers import Trajectory
 
@@ -98,3 +99,22 @@ def test_residual_svg_points_follow_the_scalar_formulas(tmp_path):
     want = _scalar_polylines(trajectory.taus.tolist(), [residuals, errors])
     assert got == want
     assert len(got) == 6
+
+
+def test_sweep_writes_each_named_point_once(tmp_path):
+    # Gains 10 and 10.0 are one point, and so is epsilon 0.1 named twice:
+    # two distinct points, two rows, and the fit counts two.
+    code = main([
+        "sweep", "--problem", "example2", "--model", "dznd1-2i",
+        "--gamma", "10", "--gamma", "10.0", "--epsilon", "0.1",
+        "--epsilon", "0.1", "--epsilon", "0.05", "--duration", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["0.05", "10.0", "dznd1-2i"], ["0.1", "10.0", "dznd1-2i"]]
+    fit, = [line for line in
+            (tmp_path / "order_report.txt").read_text().splitlines()
+            if line.startswith("dznd1-2i ")]
+    assert fit.split()[2] == "2"

@@ -1290,6 +1290,35 @@ class TestRunBatch:
         assert calls == {"coefficients": 11, "derivatives": 10,
                          "theoretical_solution": 11}
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("m,n", [(2, 3), (6, 6)])
+    def test_operators_are_found_once_per_block(self, monkeypatch, m, n,
+                                                members):
+        # Below and from the structured crossover up, a block's bits are
+        # laid out and its operators tested for finiteness once, however
+        # many members share it: 21 steps in blocks of 7 records take
+        # three blocks with steps, and the last record a block of none.
+        monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", 7)
+        calls = {"_bit_rows": 0, "_finite_operators": 0}
+
+        def counting(name):
+            original = getattr(dznd.assembly, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(dznd.assembly, name, counting(name))
+        problem = make_shifted_trig_problem(m, n, 2)
+        configs = [_config(gamma=gain, epsilon=0.01, duration=0.21)
+                   for gain in (GAMMA10, ComplexGain(5.0),
+                                ComplexGain(10.0, 20.0))[:members]]
+        batch = run_batch(problem, configs, random_initial_state(problem, 2))
+        assert all(t.outcome is Outcome.COMPLETED for t in batch)
+        assert calls == {"_bit_rows": 3, "_finite_operators": 3}
+
     @pytest.mark.parametrize("other", [
         _config(epsilon=0.05),
         _config(duration=5.0),
