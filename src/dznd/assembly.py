@@ -279,18 +279,25 @@ class DenseSolver:
         finite has a nan W^+ and path None); and whether this block formed
         its W^+."""
         f, a = operators.f, operators.a
-        size = 2 * f.shape[-1] * a.shape[-1]
-        w_plus = np.full((len(f), size, size), math.nan)
-        paths = np.full(len(f), None, dtype=object)
-        if not operators.new[0]:
-            w_plus[0], paths[0] = self._kept
         formed = operators.new & operators.finite
-        todo = np.flatnonzero(formed)
-        if todo.size:
-            w_plus[todo], fell_back = pseudo_inverses(
-                real_operator(f[todo], a[todo]), self._tolerance
+        if formed.all():
+            # Every operator is new and finite: the stack serves as it is.
+            w_plus, fell_back = pseudo_inverses(
+                real_operator(f, a), self._tolerance
             )
-            paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
+            paths = _DENSE_PATHS[fell_back.astype(np.intp)]
+        else:
+            size = 2 * f.shape[-1] * a.shape[-1]
+            w_plus = np.full((len(f), size, size), math.nan)
+            paths = np.full(len(f), None, dtype=object)
+            if not operators.new[0]:
+                w_plus[0], paths[0] = self._kept
+            todo = np.flatnonzero(formed)
+            if todo.size:
+                w_plus[todo], fell_back = pseudo_inverses(
+                    real_operator(f[todo], a[todo]), self._tolerance
+                )
+                paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
         self._kept = w_plus[-1].copy(), paths[-1]
         return w_plus, paths, formed
 

@@ -11,13 +11,14 @@ A sweep integrates the points of one epsilon together, in one
 and, below the structured crossover, their W^+.  At a real gain both
 models take the same step, so a real-gain (gamma, epsilon) point is one
 member of its batch and is reported in the row of every requested model.
-A config that cannot run (dznd2-2i at a complex gain) is a batch of its
-own, so its failure stays its own row.  A batch that raises otherwise
-(a provider that fails at some tau, say) is retried config by config, so
-every row reports what its own run gives: a run that diverged before
-that tau stays DIVERGED.  ``wall_time_seconds`` is the wall time of the
-batch, or of the retried run, behind a row; the rows of one batch report
-the same time.
+A config that cannot run (dznd2-2i at a complex gain) is not run: its
+row reads ``ERROR(ConfigError)``.  An exception raised in a block of the
+batch (by a provider that fails at some tau, a solve, or a warning made
+an error) ends the members still running there, whose rows read
+``ERROR(...)``; a member that stopped before it keeps its ``DIVERGED``
+row.  ``wall_time_seconds`` is the wall time of the batch behind a row,
+so the rows of one batch report the same time, and 0.0 for a config that
+was not run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .solvers import (
     Outcome,
     SolverConfig,
     Trajectory,
-    run_batch,
+    _run_batch,
     scalar_error_modulus,
     tail_max_equation_residual,
     tail_max_solution_error,
@@ -226,14 +227,19 @@ def run_sweep(
                     pinv_tolerance=pinv_tolerance,
                     divergence_threshold=divergence_threshold,
                 ))
-        # A config that cannot run would fail the whole batch: it fails
-        # alone, as a batch of its own.
-        valid = [key for key, config in points.items() if _valid(config)]
-        for keys in [valid, *([key] for key in points if key not in valid)]:
-            if keys:
-                results.update(zip(keys, _sweep_batch(
-                    problem, [points[key] for key in keys], initial, tail_from
-                )))
+        # A config that cannot run would fail the whole batch: it is
+        # reported without running.
+        for key, config in points.items():
+            try:
+                config.validate()
+            except ConfigError:
+                results[key] = ("ERROR(ConfigError)", math.nan, math.nan,
+                                0, 0.0)
+        valid = [key for key in points if key not in results]
+        if valid:
+            results.update(zip(valid, _sweep_batch(
+                problem, [points[key] for key in valid], initial, tail_from
+            )))
     rows = [
         SweepRow(epsilon, gamma, model,
                  *results[_point(model, gamma, epsilon)])
@@ -251,14 +257,6 @@ def _point(model: Model, gamma: ComplexGain, epsilon: float) -> tuple:
     return (gamma, epsilon) if gamma.is_real else (model, gamma, epsilon)
 
 
-def _valid(config: SolverConfig) -> bool:
-    try:
-        config.validate()
-    except ConfigError:  # reported by the config's own batch
-        return False
-    return True
-
-
 def _sweep_batch(
     problem: SylvesterConjugateProblem,
     configs: list[SolverConfig],
@@ -267,23 +265,19 @@ def _sweep_batch(
 ) -> list[tuple[str, float, float, int, float]]:
     """For each of ``configs``, the outcome, both tail maxima, the record
     count and the wall time of one batch of sweep runs from the state
-    ``initial()``, in :class:`SweepRow` field order.  A batch that raises
-    is retried config by config, as a member that stopped before the
-    failure keeps its own outcome; a config whose own run raises has an
-    ``ERROR`` outcome."""
+    ``initial()``, in :class:`SweepRow` field order.  An exception ends
+    the members still running where it is raised, each with an ``ERROR``
+    outcome; a member that stopped before keeps its own."""
     started = time.perf_counter()
     try:
-        trajectories = run_batch(problem, configs, initial())
+        trajectories, error = _run_batch(problem, configs, initial())
     except Exception as exc:  # noqa: BLE001 - row-per-failure contract
-        if len(configs) > 1:
-            return [result for config in configs for result in
-                    _sweep_batch(problem, [config], initial, tail_from)]
-        results = [(f"ERROR({type(exc).__name__})", math.nan, math.nan, 0)]
-    else:
-        results = [_summary(trajectory, tail_from)
-                   for trajectory in trajectories]
+        trajectories, error = [None] * len(configs), exc
     wall = time.perf_counter() - started
-    return [(*result, wall) for result in results]
+    failed = (f"ERROR({type(error).__name__})", math.nan, math.nan, 0)
+    return [(*(failed if trajectory is None
+               else _summary(trajectory, tail_from)), wall)
+            for trajectory in trajectories]
 
 
 def _summary(trajectory: Trajectory, tail_from: float):

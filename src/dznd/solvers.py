@@ -87,7 +87,13 @@ solution errors of all members are each formed in one stacked operation
 along a member axis: only the recurrence is a loop per member.  From the
 crossover up they share the operators' P, Q and s, and each member
 solves with a solver of its own, since a solve's path depends on its
-drive.  A member that stops keeps its records and leaves the batch.
+drive.  The batch keeps its records as rows of stacked arrays, one row
+per member, and after each block one loop over the members still
+running, for both paths, keeps their residuals, finds where each stops
+and counts its paths and factorizations.  A member that stops keeps its
+records and leaves the batch.  An exception raised in a block (by a
+provider, a solve, or a warning made an error) ends the members still
+running there; those that stopped before keep their records.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -316,7 +322,7 @@ class _Block(NamedTuple):
     Everything in a step that depends on tau alone comes from here, once
     for every member of a batch; :meth:`advance_dense` takes the block's
     steps of all members at once, :meth:`advance_structured` those of one,
-    and with :meth:`solution_errors` they give the records' residuals.
+    and both give the records' residuals, with :meth:`solution_errors`.
     """
 
     f: np.ndarray
@@ -384,21 +390,23 @@ class _Block(NamedTuple):
 
     def advance_dense(
         self,
-        x0: np.ndarray,
+        states: np.ndarray,
+        members: list[int],
         solver: DenseSolver,
         operators: Optional[assembly.Operators],
         rows: Optional[np.ndarray],
         gammas: np.ndarray,
         epsilon: float,
-    ) -> tuple[np.ndarray, list[Optional[SolvePath]], list[bool], np.ndarray]:
-        """Take the block's steps for each member of a batch, from its
-        stacked state ``x0[i]`` at gain ``gammas[i]``, given the steps'
-        ``operators`` and the ``rows`` of their bits (both None without a
-        step).  Return the stack of the members' states at the block's
-        steps and after its last, one row per member; for each step its
-        path (None for a step that solves nothing) and whether it factored
-        L, which the members share; and ||E||_F at each of the block's
-        records, one row per member.
+    ) -> list[tuple[list[Optional[SolvePath]], list[bool], np.ndarray,
+                    np.ndarray]]:
+        """Take the block's steps for the ``members`` of a batch, rows of
+        ``states``, each from its state ``states[i, 0]`` at its gain in
+        ``gammas``, given the steps' ``operators`` and the ``rows`` of
+        their bits (both None without a step), writing the state after
+        step j into ``states[i, j + 1]``.  Return for each member, as
+        :meth:`advance_structured` does, each step's path (None for a step
+        that solves nothing) and whether it factored L, which the members
+        share, and ||E||_F and ||X - X*||_F at the block's records.
 
         Each step is the product [x_{k+1}; 1] = S_k [x_k; 1] with the
         lifted step matrix of the module docstring, whose W_k^+ come from
@@ -411,22 +419,22 @@ class _Block(NamedTuple):
         batched product W^+ [R | -c] = [P | -q], stacked along a member
         axis, and only the recurrence is a loop per member: one
         matrix-vector product per step into the member's lifted buffer.
-        The residual norms follow for the whole stack.  All the steps are
-        taken, without warnings: those past a stop are the caller's to
-        discard.  An operator that is not finite has a nan W^+, hence a
-        nan S, so the state after its step is non-finite.
+        The residual norms and solution errors follow for the whole
+        stack.  All the steps are taken, without warnings: those past a
+        stop are the caller's to discard.  An operator that is not finite
+        has a nan W^+, hence a nan S, so the state after its step is
+        non-finite.
         """
-        records, (count, size) = len(self.f), x0.shape
-        steps = len(self.fd) if self.fd is not None else 0
+        records, steps = len(self.f), states.shape[1] - 1
+        count, size = len(members), states.shape[-1]
         m, n = self.a.shape[-1], self.f.shape[-1]
         paths, made = [], []
         lifted = np.zeros((count, steps + 1, size + 1))
-        lifted[:, 0, :size], lifted[:, 0, size] = x0, 1.0
+        lifted[:, 0, :size], lifted[:, 0, size] = states[members, 0], 1.0
         with np.errstate(all="ignore"):
             if steps:
                 inverses, operator_paths, formed = solver.inverses(operators)
-                firsts = operators.starts | assembly._changes(
-                    rows[:, 2 * (n * n + m * m):])
+                firsts = assembly._changes(rows)
                 group = (np.cumsum(firsts) - 1).tolist()
                 firsts = np.flatnonzero(firsts)
                 # With one group for each operator, the stack serves as
@@ -461,10 +469,12 @@ class _Block(NamedTuple):
                     matrices, x = list(matrices), buffer[0]
                     for out, slot in zip(buffer[1:], group):
                         x = matrices[slot].dot(x, out)
-            states = lifted[:, :, :size]
-            x = unstack(states[:, :records], m, n)
+                states[members, 1:] = lifted[:, 1:, :size]
+            recorded = lifted[:, :records, :size]
+            x = unstack(recorded, m, n)
             eq = frobenius_norms(self.equation_error(x, slice(records)))
-        return states, paths, made, eq
+        errors = self.solution_errors(recorded)
+        return [(paths, made, *member) for member in zip(eq, errors)]
 
     def advance_structured(
         self,
@@ -473,12 +483,13 @@ class _Block(NamedTuple):
         gamma: complex,
         epsilon: float,
         threshold: float,
-    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray]:
+    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray,
+               np.ndarray]:
         """Take the block's steps of one run from ``states[0]``, writing
         the state after step j into ``states[j + 1]``.  Return, for each
         step taken, its path (None for a step that solves nothing) and
-        whether it factored L, and ||E||_F at each record filled: all of
-        the block's, or those up to an early stop.
+        whether it factored L, and ||E||_F and ||X - X*||_F at each record
+        filled: all of the block's, or those up to an early stop.
 
         Each record's E gives its residual norm and the drive
         G = Cdot + Adot conj(X) - X Fdot - gamma E, from one conj(X), and
@@ -511,7 +522,8 @@ class _Block(NamedTuple):
                 states[j + 1] = states[j] + epsilon * direction
                 paths.append(path)
                 made.append(factored)
-        return paths, made, np.array(eqs)
+        return paths, made, np.array(eqs), self.solution_errors(
+            states[:len(eqs)])
 
 
 def _stops(finite, equation_residual, threshold):
@@ -540,72 +552,6 @@ def _stacks(provider, taus: np.ndarray, check) -> tuple:
     return stacks
 
 
-class _Member:
-    """One run of a batch: its config and gain, its records and path and
-    factorization counts as its blocks are taken, where it stopped, and,
-    from the structured crossover up, its own solver."""
-
-    def __init__(self, config: SolverConfig, x0: np.ndarray):
-        records = config.step_count + 1
-        self.config = config
-        self.gamma = complex(config.gamma.re, config.gamma.im)
-        self.states = np.empty((records, len(x0)))
-        self.states[0] = x0
-        self.equation_residuals = np.empty(records)
-        self.solution_errors = np.empty(records)
-        self.pinv_steps = self.structured_steps = self.factorizations = 0
-        self.diverged_at: Optional[int] = None
-        self.solver: Optional[StructuredSolver] = None
-
-    def record(
-        self,
-        start: int,
-        steps: int,
-        eq: np.ndarray,
-        errors: np.ndarray,
-        paths: list[Optional[SolvePath]],
-        made: list[bool],
-    ) -> None:
-        """Keep the residuals ``eq`` and solution errors ``errors`` of the
-        records from ``start`` on, whose states are in place, and count the
-        paths and factorizations of the block's ``steps`` steps up to the
-        first record where the run stops, if any."""
-        kept = slice(start, start + len(eq))
-        finite = np.isfinite(self.states[kept]).all(axis=1) & np.isfinite(eq)
-        self.equation_residuals[kept] = eq
-        self.solution_errors[kept] = errors
-        stop = np.flatnonzero(
-            _stops(finite, eq, self.config.divergence_threshold)
-        )
-        taken = int(stop[0]) if stop.size else steps
-        # list.count compares by identity in C: no Enum hash per step.
-        taken_paths = paths[:taken]
-        self.pinv_steps += taken_paths.count(SolvePath.PINV)
-        self.structured_steps += taken_paths.count(SolvePath.STRUCTURED)
-        self.factorizations += made[:taken].count(True)
-        if stop.size:
-            self.diverged_at = start + taken
-
-    def trajectory(self, taus: np.ndarray) -> Trajectory:
-        """The run's records up to where it stopped, at times ``taus``."""
-        if self.diverged_at is None:
-            records, outcome = len(self.states), Outcome.COMPLETED
-        else:
-            records, outcome = self.diverged_at + 1, Outcome.DIVERGED
-        return Trajectory(
-            steps=np.arange(records, dtype=np.int64),
-            taus=taus[:records],
-            states=self.states[:records],
-            equation_residuals=self.equation_residuals[:records],
-            solution_errors=self.solution_errors[:records],
-            outcome=outcome,
-            diverged_at=self.diverged_at,
-            pinv_fallback_steps=self.pinv_steps,
-            structured_solve_steps=self.structured_steps,
-            operator_factorizations=self.factorizations,
-        )
-
-
 def run_batch(
     problem: SylvesterConjugateProblem,
     configs: Sequence[SolverConfig],
@@ -622,8 +568,28 @@ def run_batch(
     block's provider values and operators and, below the structured
     crossover, its W^+ and stacked step products, from it up the
     operators' P, Q and s (module docstring).  A member that stops keeps
-    its records and leaves the batch; the others go on.
+    its records and leaves the batch; the others go on.  An exception
+    raised in a block (by a provider, a solve, or a warning made an
+    error) ends the members still running there, and propagates as it
+    was raised.
     """
+    trajectories, error = _run_batch(problem, configs, initial)
+    if error is not None:
+        raise error
+    return trajectories
+
+
+def _run_batch(
+    problem: SylvesterConjugateProblem,
+    configs: Sequence[SolverConfig],
+    initial: InitialState,
+) -> tuple[list[Optional[Trajectory]], Optional[Exception]]:
+    """The trajectories of :func:`run_batch` and None; or, when a block
+    raises, those of the members that stopped before it (None for the
+    others) and the exception.  A config or start that cannot run raises
+    at once.  From the crossover up the members step one after another,
+    so one that stops in the block before another raises keeps its
+    records."""
     if not configs:
         raise ConfigError("a batch needs at least one member")
     for config in configs:
@@ -643,66 +609,97 @@ def run_batch(
             f"dimensions ({m}, {n})"
         )
     has_solution = problem.theoretical_solution is not None
-    k_total, epsilon = lead.step_count, lead.epsilon
-    x0 = state_from_matrix(initial.x0)
-    members = [_Member(config, x0) for config in configs]
-    taus = np.empty(k_total + 1)
+    k_total, epsilon, count = lead.step_count, lead.epsilon, len(configs)
+    taus = np.arange(k_total + 1) * epsilon
+    states = np.empty((count, k_total + 1, 2 * m * n))
+    states[:, 0] = state_from_matrix(initial.x0)
+    residuals = np.empty((count, k_total + 1))
+    errors = np.empty((count, k_total + 1))
+    # Each member's pinv and structured steps and factorizations.
+    pinv, structured, factorizations = ([0] * count for _ in range(3))
+    stops: list[Optional[int]] = [None] * count
+    gammas = [complex(c.gamma.re, c.gamma.im) for c in configs]
     dense = m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
     if dense:
         solver = DenseSolver(lead.pinv_tolerance)
-        size = block_records(m, n, len(members))
+        size = block_records(m, n, count)
     else:
-        for member in members:
-            member.solver = StructuredSolver(lead.pinv_tolerance)
+        solvers = [StructuredSolver(lead.pinv_tolerance) for _ in configs]
         # The blocks are those of a run of one member: a structured run
         # can differ in the last bits with its block edges.
         size = block_records(m, n)
+
+    def trajectory(i: int) -> Trajectory:
+        """Member i's records up to where it stopped."""
+        stop = stops[i]
+        records = k_total + 1 if stop is None else stop + 1
+        return Trajectory(
+            np.arange(records, dtype=np.int64), taus[:records],
+            states[i, :records], residuals[i, :records], errors[i, :records],
+            Outcome.COMPLETED if stop is None else Outcome.DIVERGED,
+            stop, pinv[i], structured[i], factorizations[i],
+        )
+
     # The bits of F and A at the last step taken.
     width, row = 2 * (n * n + m * m), None
-    active = members
-    for start in range(0, k_total + 1, size):
-        records = min(size, k_total + 1 - start)
-        steps = min(records, k_total - start)
-        block_taus = np.arange(start, start + records) * epsilon
-        taus[start:start + records] = block_taus
-        block = _Block.evaluate(problem, block_taus, steps, has_solution)
-        rows = operators = None
-        if steps:
-            # Below the crossover the step groups take the bits of all six
-            # stacks, whose rows begin with those of F and A.
-            stacks = block[:6] if dense else block[:2]
-            rows = assembly._bit_rows(*(z[:steps] for z in stacks))
-            operators = assembly.find_operators(
-                rows[:, :width], row, block.f[:steps], block.a[:steps]
+    active = list(range(count))
+    try:
+        for start in range(0, k_total + 1, size):
+            records = min(size, k_total + 1 - start)
+            steps = min(records, k_total - start)
+            block = _Block.evaluate(
+                problem, taus[start:start + records], steps, has_solution
             )
-            row = rows[-1, :width].copy()
-            if not dense:
-                terms = assembly.sylvester_terms(operators)
-                for member in active:
-                    member.solver.block(operators, terms)
-        if dense:
-            states, step_paths, made, eqs = block.advance_dense(
-                np.array([member.states[start] for member in active]),
-                solver, operators, rows,
-                np.array([member.gamma for member in active]), epsilon,
-            )
-            errors = block.solution_errors(states[:, :records])
-            for member, x, eq, error in zip(active, states, eqs, errors):
-                member.states[start + 1:start + steps + 1] = x[1:]
-                member.record(start, steps, eq, error, step_paths, made)
-        else:
-            for member in active:
-                member_states = member.states[start:start + steps + 1]
-                step_paths, made, eq = block.advance_structured(
-                    member_states, member.solver, member.gamma, epsilon,
-                    member.config.divergence_threshold,
+            rows = operators = None
+            if steps:
+                # Below the crossover the step groups take the bits of all
+                # six stacks, whose rows begin with those of F and A.
+                stacks = block[:6] if dense else block[:2]
+                rows = assembly._bit_rows(*(z[:steps] for z in stacks))
+                operators = assembly.find_operators(
+                    rows[:, :width], row, block.f[:steps], block.a[:steps]
                 )
-                errors = block.solution_errors(member_states[:len(eq)])
-                member.record(start, steps, eq, errors, step_paths, made)
-        active = [member for member in active if member.diverged_at is None]
-        if not active:
-            break
-    return [member.trajectory(taus) for member in members]
+                row = rows[-1, :width].copy()
+                if not dense:
+                    terms = assembly.sylvester_terms(operators)
+                    for i in active:
+                        solvers[i].block(operators, terms)
+            block_states = states[:, start:start + steps + 1]
+            if dense:
+                advanced = block.advance_dense(
+                    block_states, active, solver, operators, rows,
+                    np.array([gammas[i] for i in active]), epsilon,
+                )
+            else:
+                advanced = (
+                    block.advance_structured(
+                        block_states[i], solvers[i], gammas[i], epsilon,
+                        configs[i].divergence_threshold,
+                    )
+                    for i in active
+                )
+            for i, (paths, made, eq, error) in zip(active, advanced):
+                kept = slice(start, start + len(eq))
+                residuals[i, kept], errors[i, kept] = eq, error
+                finite = np.isfinite(states[i, kept]).all(axis=1)
+                stop = np.flatnonzero(_stops(finite & np.isfinite(eq), eq,
+                                             configs[i].divergence_threshold))
+                taken = int(stop[0]) if stop.size else steps
+                # list.count compares by identity in C: no Enum hash per
+                # step.
+                taken_paths = paths[:taken]
+                pinv[i] += taken_paths.count(SolvePath.PINV)
+                structured[i] += taken_paths.count(SolvePath.STRUCTURED)
+                factorizations[i] += made[:taken].count(True)
+                if stop.size:
+                    stops[i] = start + taken
+            active = [i for i in active if stops[i] is None]
+            if not active:
+                break
+    except Exception as exc:  # noqa: BLE001 - ends the running members
+        return [None if stop is None else trajectory(i)
+                for i, stop in enumerate(stops)], exc
+    return [trajectory(i) for i in range(count)], None
 
 
 def run(

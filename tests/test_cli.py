@@ -1,12 +1,15 @@
 import csv
 import dataclasses
+import math
+import warnings
 
 import pytest
 
 import dznd.cli
 import dznd.reporting
+import dznd.solvers
 from dznd import ComplexGain, Model, example2, random_initial_state
-from dznd.cli import main
+from dznd.cli import _MODEL_NAMES as MODEL_NAMES, main
 from dznd.reporting import run_sweep
 from dznd.verify import GroupResult
 
@@ -242,6 +245,50 @@ class TestSweepCommand:
         assert [row.outcome for row in report.rows] == ["ERROR(ValueError)"] * 4
         assert [row.steps for row in report.rows] == [0] * 4
 
+    def test_a_warning_only_a_batch_raises_reaches_its_rows(self,
+                                                            monkeypatch):
+        # A RuntimeWarning made an error that only a lockstep batch of
+        # more than one member raises ends the batch's members: their
+        # rows read ERROR(RuntimeWarning), not the outcome of a run of
+        # one that would not warn.
+        advance_dense = dznd.solvers._Block.advance_dense
+
+        def warning(self, *args):
+            # The gains are the last argument but the step size.
+            if len(args[-2]) > 1:
+                warnings.warn("batch of several members", RuntimeWarning)
+            return advance_dense(self, *args)
+
+        monkeypatch.setattr(dznd.solvers._Block, "advance_dense", warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_sweep(example2(), "example2", [Model.DZND1_2I],
+                               [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
+                               [0.1], duration=1.0)
+        assert [(row.outcome, row.steps) for row in report.rows] == [
+            ("ERROR(RuntimeWarning)", 0)] * 2
+
+    def test_an_invalid_config_is_a_row_without_a_run(self, monkeypatch):
+        # dznd2-2i at a complex gain cannot run: its row is reported
+        # without a batch of its own, beside the batch of the others.
+        batches = []
+        run_batch = dznd.reporting._run_batch
+
+        def counting(problem, configs, initial):
+            batches.append(len(configs))
+            return run_batch(problem, configs, initial)
+
+        monkeypatch.setattr(dznd.reporting, "_run_batch", counting)
+        report = run_sweep(example2(), "example2", list(Model),
+                           [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
+                           [0.1], duration=1.0)
+        outcomes = {(row.model, row.gamma): row.outcome
+                    for row in report.rows}
+        assert outcomes[Model.DZND2_2I, ComplexGain(10.0, 20.0)] == (
+            "ERROR(ConfigError)")
+        assert list(outcomes.values()).count("COMPLETED") == 3
+        assert batches == [2]
+
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("flag,value", [
@@ -253,6 +300,76 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, command, flag, value)
         main([command, flag, value, "--epsilon", "0.1", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_any_arguments_end_in_an_exit_code_property(tmp_path, command):
+    # Any argument text ends in an exit code: 0 or 3 for run (completed
+    # or diverged), 0 for sweep (whose failures are rows), or the usage
+    # error SystemExit(2); nothing else escapes.  The runtime is bounded
+    # by drawing a step count k of at most 50 and passing duration
+    # k * epsilon.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def mostly(valid, odd):
+        """Four draws in five from ``valid``, so that most examples run."""
+        return st.integers(0, 4).flatmap(lambda i: odd if i == 4 else valid)
+
+    def floats(*valid, odd=()):
+        return mostly(st.sampled_from(valid), st.one_of(
+            st.sampled_from(["x", "", "1e400", "nan", "inf", "-inf", *odd]),
+            st.floats().map(repr)))
+
+    gammas = mostly(
+        st.one_of(
+            st.sampled_from(["10", "0.5", "10+20i", "3-4i", "45", "1e300",
+                             "1e300+1e300i", "1e-300"]),
+            st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e6).map(
+                lambda z: f"{abs(z.real)!r}{z.imag:+}i")),
+        st.one_of(
+            st.sampled_from(["ten", "", "1+", "i", "nan", "inf", "1e400",
+                             "1e400i", "nan+1i", "-2", "0"]),
+            st.complex_numbers(allow_nan=True, allow_infinity=True).map(
+                lambda z: f"{z.real!r}{z.imag:+}i")),
+    )
+    epsilons = mostly(
+        st.one_of(st.sampled_from([0.1, 0.05, 0.01, 1e-6]),
+                  st.floats(min_value=1e-6, max_value=0.99)),
+        st.sampled_from([0.0, -0.1, 1.0, 2.0, 1e-300, math.nan, math.inf]),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        mostly(st.sampled_from(["example2", "example1"]),
+               st.just("example9")),
+        mostly(st.sampled_from(MODEL_NAMES), st.sampled_from(["dznd9", ""])),
+        st.lists(gammas, min_size=1, max_size=2),
+        epsilons,
+        st.integers(1, 50),
+        floats("1e12", "1e3", "1e-300", odd=("0", "-1")),
+        st.one_of(st.none(), floats("1e-10", "0", "0.5", odd=("-1",))),
+        mostly(st.integers(0, 2**70).map(str),
+               st.sampled_from(["-1", "", "x", "1.5", "1e3"])),
+    )
+    def check(problem, model, gamma_texts, epsilon, k, threshold,
+              tolerance, seed):
+        args = [command, f"--problem={problem}", f"--model={model}",
+                f"--epsilon={epsilon!r}", f"--duration={k * epsilon!r}",
+                f"--divergence-threshold={threshold}", f"--seed={seed}",
+                f"--out={tmp_path}"]
+        args += [f"--gamma={gamma}"
+                 for gamma in gamma_texts[:1 if command == "run" else 2]]
+        if tolerance is not None:
+            args.append(f"--pinv-tolerance={tolerance}")
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in ((0, 3) if command == "run" else (0,))
+
+    check()
 
 
 class TestVerifyCommand:

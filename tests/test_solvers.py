@@ -1346,6 +1346,68 @@ class TestRunBatch:
             run_batch(p, [], random_initial_state(p, 1))
 
 
+class TestRaisingBlock:
+    """An exception raised in a block of a batch ends the members still
+    running there; those that stopped before keep their trajectories,
+    and run_batch raises the exception as it was raised."""
+
+    def test_a_failing_provider_ends_the_running_members(self, monkeypatch):
+        # With blocks of 4 records at epsilon 0.1, gain 10+20i passes the
+        # threshold 1e2 in the first block; the second block's
+        # derivatives raise at tau 0.5, where gain 10 is still running.
+        monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", 4)
+        p = example2()
+
+        def failing(tau):
+            if tau >= 0.5:
+                raise ValueError(f"no derivative at {tau}")
+            return p.derivatives(tau)
+
+        problem = dataclasses.replace(p, derivatives=failing)
+        initial = random_initial_state(p, 3)
+        configs = [_config(gamma=ComplexGain(10.0, 20.0), duration=2.0,
+                           divergence_threshold=1e2),
+                   _config(duration=2.0)]
+        (stopped, running), error = dznd.solvers._run_batch(
+            problem, configs, initial)
+        assert running is None
+        assert stopped.diverged_at < 4
+        _assert_same_trajectory(stopped, run(problem, configs[0], initial))
+        assert (type(error), str(error)) == (ValueError,
+                                             "no derivative at 0.5")
+        for batch in (configs, configs[1:]):
+            with pytest.raises(ValueError, match="^no derivative at 0.5$"):
+                run_batch(problem, batch, initial)
+
+    def test_a_structured_member_that_stopped_first_keeps_its_records(
+            self, monkeypatch):
+        # From the crossover up the members step one after another: the
+        # first stops in the block where the second's steps raise.
+        advance = dznd.solvers._Block.advance_structured
+
+        def raising(self, states, solver, gamma, *args):
+            if gamma == 10.0:
+                raise RuntimeError("solve failed")
+            return advance(self, states, solver, gamma, *args)
+
+        problem = make_shifted_trig_problem(6, 6, 2)
+        initial = random_initial_state(problem, 2)
+        first = residual_oracle(problem, initial.x0, 0.0)
+        configs = [_config(gamma=ComplexGain(10.0, 20.0), duration=2.0,
+                           divergence_threshold=first * 10.0),
+                   _config(duration=2.0)]
+        want = run(problem, configs[0], initial)
+        monkeypatch.setattr(dznd.solvers._Block, "advance_structured",
+                            raising)
+        (stopped, running), error = dznd.solvers._run_batch(
+            problem, configs, initial)
+        assert running is None and isinstance(error, RuntimeError)
+        assert stopped.outcome is Outcome.DIVERGED
+        _assert_same_trajectory(stopped, want)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            run_batch(problem, configs[::-1], initial)
+
+
 def test_block_records_cap_the_block_stacks():
     # The registered problems (3x2, 2x2) and the benchmark's 12x8 take
     # full blocks.  Below the crossover a block holds W^+, [R | -c], the
