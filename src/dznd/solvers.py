@@ -79,21 +79,22 @@ non-finite derivative, say), without a solve.
 
 Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
-:func:`run_batch`, whose members each equal their own run bitwise.  The
-members share each block's provider values and operators.  Below the
-crossover they also share its W^+ and its step groups, and the shifted
-coefficients, brackets, lifted step matrices, residual norms and
-solution errors of all members are each formed in one stacked operation
-along a member axis: only the recurrence is a loop per member.  From the
-crossover up they share the operators' P, Q and s, and each member
-solves with a solver of its own, since a solve's path depends on its
-drive.  The batch keeps its records as rows of stacked arrays, one row
-per member, and after each block one loop over the members still
-running, for both paths, keeps their residuals, finds where each stops
-and counts its paths and factorizations.  A member that stops keeps its
-records and leaves the batch.  An exception raised in a block (by a
-provider, a solve, or a warning made an error) ends the members still
-running there; those that stopped before keep their records.
+:func:`run_batch`, whose members each take their own run's blocks and
+equal it bitwise.  They share each block's provider values and
+operators.  Below the crossover they also share its W^+ and step groups,
+and their shifted coefficients, drive columns, residual norms and
+solution errors are each formed in one stacked operation; each member
+then forms its own bracket and lifted step matrices in turn, so a batch
+holds one member's S at a time.  From the crossover up they share the
+operators' P, Q and s, and each member solves with a solver of its own,
+since a solve's path depends on its drive.  The batch keeps its records
+as rows of stacked arrays, one row per member, and after each block one
+loop over the members still running, for both paths, keeps their
+residuals, finds where each stops and counts its paths and
+factorizations.  A member that stops keeps its records and leaves the
+batch.  An exception raised in a block (by a provider, a solve, or a
+warning made an error) ends the members still running there; those that
+stopped before keep their records.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -168,34 +169,34 @@ MAX_STEP_COUNT = 10**7
 # record past the record where it stopped, and never past the duration.
 # A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
 # bytes, which the members of a batch share.  Below the crossover it adds
-# W^+, 8 (2mn)^2 bytes, also shared, and for each member the real form of
-# the bracket with the drive's column [R | -c], the lifted step matrix S,
-# the lifted state and the states, 8 (2 (2mn + 1)^2 + 2mn) bytes: 256
-# records come to 0.6 MB for a run of a 2x2 problem, and a block of a run
-# at mn = 31 holds 66 records, one of a three-member batch 32.  From the
-# crossover up it adds the operators' P = F conj F and Q = A conj A,
-# 16 (n^2 + m^2) bytes, also shared, and the block sets aside a solver's
-# window of Sylvester forms, REUSE_WINDOW times P_off, Q_off and the
-# gaps, 16 (n^2 + m^2 + mn) bytes each: a block at 16x16 holds 224
-# records and one at 64x64 11.  There each member of a batch has a solver
-# of its own, so every member past the first adds its window.  Transient
-# products are not counted.
+# W^+, 8 (2mn)^2 bytes, also shared, the real form of the bracket with the
+# drive's column [R | -c] and the lifted step matrix S, which a batch
+# forms for one member at a time, and the lifted state and the states,
+# 8 (2 (2mn + 1)^2 + 2mn) bytes: 256 records come to 0.6 MB for a 2x2
+# problem, and a block at mn = 31 holds 66.  Every member of a batch takes
+# these blocks; those past the first add uncounted O(n^2 + m^2 + mn)
+# stacks a record.  From the crossover up it adds the operators'
+# P = F conj F and Q = A conj A, 16 (n^2 + m^2) bytes, also shared, and the
+# block sets aside a solver's window of Sylvester forms, REUSE_WINDOW times
+# P_off, Q_off and the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at
+# 16x16 holds 224 records and one at 64x64 11.  There each member of a
+# batch has a solver of its own, so every member past the first adds its
+# window.  Transient products are not counted.
 BLOCK_RECORDS = 256
 BLOCK_BYTES = 8 * 2**20
 
 
-def block_records(m: int, n: int, members: int = 1) -> int:
-    """The records per block of a run of an m x n problem, or of a batch
-    of ``members`` runs below the structured crossover: BLOCK_RECORDS, or
-    as many as fit in BLOCK_BYTES of stacks (at least one).  The
-    structured crossover is read at call time, as :func:`run_batch` reads
-    it when it picks its solver."""
+def block_records(m: int, n: int) -> int:
+    """The records per block of a run of an m x n problem, which every
+    member of a batch takes too: BLOCK_RECORDS, or as many as fit in
+    BLOCK_BYTES of a run's stacks (at least one).  The structured
+    crossover is read at call time, as :func:`run_batch` reads it when it
+    picks its solver."""
     mn = m * n
     size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
     budget = BLOCK_BYTES
     if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
-        member = 2 * (2 * mn + 1) ** 2 + 2 * mn
-        size += 8 * ((2 * mn) ** 2 + members * member)
+        size += 8 * ((2 * mn) ** 2 + 2 * (2 * mn + 1) ** 2 + 2 * mn)
     else:
         size += 16 * (n * n + m * m)
         budget -= assembly.REUSE_WINDOW * 16 * (n * n + m * m + mn)
@@ -414,16 +415,16 @@ class _Block(NamedTuple):
         whole batch.  Consecutive steps with bitwise the same F, A, C,
         Fdot, Adot and Cdot (their ``rows``, which begin with the bits of
         F and A) form a group; a group shares one operator, and for any
-        gain one S.  The shifted coefficients are formed at the group
-        starts only, and the S of every group and member come from one
-        batched product W^+ [R | -c] = [P | -q], stacked along a member
-        axis, and only the recurrence is a loop per member: one
-        matrix-vector product per step into the member's lifted buffer.
-        The residual norms and solution errors follow for the whole
-        stack.  All the steps are taken, without warnings: those past a
-        stop are the caller's to discard.  An operator that is not finite
-        has a nan W^+, hence a nan S, so the state after its step is
-        non-finite.
+        gain one S.  The members' shifted coefficients and drive columns
+        -c are formed at the group starts only, stacked.  Each member in
+        turn then forms its bracket [R | -c], the S of every group from
+        one product W^+ [R | -c] = [P | -q], and one matrix-vector
+        product per step into its lifted buffer, and releases both before
+        the next member's, as a block's budget holds a run's.  The
+        residual norms and solution errors follow for the whole stack.
+        All the steps are taken, without warnings: those past a stop are
+        the caller's to discard.  An operator that is not finite has a
+        nan W^+, hence a nan S, so the state after its step is non-finite.
         """
         records, steps = len(self.f), states.shape[1] - 1
         count, size = len(members), states.shape[-1]
@@ -454,21 +455,24 @@ class _Block(NamedTuple):
                     shifted[..., lo:hi].reshape(shifted.shape[:2] + z.shape[1:])
                     for lo, hi, z in zip(edges, edges[1:], self[:3])
                 )
-                bracket = np.concatenate(
-                    [real_operator(fs, as_), -stack(cs)[..., None]], axis=-1
-                )
-                # The top rows W^+ [R | -c] = [P | -q] become
-                # [I - epsilon P | epsilon q]; the last row is e^T.
-                s = np.zeros((len(firsts), count, size + 1, size + 1))
-                np.matmul(inverses[:, None], bracket, out=s[..., :size, :])
-                s[..., :size, :] *= -epsilon
-                s.reshape(len(firsts) * count, -1)[:, ::size + 2] += 1.0
                 paths = operator_paths[operators.index].tolist()
                 made = (operators.starts & formed[operators.index]).tolist()
-                for matrices, buffer in zip(s.swapaxes(0, 1), lifted):
-                    matrices, x = list(matrices), buffer[0]
+                columns = -stack(cs)[..., None]
+                for i, buffer in enumerate(lifted):
+                    # [R | -c] before S, as in a run, which bounds the peak.
+                    bracket = np.concatenate([real_operator(
+                        fs[:, i], as_[:, i]), columns[:, i]], axis=-1)
+                    # The top rows W^+ [R | -c] = [P | -q] become
+                    # [I - epsilon P | epsilon q]; the last row is e^T.
+                    s = np.zeros((len(firsts), size + 1, size + 1))
+                    np.matmul(inverses, bracket, out=s[:, :size])
+                    del bracket
+                    s[:, :size] *= -epsilon
+                    s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
+                    matrices, x = list(s), buffer[0]
                     for out, slot in zip(buffer[1:], group):
                         x = matrices[slot].dot(x, out)
+                    del s, matrices
                 states[members, 1:] = lifted[:, 1:, :size]
             recorded = lifted[:, :records, :size]
             x = unstack(recorded, m, n)
@@ -564,14 +568,14 @@ def run_batch(
     The members may differ in model, gain and divergence threshold, and
     must share epsilon, duration and the pinv tolerance.  Every config is
     validated, and the shared fields compared, before any provider call;
-    a violation raises :class:`ConfigError`.  The members share each
-    block's provider values and operators and, below the structured
-    crossover, its W^+ and stacked step products, from it up the
-    operators' P, Q and s (module docstring).  A member that stops keeps
-    its records and leaves the batch; the others go on.  An exception
-    raised in a block (by a provider, a solve, or a warning made an
-    error) ends the members still running there, and propagates as it
-    was raised.
+    a violation raises :class:`ConfigError`.  Every member takes the
+    blocks of its own run, and they share each block's provider values
+    and operators and, below the structured crossover, its W^+ and step
+    groups, from it up the operators' P, Q and s (module docstring).  A
+    member that stops keeps its records and leaves the batch; the others
+    go on.  An exception raised in a block (by a provider, a solve, or a
+    warning made an error) ends the members still running there, and
+    propagates as it was raised.
     """
     trajectories, error = _run_batch(problem, configs, initial)
     if error is not None:
@@ -622,12 +626,11 @@ def _run_batch(
     dense = m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
     if dense:
         solver = DenseSolver(lead.pinv_tolerance)
-        size = block_records(m, n, count)
     else:
         solvers = [StructuredSolver(lead.pinv_tolerance) for _ in configs]
-        # The blocks are those of a run of one member: a structured run
-        # can differ in the last bits with its block edges.
-        size = block_records(m, n)
+    # Each member takes its run's blocks, whose edges can move a structured
+    # run's last bits, and a row's outcome when a provider raises.
+    size = block_records(m, n)
 
     def trajectory(i: int) -> Trajectory:
         """Member i's records up to where it stopped."""

@@ -8,10 +8,18 @@ import pytest
 import dznd.cli
 import dznd.reporting
 import dznd.solvers
-from dznd import ComplexGain, Model, example2, random_initial_state
+from dznd import (
+    ComplexGain,
+    Model,
+    SolverConfig,
+    example2,
+    random_initial_state,
+    run,
+)
 from dznd.cli import _MODEL_NAMES as MODEL_NAMES, main
 from dznd.reporting import run_sweep
 from dznd.verify import GroupResult
+from helpers import make_shifted_trig_problem
 
 
 def _run_args(out, problem="example2", model="dznd1-2i", gamma="10",
@@ -220,6 +228,33 @@ class TestSweepCommand:
             (ComplexGain(10.0), "ERROR(ValueError)", 0),
             (ComplexGain(2500.0), "DIVERGED", 60),
         ]
+
+    def test_a_row_does_not_depend_on_the_grid(self):
+        # On shifted trig 4x4 at epsilon 0.01, gain 10+60i passes the
+        # threshold at record 38, and the derivatives raise from tau 1.5,
+        # in the same block of a run of that gain alone: the run raises.
+        # Every batch member takes a run's blocks, so the row reads so
+        # whatever gains share its epsilon.
+        p = make_shifted_trig_problem(4, 4, 3)
+
+        def failing(tau):
+            if tau >= 1.5:
+                raise ValueError("no derivative")
+            return p.derivatives(tau)
+
+        problem = dataclasses.replace(p, derivatives=failing)
+        gain = ComplexGain(10.0, 60.0)
+        config = SolverConfig(model=Model.DZND1_2I, gamma=gain, epsilon=0.01,
+                              duration=2.0, divergence_threshold=1e3)
+        with pytest.raises(ValueError, match="no derivative"):
+            run(problem, config, random_initial_state(problem, 42))
+        gains = [gain, ComplexGain(10.0), ComplexGain(5.0), ComplexGain(20.0)]
+        for count in range(1, len(gains) + 1):
+            report = run_sweep(problem, "trig", [Model.DZND1_2I],
+                               gains[:count], [0.01], duration=2.0, seed=42,
+                               divergence_threshold=1e3)
+            row, = (row for row in report.rows if row.gamma == gain)
+            assert (row.outcome, row.steps) == ("ERROR(ValueError)", 0)
 
     def test_initial_state_is_drawn_once_per_sweep(self, monkeypatch):
         draws = []

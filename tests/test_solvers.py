@@ -47,6 +47,7 @@ from helpers import (
     make_shifted_trig_problem,
     make_trig_problem,
     one_step,
+    random_split,
     residual_oracle,
     solution_error_oracle,
 )
@@ -510,7 +511,8 @@ class TestSolvePath:
                                                    trajectory.states.shape)
             )
 
-    @pytest.mark.parametrize("m,n", [(16, 16), (12, 8), (6, 6)])
+    @pytest.mark.parametrize("m,n", [(16, 16), (12, 8), (6, 6), (4, 8),
+                                     (8, 4)])
     @pytest.mark.parametrize("model", list(Model))
     def test_shifted_trig_steps_structured_as_dense(self, monkeypatch, model, m, n):
         problem = make_shifted_trig_problem(m, n, 5)
@@ -522,6 +524,23 @@ class TestSolvePath:
         monkeypatch.setattr(dznd.assembly, "STRUCTURED_SOLVE_MIN_UNKNOWNS", math.inf)
         dense = run(problem, config, initial)
         assert dense.structured_solve_steps == 0
+        for got, want in zip(structured.states, dense.states, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m,n", [(5, 6), (6, 5), (4, 7)])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_shifted_trig_steps_dense_as_structured(self, monkeypatch, model, m, n):
+        # The other direction across the crossover: below mn = 32 a run
+        # forced onto the structured path takes the dense path's states.
+        problem = make_shifted_trig_problem(m, n, 5)
+        config = _config(model=model, epsilon=0.01, duration=0.05)
+        initial = random_initial_state(problem, 6)
+        dense = run(problem, config, initial)
+        assert dense.structured_solve_steps == dense.pinv_fallback_steps == 0
+        monkeypatch.setattr(dznd.assembly, "STRUCTURED_SOLVE_MIN_UNKNOWNS", 0)
+        structured = run(problem, config, initial)
+        assert structured.structured_solve_steps == config.step_count == 5
+        assert structured.pinv_fallback_steps == 0
         for got, want in zip(structured.states, dense.states, strict=True):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -1408,6 +1427,121 @@ class TestRaisingBlock:
             run_batch(problem, configs[::-1], initial)
 
 
+def _with_solution(problem, seed):
+    """``problem`` with an X*(tau) = X0 + sin(tau) X1 that need not solve
+    it: the runs then record solution errors."""
+    rng = np.random.default_rng(seed)
+    x0, x1 = (random_split(rng, problem.m, problem.n).to_complex()
+              for _ in range(2))
+    return dataclasses.replace(problem, theoretical_solution=BlockProvider(
+        lambda taus: x0 + np.sin(taus)[:, None, None] * x1))
+
+
+def _mapped(problem, conjugate, scale):
+    """``problem`` with F, A, C, their derivatives and X* conjugated (when
+    ``conjugate``), and C, Cdot and X* times ``scale``, part by part."""
+    def entry(z, scaled):
+        z = np.conj(z) if conjugate else z
+        if not scaled:
+            return z
+        return (np.ascontiguousarray(z).view(np.float64) * scale).view(
+            np.complex128)
+
+    def mapped(provider):
+        return BlockProvider(lambda taus: tuple(
+            entry(z, i == 2) for i, z in enumerate(provider.over(taus))))
+
+    solution = problem.theoretical_solution
+    return dataclasses.replace(
+        problem, coefficients=mapped(problem.coefficients),
+        derivatives=mapped(problem.derivatives),
+        theoretical_solution=BlockProvider(
+            lambda taus: entry(solution.over(taus), True)),
+    )
+
+
+class TestMetamorphicRelations:
+    """Relations that follow from X F - A conj(X) = C and the drive alone,
+    so they need no formula for X* and no second solver, and check both
+    solve paths at sizes no oracle reaches.
+
+    * Conjugation: conjugate F, A, C, their derivatives, X*, the start
+      and the gain; every state comes out conjugated, and the residuals
+      and solution errors are unchanged.
+    * Scaling: scale C, Cdot, X*, the start and the divergence threshold
+      by 2 or 1/2; the states, residuals and solution errors scale.
+
+    Both hold to the last bit, for every member of a batch, as each
+    rounding is symmetric under a sign flip and exact under a power of
+    two."""
+
+    @pytest.mark.parametrize("conjugate,scales", [
+        (True, [1.0]), (False, [2.0, 0.5]),
+    ], ids=["conjugation", "scaling"])
+    def test_relation_property(self, conjugate, scales):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # Real and complex gains; at epsilon 0.1 the complex ones and
+        # gain 45 diverge, so thresholds of up to 10^6 times the first
+        # residual stop the members at different records.
+        gains = st.sampled_from([
+            GAMMA10, ComplexGain(45.0), ComplexGain(10.0, 20.0),
+            ComplexGain(5.0, -30.0),
+        ])
+        members = st.lists(
+            st.tuples(gains, st.floats(min_value=-0.5, max_value=6.0)),
+            min_size=1, max_size=3,
+        )
+
+        # m and n from 1 to 8: the draws cross the structured crossover.
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**16),
+            st.sampled_from([0.1, 0.01]), st.integers(1, 6), members,
+            st.sampled_from(scales),
+        )
+        def check(m, n, seed, epsilon, steps, drawn, scale):
+            problem = _with_solution(make_shifted_trig_problem(m, n, seed),
+                                     seed)
+            initial = random_initial_state(problem, seed)
+            first = residual_oracle(problem, initial.x0, 0.0)
+            configs = [
+                _config(model=Model.DZND2_2I if gain.is_real and seed % 2
+                        else Model.DZND1_2I, gamma=gain, epsilon=epsilon,
+                        duration=epsilon * steps,
+                        divergence_threshold=first * 10.0**exponent)
+                for gain, exponent in drawn
+            ]
+
+            def flip(imaginary):
+                return -imaginary if conjugate else imaginary
+
+            x0 = initial.x0
+            mapped = run_batch(
+                _mapped(problem, conjugate, scale),
+                [dataclasses.replace(
+                    config,
+                    gamma=ComplexGain(config.gamma.re, flip(config.gamma.im)),
+                    divergence_threshold=config.divergence_threshold * scale)
+                 for config in configs],
+                InitialState(SplitComplexMatrix(
+                    x0.re * scale, flip(x0.im) * scale), seed),
+            )
+            for got, want in zip(mapped, run_batch(problem, configs, initial),
+                                 strict=True):
+                states = want.states.copy()
+                states[:, m * n:] = flip(states[:, m * n:])
+                _assert_same_trajectory(got, dataclasses.replace(
+                    want, states=states * scale,
+                    equation_residuals=want.equation_residuals * scale,
+                    solution_errors=want.solution_errors * scale))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check()
+
+
 def test_block_records_cap_the_block_stacks():
     # The registered problems (3x2, 2x2) and the benchmark's 12x8 take
     # full blocks.  Below the crossover a block holds W^+, [R | -c], the
@@ -1424,17 +1558,6 @@ def test_block_records_cap_the_block_stacks():
         assert block_records(size, size) == (BLOCK_BYTES - window) // (
             16 * 9 * size**2) == records
     assert block_records(2048, 2048) == 1
-    # A batch below the crossover shares W^+ and the provider stacks, and
-    # each member adds its bracket, S, lifted state and states, 8 (2
-    # (2mn + 1)^2 + 2mn) bytes a record.
-    for members, records in [(1, 66), (2, 43), (3, 32)]:
-        assert block_records(31, 1, members) == BLOCK_BYTES // (
-            16 * (2 + 2 * 31**2 + 3 * 31)
-            + 8 * (62**2 + members * (2 * 63**2 + 62))) == records
-    for m, n in [(3, 2), (2, 2)]:
-        assert block_records(m, n, 3) == BLOCK_RECORDS
-    # From the crossover up each member takes its own run's blocks.
-    assert block_records(16, 16, 3) == block_records(16, 16) == 224
 
 
 def test_running_both_models_does_not_import_scipy():
