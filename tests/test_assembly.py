@@ -28,13 +28,14 @@ from dznd.assembly import (
     SolvePath,
     StructuredSolver,
     _bit_rows,
+    _sylvester_factors,
     find_operators,
     real_operator,
     stack,
     sylvester_terms,
     unstack,
 )
-from dznd.linalg import pseudo_inverses
+from dznd.linalg import pseudo_inverses, singular_value_cutoff
 from dznd.problems import InitialState, SylvesterConjugateProblem
 from helpers import (
     make_shifted_trig_problem,
@@ -320,6 +321,26 @@ class TestSolveOperator:
         assert np.isnan(got).all() and got.shape == (72,)
         assert path is None
         assert not made
+
+    @pytest.mark.parametrize("m,n", [(6, 6), (4, 8)])
+    def test_backward_error_check_refuses_perturbed_factors(self, m, n):
+        # Eigenvectors U off by a relative 1e-5 still give a D, but one
+        # whose residual fails the backward-error check by about 10^8
+        # times; off by 1e-10, by about 10^3 times, which a check
+        # loosened by 10^6 would pass.
+        f, a, g = _shifted_coefficients(m, n)
+        p, q, s = sylvester_terms(_operators(f[None], a[None]))
+        factors = _sylvester_factors(
+            p[0], q[0], float(s[0]), singular_value_cutoff(None, 2 * m * n))
+        assert factors is not None
+        d = factors.apply(f, a, g)
+        assert d is not None
+        np.testing.assert_allclose(d @ f - a @ np.conj(d), g, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(g))
+        noise = np.random.default_rng(7).standard_normal(factors.u.shape)
+        for relative in (1e-5, 1e-10):
+            perturbed = factors._replace(u=factors.u * (1.0 + relative * noise))
+            assert perturbed.apply(f, a, g) is None
 
     @pytest.mark.parametrize("m,n,structured", [
         (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),

@@ -334,6 +334,27 @@ class TestRun:
         # every record before the trip point is finite
         assert _finite(trajectory)[:-1].all()
 
+    @pytest.mark.parametrize("factory", [
+        example2, lambda: make_shifted_trig_problem(6, 6, 2),
+    ], ids=["example2-dense", "shifted-trig-6x6-structured"])
+    def test_a_residual_at_the_threshold_does_not_stop(self, factory):
+        # A run stops where a residual passes the threshold, not where it
+        # reaches it: at the largest residual of a completed run it still
+        # completes, and one float lower it stops at that residual.
+        problem = factory()
+        initial = random_initial_state(problem, 42)
+        config = _config(epsilon=0.01, duration=0.5)
+        first = run(problem, config, initial)
+        assert first.outcome is Outcome.COMPLETED
+        top = float(first.equation_residuals.max())
+        at = dataclasses.replace(config, divergence_threshold=top)
+        _assert_same_trajectory(run(problem, at, initial), first)
+        below = dataclasses.replace(
+            config, divergence_threshold=float(np.nextafter(top, 0.0)))
+        stopped = run(problem, below, initial)
+        assert stopped.outcome is Outcome.DIVERGED
+        assert stopped.diverged_at == int(np.argmax(first.equation_residuals))
+
     def test_divergence_predictor_matches_outcomes(self):
         problem = example2()
         for gamma in (GAMMA10, ComplexGain(10.0, 20.0), ComplexGain(10.0, -20.0)):
@@ -510,6 +531,47 @@ class TestSolvePath:
                 trajectory.states, np.broadcast_to(trajectory.states[0],
                                                    trajectory.states.shape)
             )
+
+    def test_no_pinv_step_is_counted_past_a_dense_stop(self):
+        # W is singular at tau = 1, where F[0, 0] = A[0, 0] = 1.5, so the
+        # step from record 100 takes the SVD.  A run that stops earlier in
+        # the same block integrates that step too, but does not count it.
+        def exact(tau):
+            return (1 + 1j) * np.array([[np.sin(tau), np.cos(tau)],
+                                        [1.0, tau]])
+
+        def coefficients(tau):
+            f = np.diag([1.0 + tau / 2, 3.0]).astype(complex)
+            a = np.diag([1.5, 0.5]).astype(complex)
+            x = exact(tau)
+            return tuple(SplitComplexMatrix.from_complex(z)
+                         for z in (f, a, x @ f - a @ np.conj(x)))
+
+        def derivatives(tau):
+            f, a, _ = (z.to_complex() for z in coefficients(tau))
+            x = exact(tau)
+            xd = (1 + 1j) * np.array([[np.cos(tau), -np.sin(tau)],
+                                      [0.0, 1.0]])
+            fd = np.diag([0.5, 0.0]).astype(complex)
+            cd = xd @ f + x @ fd - a @ np.conj(xd)
+            return tuple(SplitComplexMatrix.from_complex(z)
+                         for z in (fd, np.zeros((2, 2), complex), cd))
+
+        problem = SylvesterConjugateProblem(
+            m=2, n=2, coefficients=coefficients, derivatives=derivatives,
+            theoretical_solution=lambda tau: SplitComplexMatrix.from_complex(
+                exact(tau)))
+        initial = random_initial_state(problem, 42)
+        config = _config(gamma=ComplexGain(10.0, 60.0), epsilon=0.01,
+                         duration=2.0)
+        completed = run(problem, config, initial)
+        assert completed.outcome is Outcome.COMPLETED
+        assert completed.pinv_fallback_steps == 1
+        threshold = 10.0 * float(completed.equation_residuals[0])
+        stopped = run(problem, dataclasses.replace(
+            config, divergence_threshold=threshold), initial)
+        assert stopped.diverged_at == 30 < block_records(2, 2)
+        assert stopped.pinv_fallback_steps == 0
 
     @pytest.mark.parametrize("m,n", [(16, 16), (12, 8), (6, 6), (4, 8),
                                      (8, 4)])
