@@ -19,19 +19,21 @@ U = (F^T kron I_m) and V = (I_n kron A),
 and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
-:class:`DenseSolver` and :class:`StructuredSolver` solve L(D) = G for
-the steps of a run, which picks one of them once from its mn.
-:func:`find_operators` decides once per block, for either solver and
-every member of a batch, which steps share an operator: those whose F
-and A stay bitwise the same, also across the edge from the block before.
-Steps only move forward from one operator to the next, so a solver keeps
-only the current operator's factors.  Below mn =
-:data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns the factor is W^+ from
-:func:`~dznd.linalg.pseudo_inverses`: the certified inverse of W, or its
-SVD pseudo-inverse.  From it up the factors are those of the Sylvester
-form of L: applying T(G) = G conj(F) + A conj(G) to both sides gives
-K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig, SIAM
-J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
+:class:`DenseSolver` and :class:`StructuredSolver` take the steps of a
+run, which picks one of them once by :func:`solver_class`.  They share
+one interface: ``block`` takes a block's operators once, for every
+member of a batch, and forms what they need; ``advance`` takes the
+block's steps of the members and solves L(D) = G in them.
+:func:`find_operators` decides once per block which steps share an
+operator: those whose F and A stay bitwise the same, also across the
+edge from the block before.  Steps only move forward from one operator
+to the next, so a solver keeps only the current operator's factors.
+Below mn = :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns the factor is
+W^+ from :func:`~dznd.linalg.pseudo_inverses`: the certified inverse of
+W, or its SVD pseudo-inverse.  From it up the factors are those of the
+Sylvester form of L: applying T(G) = G conj(F) + A conj(G) to both sides
+gives K(D) = D (F conj F) - (A conj A) D = T(G) (Bevis, Hall & Hartwig,
+SIAM J. Matrix Anal. Appl. 1988), which two eigendecompositions solve in
 O(m^3 + n^3) instead of the O((mn)^3) of a dense solve with W.  A run's
 operators usually move little from one step to the next, so a new
 operator first tries the eigenbases of the last operator factored, also
@@ -45,6 +47,7 @@ cannot be certified or checked, the step takes W^+.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -259,18 +262,60 @@ def sylvester_terms(operators: Operators) -> tuple[np.ndarray, ...]:
         return f @ np.conj(f), a @ np.conj(a), s
 
 
+def solver_class(m: int, n: int) -> type[DenseSolver] | type[StructuredSolver]:
+    """The solver of a run of an m x n problem: :class:`DenseSolver`
+    below :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns,
+    :class:`StructuredSolver` from it up, read at call time."""
+    if m * n < STRUCTURED_SOLVE_MIN_UNKNOWNS:
+        return DenseSolver
+    return StructuredSolver
+
+
+def _stops(finite, equation_residual, threshold):
+    """Whether a run stops at a record: it is non-finite or its equation
+    residual passes the divergence threshold (elementwise for arrays)."""
+    return np.logical_not(finite) | (equation_residual > threshold)
+
+
 class DenseSolver:
-    """The W^+ of L(Z) = Z F - A conj(Z) for the steps of a run below the
-    structured crossover, with a pinv cutoff ``tolerance``: for a block's
-    operators (:func:`find_operators`), :meth:`inverses` forms those of
-    the new finite ones in one :func:`~dznd.linalg.pseudo_inverses` call.
-    The solver keeps only the last operator's W^+ and path, which serve a
-    block whose first operator repeats it: a run with constant
-    coefficients forms W^+ once."""
+    """The steps of a run below the structured crossover, with a pinv
+    cutoff ``tolerance``.
+
+    There the drive is affine in the state,
+    G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
+    so a step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and q_k
+    known before the loop: W_k^+ times the real form R_k of the bracket,
+    and W_k^+ c_k with c_k = stack(Cdot_k + gamma C_k).  On the lifted
+    state [x; 1] that step is one product with the lifted step matrix
+    S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  At these sizes the
+    Python overhead of each numpy call costs more than the arithmetic.
+
+    :meth:`block` forms, for every member of a batch, the W^+ of a block's
+    new finite operators in one :meth:`inverses` call.  The solver keeps
+    only the last operator's W^+ and path, which serve a block whose first
+    operator repeats it: a run with constant coefficients forms W^+ once.
+    """
+
+    # The step groups compare the bits of F, A, C, Fdot, Adot and Cdot.
+    stacks = 6
+
+    @staticmethod
+    def block_bytes(m: int, n: int) -> tuple[int, int]:
+        """The bytes a block adds per record, W^+, the bracket [R | -c],
+        S, the lifted state and the states, and sets aside: none."""
+        size = 2 * m * n
+        return 8 * (size**2 + 2 * (size + 1) ** 2 + size), 0
 
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
         self._kept: tuple[RealMatrix, SolvePath | None] | None = None
+
+    def block(self, operators: Operators, rows: np.ndarray) -> None:
+        """Take a block's operators and the bit rows of its steps' stacks
+        (:func:`_bit_rows`, which begin with F and A), and form their W^+."""
+        self._operators, self._rows = operators, rows
+        with np.errstate(all="ignore"):
+            self._inverses = self.inverses(operators)
 
     def inverses(self, operators: Operators) -> tuple[np.ndarray, ...]:
         """For each of a block's operators: its ``pinv(W_i, tolerance)``,
@@ -301,18 +346,113 @@ class DenseSolver:
         self._kept = w_plus[-1].copy(), paths[-1]
         return w_plus, paths, formed
 
+    def advance(self, block, states, members, gammas, epsilon, thresholds):
+        """Take the block's steps for the ``members`` of a batch, rows of
+        ``states``, each from its state ``states[i, 0]`` at its gain
+        ``gammas[i]``, writing the state after step j into
+        ``states[i, j + 1]``.  Return for each member each step's path
+        (None for a step that solves nothing) and whether it factored L,
+        which the members share, and ||E||_F and ||X - X*||_F at the
+        block's records.
+
+        Consecutive steps with bitwise the same F, A, C, Fdot, Adot and
+        Cdot (their rows) form a group; a group shares one operator, and
+        for any gain one S.  The members' shifted coefficients and drive
+        columns -c are formed at the group starts only, stacked.  Each
+        member in turn then forms its bracket [R | -c], the S of every
+        group from one product W^+ [R | -c] = [P | -q], and one
+        matrix-vector product per step into its lifted buffer, and
+        releases both before the next member's, as a block's budget holds
+        a run's.  The norms follow for the whole stack, equal bitwise to
+        ``np.linalg.norm``.  All the steps are taken, whatever
+        ``thresholds`` say, without warnings: those past a stop are the
+        caller's to discard.  An operator that is not finite has a nan
+        W^+, hence a nan S, so the state after its step is non-finite.
+        """
+        records, steps = len(block.f), states.shape[1] - 1
+        count, size = len(members), states.shape[-1]
+        m, n = block.a.shape[-1], block.f.shape[-1]
+        paths, made = [], []
+        lifted = np.zeros((count, steps + 1, size + 1))
+        lifted[:, 0, :size], lifted[:, 0, size] = states[members, 0], 1.0
+        with np.errstate(all="ignore"):
+            if steps:
+                operators, rows = self._operators, self._rows
+                inverses, operator_paths, formed = self._inverses
+                firsts = _changes(rows)
+                group = (np.cumsum(firsts) - 1).tolist()
+                firsts = np.flatnonzero(firsts)
+                # With one group for each operator, the stack serves as
+                # it is.
+                if len(firsts) > len(inverses):
+                    inverses = inverses[operators.index[firsts]]
+                # Each member's shifted coefficients at the group starts,
+                # one product over the rows [F A C | Fdot Adot Cdot]: at
+                # least three entries, as numpy rounds a product of one
+                # complex entry differently from one of several.
+                values = rows.view(np.complex128)[firsts, None]
+                half = values.shape[-1] // 2
+                shifted = values[..., half:] + np.array(
+                    [gammas[i] for i in members])[:, None] * values[..., :half]
+                edges = [0, n * n, n * n + m * m, half]
+                fs, as_, cs = (
+                    shifted[..., lo:hi].reshape(
+                        shifted.shape[:2] + z.shape[1:])
+                    for lo, hi, z in zip(edges, edges[1:], block[:3])
+                )
+                paths = operator_paths[operators.index].tolist()
+                made = (operators.starts & formed[operators.index]).tolist()
+                columns = -stack(cs)[..., None]
+                for i, buffer in enumerate(lifted):
+                    # [R | -c] before S, as in a run, which bounds the peak.
+                    bracket = np.concatenate([real_operator(
+                        fs[:, i], as_[:, i]), columns[:, i]], axis=-1)
+                    # The top rows W^+ [R | -c] = [P | -q] become
+                    # [I - epsilon P | epsilon q]; the last row is e^T.
+                    s = np.zeros((len(firsts), size + 1, size + 1))
+                    np.matmul(inverses, bracket, out=s[:, :size])
+                    del bracket
+                    s[:, :size] *= -epsilon
+                    s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
+                    matrices, x = list(s), buffer[0]
+                    for out, slot in zip(buffer[1:], group):
+                        x = matrices[slot].dot(x, out)
+                    del s, matrices
+                states[members, 1:] = lifted[:, 1:, :size]
+            recorded = lifted[:, :records, :size]
+            x = unstack(recorded, m, n)
+            eq = frobenius_norms(block.equation_error(x, slice(records)))
+        errors = block.solution_errors(recorded)
+        return [(paths, made, *member) for member in zip(eq, errors)]
+
+
+@dataclass
+class _Held:
+    """What one member of a batch holds between the solves of a
+    :class:`StructuredSolver`."""
+
+    base: _SylvesterFactors | None = None
+    factors: _SylvesterFactors | None = None
+    own: bool = False  # whether ``factors`` are the operator's own
+    dense: tuple[RealMatrix, SolvePath] | None = None
+    operator: int = -1  # the current one's index in the block; -1 for none
+    reuses: _Reuses | None = None
+    first: int = 0  # the operator of the first of ``reuses``
+
 
 class StructuredSolver:
-    """Solves of L(Z) = Z F - A conj(Z) for the steps of a run from the
-    structured crossover up, one step at a time, with a pinv cutoff
-    ``tolerance``.  :meth:`block` takes a block's operators
-    (:func:`find_operators`) and their :func:`sylvester_terms`, which the
-    members of a batch share.  The solver keeps its base, the operator
-    whose Sylvester form it factored and certified last, across block
-    edges too; the Sylvester forms of a window of :data:`REUSE_WINDOW`
-    coming operators in the base's eigenbases, with their certificates
-    (:func:`_reuses`); and, until a step starts a new operator, what
-    served the current one.
+    """The steps of a run from the structured crossover up, with a pinv
+    cutoff ``tolerance``: each member of a batch steps in turn, and each
+    step forms E and G and solves L(D) = G with the Sylvester factors, as
+    P would cost O((mn)^3) per step against the O(m^3 + n^3) of a solve.
+
+    :meth:`block` takes a block's operators (:func:`find_operators`) and
+    forms their :func:`sylvester_terms` once for all members.  Each member
+    keeps its base, the operator whose Sylvester form it factored and
+    certified last, across block edges too; the Sylvester forms of a
+    window of :data:`REUSE_WINDOW` coming operators in the base's
+    eigenbases, with their certificates (:func:`_reuses`); and, until a
+    step starts a new operator, what served the current one.
 
     A new operator's first solve takes the base's eigenbases when their
     certificate holds for it.  When it does not, or the sweeps reach
@@ -323,104 +463,154 @@ class StructuredSolver:
     base's eigenbases while they pass, or else its own factors for every
     later G.  When neither is certified, or the answer of its own fails
     the check, its W^+ from :func:`~dznd.linalg.pseudo_inverses` is
-    formed and kept.
+    formed and kept.  A step whose operator or drive is not finite solves
+    nothing: its state goes to nan.
     """
+
+    # The step groups compare the bits of F and A.
+    stacks = 2
+
+    @staticmethod
+    def block_bytes(m: int, n: int) -> tuple[int, int]:
+        """The bytes a block adds per record, P = F conj F and
+        Q = A conj A, and sets aside: a member's window of Sylvester
+        forms, P_off, Q_off and the gaps."""
+        square = n * n + m * m
+        return 16 * square, REUSE_WINDOW * 16 * (square + m * n)
 
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
-        self._base: _SylvesterFactors | None = None
-        self._factors: _SylvesterFactors | None = None
-        self._own = False
-        self._dense: tuple[RealMatrix, SolvePath] | None = None
+        self._held: dict[int, _Held] = collections.defaultdict(_Held)
 
-    def block(self, operators: Operators, terms: tuple) -> None:
-        """Take a block's operators and their Sylvester ``terms``; its
-        steps are then solved in order by :meth:`solve`."""
+    def block(self, operators: Operators, rows: np.ndarray | None = None):
+        """Take a block's operators and form their Sylvester terms; its
+        steps are then solved in order.  The steps' bit ``rows`` are not
+        needed."""
         self._operators = operators
         self._steps = operators.index.tolist()
-        # The first operator is the one held now unless it is new.
-        self._operator = -1 if operators.new[0] else 0
-        self._p, self._q, self._s = terms
+        self._p, self._q, self._s = sylvester_terms(operators)
         self._cutoff = singular_value_cutoff(
             self._tolerance, 2 * operators.f.shape[-1] * operators.a.shape[-1]
         )
-        self._reuses: _Reuses | None = None
-        self._first = 0
+        for held in self._held.values():
+            # The first operator is the one held now unless it is new.
+            held.operator = -1 if operators.new[0] else 0
+            held.reuses, held.first = None, 0
+
+    def advance(self, block, states, members, gammas, epsilon, thresholds):
+        """Take the block's steps of each of the ``members`` of a batch in
+        turn, from its state ``states[i, 0]`` at its gain ``gammas[i]``,
+        writing the state after step j into ``states[i, j + 1]``, and
+        yield, as :meth:`DenseSolver.advance` returns, each step's path and
+        whether it factored L, and ||E||_F and ||X - X*||_F at each record
+        filled.  A member's steps stop at the first record whose state or
+        ||E||_F is non-finite, or whose ||E||_F passes ``thresholds[i]``.
+        A member's records are yielded before the next member steps, so
+        they are kept when a later one raises.
+        """
+        steps, records = states.shape[1] - 1, len(block.f)
+        m, n = block.a.shape[-1], block.f.shape[-1]
+        for i in members:
+            x_states, paths, made, eqs = states[i], [], [], []
+            # A record past overflow is recorded, not warned about.
+            with np.errstate(all="ignore"):
+                for j in range(records):
+                    x = unstack(x_states[j], m, n)
+                    x_conj = np.conj(x)
+                    e = x @ block.f[j] - block.a[j] @ x_conj - block.c[j]
+                    eqs.append(np.linalg.norm(e))
+                    if j == steps or _stops(
+                        np.isfinite(x_states[j]).all()
+                        and math.isfinite(eqs[-1]), eqs[-1], thresholds[i],
+                    ):
+                        break
+                    drive = (
+                        block.cd[j] + block.ad[j] @ x_conj - x @ block.fd[j]
+                        - gammas[i] * e
+                    )
+                    direction, path, factored = self.solve(j, drive, i)
+                    x_states[j + 1] = x_states[j] + epsilon * direction
+                    paths.append(path)
+                    made.append(factored)
+            yield paths, made, np.array(eqs), block.solution_errors(
+                x_states[:len(eqs)])
 
     def solve(
-        self, step: int, g: np.ndarray
+        self, step: int, g: np.ndarray, member: int = 0
     ) -> tuple[RealVector, SolvePath | None, bool]:
         """``pinv(W_k, tolerance) @ stack(G)`` for step k of the block,
-        i.e. stack(D) with D F_k - A_k conj(D) = G; the path that gave it;
-        and whether this solve factored L, its own Sylvester form
-        eigendecomposed or its W^+ formed (counted once per operator).
+        i.e. stack(D) with D F_k - A_k conj(D) = G, by a ``member``; the
+        path that gave it; and whether this solve factored L, its own
+        Sylvester form eigendecomposed or its W^+ formed (counted once per
+        operator).
 
         When W_k (see :func:`_finite_operators`) or G is not finite, the
         answer is nan and the path None, without a solve."""
+        held = self._held[member]
         operator = self._steps[step]
-        if operator != self._operator:
-            self._operator = operator
-            self._factors, self._own, self._dense = None, False, None
+        if operator != held.operator:
+            held.operator = operator
+            held.factors, held.own, held.dense = None, False, None
         if not (self._operators.finite[operator] and np.isfinite(g).all()):
             return np.full(2 * g.size, math.nan), None, False
-        factored = self._own or self._dense is not None
+        factored = held.own or held.dense is not None
         f, a = self._operators.f[operator], self._operators.a[operator]
-        d = self._sylvester_solve(f, a, g)
+        d = self._sylvester_solve(held, f, a, g)
         if d is not None:
             direction, path = stack(d), SolvePath.STRUCTURED
         else:
-            if self._dense is None:
+            if held.dense is None:
                 w_plus, fell_back = pseudo_inverses(
                     real_operator(f, a)[None], self._tolerance
                 )
-                self._dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
-            matrix, path = self._dense
+                held.dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
+            matrix, path = held.dense
             direction = matrix @ stack(g)
         return direction, path, not factored and (
-            self._own or self._dense is not None
+            held.own or held.dense is not None
         )
 
     def _sylvester_solve(
-        self, f: np.ndarray, a: np.ndarray, g: np.ndarray
+        self, held: _Held, f: np.ndarray, a: np.ndarray, g: np.ndarray
     ) -> np.ndarray | None:
         """D from the Sylvester form of the current operator, or None for
         the dense path."""
-        factors = self._factors
-        if not self._own:
+        factors = held.factors
+        if not held.own:
             if factors is None:
-                factors = self._reused()
+                factors = self._reused(held)
             d = None if factors is None else factors.apply(f, a, g)
             if d is not None:
-                self._factors = factors
+                held.factors = factors
                 return d
-            self._own = True
-            i = self._operator
-            factors = self._factors = _sylvester_factors(
+            held.own = True
+            i = held.operator
+            factors = held.factors = _sylvester_factors(
                 self._p[i], self._q[i], float(self._s[i]), self._cutoff
             )
             if factors is not None:
-                self._base, self._reuses = factors, None
+                held.base, held.reuses = factors, None
         return None if factors is None else factors.apply(f, a, g)
 
-    def _reused(self) -> _SylvesterFactors | None:
+    def _reused(self, held: _Held) -> _SylvesterFactors | None:
         """The factors of the current operator's Sylvester form in the
         base's eigenbases, or None without a base or when their
         certificate fails.  An operator past the window forms the next
         one from it on."""
-        if self._base is None:
+        if held.base is None:
             return None
-        i, reuses = self._operator, self._reuses
-        if reuses is None or i >= self._first + len(reuses.certified):
+        i, reuses = held.operator, held.reuses
+        if reuses is None or i >= held.first + len(reuses.certified):
             end = i + REUSE_WINDOW
-            reuses = self._reuses = _reuses(
-                self._base, self._p[i:end], self._q[i:end], self._s[i:end],
+            reuses = held.reuses = _reuses(
+                held.base, self._p[i:end], self._q[i:end], self._s[i:end],
                 self._cutoff,
             )
-            self._first = i
-        k = i - self._first
+            held.first = i
+        k = i - held.first
         if not reuses.certified[k]:
             return None
-        return self._base._replace(
+        return held.base._replace(
             gaps=reuses.gaps[k], s=float(self._s[i]),
             off=(reuses.p_off[k], reuses.q_off[k]),
         )

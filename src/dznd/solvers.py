@@ -6,9 +6,8 @@ dE/dt = -gamma E.  Each step forms, in complex128,
     E = X F - A conj(X) - C,
     G = Cdot + Adot conj(X) - X Fdot - gamma E,
 
-solves L(D) = D F - A conj(D) = G for the direction D with the run's
-solver from :mod:`dznd.assembly`, and updates the stacked real state as
-x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
+solves L(D) = D F - A conj(D) = G for the direction D, and updates the
+stacked real state as x(tau_{k+1}) = x(tau_k) + epsilon * stack(D).
 
 Written over the reals, dznd2-2i's drive b_dot - W_dot x - gamma (W x - b)
 is the same G, so the two models take the same step; they differ only
@@ -17,97 +16,53 @@ multiplies E in the complex field, and dznd2-2i only a real one.
 
 Each solve equals pinv(W) stack(G) for the 2mn x 2mn real form W of L.
 Above a size crossover it comes, when certified and checked, from the
-Sylvester form of L: in the eigenbases of an earlier step's operator,
-also one of an earlier block, while they are certified for it, else from
-its own O(m^3 + n^3) eigendecompositions; otherwise from the inverse of W
-whenever its condition number proves the pseudo-inverse would cut no
-singular value, and from the SVD pseudo-inverse when not.  A run counts
-the steps that took the first path and those that needed the last.
+Sylvester form of L; otherwise from the inverse of W whenever its
+condition number proves the pseudo-inverse would cut no singular value,
+and from the SVD pseudo-inverse when not.  A run counts the steps that
+took the first path, those that needed the last, and the factorizations
+of L made for the steps it took.
 
 A run works one block of records at a time: :data:`BLOCK_RECORDS`, or
 fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
 (:func:`block_records`).  It evaluates the providers at every record of
-the block as complex128 stacks.  Each provider is a
+the block as complex128 stacks; each provider is a
 :class:`~dznd.problems.BlockProvider` (a problem adapts a function of
 one tau when it is built), called once per block with the block's array
-of tau.  :func:`~dznd.assembly.find_operators` then finds the block's
-operators once, from the bits of its F and A and of the last step before
-it, which the run carries.  They go to the run's one solver, picked once
-from mn: a :class:`~dznd.assembly.DenseSolver` below the structured
-crossover, a :class:`~dznd.assembly.StructuredSolver` from it up.  It
-keeps only the current operator's factors, so a run factors L once while
-F and A stay bitwise the same, across block edges too, and tells for
-each step whether it factored: below the crossover a new operator's W^+;
-from the crossover up an operator's own eigendecompositions (or W^+), so
-a step solved in another operator's eigenbases counts none.  A run sums
-those of the steps it takes.  Then the block's steps advance in one of
-two ways:
-
-* Below the structured crossover the drive is affine in the state,
-  G = (Cdot + gamma C) - [X (Fdot + gamma F) - (Adot + gamma A) conj(X)],
-  so each step is x_{k+1} = x_k + epsilon (q_k - P_k x_k) with P_k and
-  q_k known before the loop: W_k^+ times the real form R_k of the
-  bracket, and W_k^+ c_k with c_k = stack(Cdot_k + gamma C_k).  On the
-  lifted state [x; 1] that step is one product with the lifted step
-  matrix S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  The S of the
-  whole block come from one batched product W^+ [R | -c] = [P | -q],
-  formed once for each group of consecutive steps whose provider values
-  are bitwise the same (once per block when the coefficients are
-  constant), whatever the gain, and the loop makes one matrix-vector
-  product per step, reading the 8 (2mn + 1)^2 bytes of its S.  At these
-  sizes the Python overhead of each numpy call costs more than the
-  arithmetic.  The block integrates all its steps, also those past the
-  record where the run stops; they are discarded, and run without
-  warnings.
-* From the crossover up each step forms G from E and solves with the
-  Sylvester factors, as P would cost O((mn)^3) per step against the
-  O(m^3 + n^3) of the solve.  A run's operators move little from one
-  step to the next, so most steps solve in the eigenbases of the run's
-  last factored operator, with Jacobi sweeps, and factor only when that
-  fails its certificate or its check.  What that takes of F and A alone
-  is formed before the steps, in batched products: P = F conj F,
-  Q = A conj A and s once per block, the certificates by the solver (see
-  :class:`~dznd.assembly.StructuredSolver`); the loop keeps what depends
-  on the state.  These steps stop at the first record where the run
-  stops, and so do their factorizations.
-
-An operator whose real form W is not finite (for non-finite F or A, or
-where F[t, t] +- A[s, s] overflows) is never factored: a step with it
-goes to a nan state, so a run ends DIVERGED rather than raising.  From
-the crossover up, so does a step whose drive is not finite (for a
-non-finite derivative, say), without a solve.
+of tau.  The run picks its solver once, by
+:func:`~dznd.assembly.solver_class`: a
+:class:`~dznd.assembly.DenseSolver` below the structured crossover, a
+:class:`~dznd.assembly.StructuredSolver` from it up.  Both take a block
+alike.  :func:`~dznd.assembly.find_operators` finds its operators once,
+from the bits of its F and A and of the last step before it, which the
+run carries; the solver's ``block`` forms what it needs of them, and its
+``advance`` takes the block's steps for every member, giving each
+member's paths and factorizations and its records' ||E||_F and
+||X - X*||_F.  How each solver steps is told in its own docstring.
 
 Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
 :func:`run_batch`, whose members each take their own run's blocks and
-equal it bitwise.  They share each block's provider values and
-operators.  Below the crossover they also share its W^+ and step groups,
-and their shifted coefficients, drive columns, residual norms and
-solution errors are each formed in one stacked operation; each member
-then forms its own bracket and lifted step matrices in turn, so a batch
-holds one member's S at a time.  From the crossover up they share the
-operators' P, Q and s, and each member solves with a solver of its own,
-since a solve's path depends on its drive.  The batch keeps its records
-as rows of stacked arrays, one row per member, and after each block one
-loop over the members still running, for both paths, keeps their
-residuals, finds where each stops and counts its paths and
-factorizations.  A member that stops keeps its records and leaves the
-batch.  An exception raised in a block (by a provider, a solve, or a
-warning made an error) ends the members still running there; those that
-stopped before keep their records.
+equal it bitwise.  They share each block's provider values, its
+operators and what the solver forms of them alone.  The batch keeps its
+records as rows of stacked arrays, one row per member, and after each
+block one loop over the members still running keeps their residuals,
+finds where each stops and counts its paths and factorizations.  A
+member that stops keeps its records and leaves the batch.  An exception
+raised in a block (by a provider, a solve, or a warning made an error)
+ends the members still running there; those that stopped before keep
+their records.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
 
 A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
-the problem has no known solution): below the crossover for the whole
-block from its stored states, in batched norms equal bitwise to
-``np.linalg.norm``, from the crossover up record by record from the E
-of the drive.  It stops at the first record whose state or residual is
-non-finite or whose residual passes the divergence threshold; that
-record is kept, and path and factorization counts cover the steps taken
-before it.
+the problem has no known solution).  It stops at the first record whose
+state or residual is non-finite or whose residual passes the divergence
+threshold; that record is kept, and path and factorization counts cover
+the steps taken before it.  An operator whose real form W is not finite
+is never factored: a step with it goes to a nan state, so a run ends
+DIVERGED rather than raising.
 """
 
 from __future__ import annotations
@@ -122,12 +77,9 @@ import numpy as np
 from . import assembly
 from .assembly import (
     ComplexGain,
-    DenseSolver,
     SolvePath,
-    StructuredSolver,
+    _stops,
     frobenius_norms,
-    real_operator,
-    stack,
     state_from_matrix,
     unstack,
 )
@@ -161,27 +113,20 @@ _STEP_COUNT_SLACK = 1e-9
 # a 16x16 run at about 41 GB.  Past it a run is refused rather than left
 # to exhaust memory.
 MAX_STEP_COUNT = 10**7
-# A run evaluates its providers, converts their values to complex128,
-# factors its operators and, below the structured crossover, takes its
-# steps for a block of records at a time: BLOCK_RECORDS, or fewer where
-# the block's stacks would pass BLOCK_BYTES (see block_records).  A run
-# that diverges has evaluated its providers at most one block less one
-# record past the record where it stopped, and never past the duration.
-# A record holds F, A, C, their derivatives and X*, 16 (2n^2 + 2m^2 + 3mn)
-# bytes, which the members of a batch share.  Below the crossover it adds
-# W^+, 8 (2mn)^2 bytes, also shared, the real form of the bracket with the
-# drive's column [R | -c] and the lifted step matrix S, which a batch
-# forms for one member at a time, and the lifted state and the states,
-# 8 (2 (2mn + 1)^2 + 2mn) bytes: 256 records come to 0.6 MB for a 2x2
-# problem, and a block at mn = 31 holds 66.  Every member of a batch takes
-# these blocks; those past the first add uncounted O(n^2 + m^2 + mn)
-# stacks a record.  From the crossover up it adds the operators'
-# P = F conj F and Q = A conj A, 16 (n^2 + m^2) bytes, also shared, and the
-# block sets aside a solver's window of Sylvester forms, REUSE_WINDOW times
-# P_off, Q_off and the gaps, 16 (n^2 + m^2 + mn) bytes each: a block at
-# 16x16 holds 224 records and one at 64x64 11.  There each member of a
-# batch has a solver of its own, so every member past the first adds its
-# window.  Transient products are not counted.
+# A run evaluates its providers, converts their values to complex128 and
+# has its solver take its steps a block of records at a time:
+# BLOCK_RECORDS, or fewer where the block's stacks would pass BLOCK_BYTES
+# (see block_records).  A run that diverges has evaluated its providers at
+# most one block less one record past the record where it stopped, and
+# never past the duration.  A record holds F, A, C, their derivatives and
+# X*, 16 (2n^2 + 2m^2 + 3mn) bytes, which the members of a batch share,
+# and the bytes the solver adds per record; the solver may also set bytes
+# aside for the block (see each solver's block_bytes).  A block holds 256
+# records of a 2x2 problem, 0.6 MB, 66 at mn = 31, 224 at 16x16 and 11 at
+# 64x64.  Every member of a batch takes these blocks; those past the first
+# add uncounted O(n^2 + m^2 + mn) stacks a record and, from the
+# crossover up, a window of their own.  Transient products are not
+# counted.
 BLOCK_RECORDS = 256
 BLOCK_BYTES = 8 * 2**20
 
@@ -189,18 +134,11 @@ BLOCK_BYTES = 8 * 2**20
 def block_records(m: int, n: int) -> int:
     """The records per block of a run of an m x n problem, which every
     member of a batch takes too: BLOCK_RECORDS, or as many as fit in
-    BLOCK_BYTES of a run's stacks (at least one).  The structured
-    crossover is read at call time, as :func:`run_batch` reads it when it
-    picks its solver."""
-    mn = m * n
-    size = 16 * (2 * n * n + 2 * m * m + 3 * mn)
-    budget = BLOCK_BYTES
-    if mn < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS:
-        size += 8 * ((2 * mn) ** 2 + 2 * (2 * mn + 1) ** 2 + 2 * mn)
-    else:
-        size += 16 * (n * n + m * m)
-        budget -= assembly.REUSE_WINDOW * 16 * (n * n + m * m + mn)
-    return min(BLOCK_RECORDS, max(1, budget // size))
+    BLOCK_BYTES of a run's stacks (at least one), with those of the run's
+    solver."""
+    record, reserved = assembly.solver_class(m, n).block_bytes(m, n)
+    size = 16 * (2 * n * n + 2 * m * m + 3 * m * n) + record
+    return min(BLOCK_RECORDS, max(1, (BLOCK_BYTES - reserved) // size))
 
 
 @dataclass(frozen=True)
@@ -321,9 +259,9 @@ class _Block(NamedTuple):
     A and C at the records that take a step.
 
     Everything in a step that depends on tau alone comes from here, once
-    for every member of a batch; :meth:`advance_dense` takes the block's
-    steps of all members at once, :meth:`advance_structured` those of one,
-    and both give the records' residuals, with :meth:`solution_errors`.
+    for every member of a batch, for the run's solver to step with; the
+    records' residuals come from :meth:`equation_error` and
+    :meth:`solution_errors`.
     """
 
     f: np.ndarray
@@ -389,152 +327,6 @@ class _Block(NamedTuple):
         with np.errstate(all="ignore"):
             return frobenius_norms(x - self.exact[:states.shape[-2]])
 
-    def advance_dense(
-        self,
-        states: np.ndarray,
-        members: list[int],
-        solver: DenseSolver,
-        operators: Optional[assembly.Operators],
-        rows: Optional[np.ndarray],
-        gammas: np.ndarray,
-        epsilon: float,
-    ) -> list[tuple[list[Optional[SolvePath]], list[bool], np.ndarray,
-                    np.ndarray]]:
-        """Take the block's steps for the ``members`` of a batch, rows of
-        ``states``, each from its state ``states[i, 0]`` at its gain in
-        ``gammas``, given the steps' ``operators`` and the ``rows`` of
-        their bits (both None without a step), writing the state after
-        step j into ``states[i, j + 1]``.  Return for each member, as
-        :meth:`advance_structured` does, each step's path (None for a step
-        that solves nothing) and whether it factored L, which the members
-        share, and ||E||_F and ||X - X*||_F at the block's records.
-
-        Each step is the product [x_{k+1}; 1] = S_k [x_k; 1] with the
-        lifted step matrix of the module docstring, whose W_k^+ come from
-        one :meth:`~dznd.assembly.DenseSolver.inverses` call for the
-        whole batch.  Consecutive steps with bitwise the same F, A, C,
-        Fdot, Adot and Cdot (their ``rows``, which begin with the bits of
-        F and A) form a group; a group shares one operator, and for any
-        gain one S.  The members' shifted coefficients and drive columns
-        -c are formed at the group starts only, stacked.  Each member in
-        turn then forms its bracket [R | -c], the S of every group from
-        one product W^+ [R | -c] = [P | -q], and one matrix-vector
-        product per step into its lifted buffer, and releases both before
-        the next member's, as a block's budget holds a run's.  The
-        residual norms and solution errors follow for the whole stack.
-        All the steps are taken, without warnings: those past a stop are
-        the caller's to discard.  An operator that is not finite has a
-        nan W^+, hence a nan S, so the state after its step is non-finite.
-        """
-        records, steps = len(self.f), states.shape[1] - 1
-        count, size = len(members), states.shape[-1]
-        m, n = self.a.shape[-1], self.f.shape[-1]
-        paths, made = [], []
-        lifted = np.zeros((count, steps + 1, size + 1))
-        lifted[:, 0, :size], lifted[:, 0, size] = states[members, 0], 1.0
-        with np.errstate(all="ignore"):
-            if steps:
-                inverses, operator_paths, formed = solver.inverses(operators)
-                firsts = assembly._changes(rows)
-                group = (np.cumsum(firsts) - 1).tolist()
-                firsts = np.flatnonzero(firsts)
-                # With one group for each operator, the stack serves as
-                # it is.
-                if len(firsts) > len(inverses):
-                    inverses = inverses[operators.index[firsts]]
-                # Each member's shifted coefficients at the group starts,
-                # one product over the rows [F A C | Fdot Adot Cdot]: at
-                # least three entries, as numpy rounds a product of one
-                # complex entry differently from one of several.
-                values = rows.view(np.complex128)[firsts, None]
-                half = values.shape[-1] // 2
-                shifted = (values[..., half:]
-                           + gammas[:, None] * values[..., :half])
-                edges = [0, n * n, n * n + m * m, half]
-                fs, as_, cs = (
-                    shifted[..., lo:hi].reshape(shifted.shape[:2] + z.shape[1:])
-                    for lo, hi, z in zip(edges, edges[1:], self[:3])
-                )
-                paths = operator_paths[operators.index].tolist()
-                made = (operators.starts & formed[operators.index]).tolist()
-                columns = -stack(cs)[..., None]
-                for i, buffer in enumerate(lifted):
-                    # [R | -c] before S, as in a run, which bounds the peak.
-                    bracket = np.concatenate([real_operator(
-                        fs[:, i], as_[:, i]), columns[:, i]], axis=-1)
-                    # The top rows W^+ [R | -c] = [P | -q] become
-                    # [I - epsilon P | epsilon q]; the last row is e^T.
-                    s = np.zeros((len(firsts), size + 1, size + 1))
-                    np.matmul(inverses, bracket, out=s[:, :size])
-                    del bracket
-                    s[:, :size] *= -epsilon
-                    s.reshape(len(firsts), -1)[:, ::size + 2] += 1.0
-                    matrices, x = list(s), buffer[0]
-                    for out, slot in zip(buffer[1:], group):
-                        x = matrices[slot].dot(x, out)
-                    del s, matrices
-                states[members, 1:] = lifted[:, 1:, :size]
-            recorded = lifted[:, :records, :size]
-            x = unstack(recorded, m, n)
-            eq = frobenius_norms(self.equation_error(x, slice(records)))
-        errors = self.solution_errors(recorded)
-        return [(paths, made, *member) for member in zip(eq, errors)]
-
-    def advance_structured(
-        self,
-        states: np.ndarray,
-        solver: StructuredSolver,
-        gamma: complex,
-        epsilon: float,
-        threshold: float,
-    ) -> tuple[list[Optional[SolvePath]], list[bool], np.ndarray,
-               np.ndarray]:
-        """Take the block's steps of one run from ``states[0]``, writing
-        the state after step j into ``states[j + 1]``.  Return, for each
-        step taken, its path (None for a step that solves nothing) and
-        whether it factored L, and ||E||_F and ||X - X*||_F at each record
-        filled: all of the block's, or those up to an early stop.
-
-        Each record's E gives its residual norm and the drive
-        G = Cdot + Adot conj(X) - X Fdot - gamma E, from one conj(X), and
-        the step solves L(D) = G with the run's own ``solver``, which holds
-        the block's operators, since that costs O(m^3 + n^3) per solve
-        against O((mn)^3) for P.  The steps stop at the first record whose
-        state or ||E||_F is non-finite, or whose ||E||_F passes
-        ``threshold``.
-        """
-        steps, records = len(states) - 1, len(self.f)
-        m, n = self.a.shape[-1], self.f.shape[-1]
-        paths, made, eqs = [], [], []
-        # A record past overflow is recorded, not warned about.
-        with np.errstate(all="ignore"):
-            for j in range(records):
-                x = unstack(states[j], m, n)
-                x_conj = np.conj(x)
-                e = x @ self.f[j] - self.a[j] @ x_conj - self.c[j]
-                eqs.append(np.linalg.norm(e))
-                if j == steps or _stops(
-                    np.isfinite(states[j]).all() and math.isfinite(eqs[-1]),
-                    eqs[-1], threshold,
-                ):
-                    break
-                drive = (
-                    self.cd[j] + self.ad[j] @ x_conj - x @ self.fd[j]
-                    - gamma * e
-                )
-                direction, path, factored = solver.solve(j, drive)
-                states[j + 1] = states[j] + epsilon * direction
-                paths.append(path)
-                made.append(factored)
-        return paths, made, np.array(eqs), self.solution_errors(
-            states[:len(eqs)])
-
-
-def _stops(finite, equation_residual, threshold):
-    """Whether a run stops at a record: it is non-finite or its equation
-    residual passes the divergence threshold (elementwise for arrays)."""
-    return np.logical_not(finite) | (equation_residual > threshold)
-
 
 def _stacks(provider, taus: np.ndarray, check) -> tuple:
     """The values of the :class:`~dznd.problems.BlockProvider`
@@ -569,13 +361,12 @@ def run_batch(
     must share epsilon, duration and the pinv tolerance.  Every config is
     validated, and the shared fields compared, before any provider call;
     a violation raises :class:`ConfigError`.  Every member takes the
-    blocks of its own run, and they share each block's provider values
-    and operators and, below the structured crossover, its W^+ and step
-    groups, from it up the operators' P, Q and s (module docstring).  A
-    member that stops keeps its records and leaves the batch; the others
-    go on.  An exception raised in a block (by a provider, a solve, or a
-    warning made an error) ends the members still running there, and
-    propagates as it was raised.
+    blocks of its own run, and they share each block's provider values,
+    its operators and what the solver forms of them alone (module
+    docstring).  A member that stops keeps its records and leaves the
+    batch; the others go on.  An exception raised in a block (by a
+    provider, a solve, or a warning made an error) ends the members still
+    running there, and propagates as it was raised.
     """
     trajectories, error = _run_batch(problem, configs, initial)
     if error is not None:
@@ -591,9 +382,9 @@ def _run_batch(
     """The trajectories of :func:`run_batch` and None; or, when a block
     raises, those of the members that stopped before it (None for the
     others) and the exception.  A config or start that cannot run raises
-    at once.  From the crossover up the members step one after another,
-    so one that stops in the block before another raises keeps its
-    records."""
+    at once.  The records of each member are kept as the solver gives
+    them, so one that it ends in a block before another raises keeps
+    them."""
     if not configs:
         raise ConfigError("a batch needs at least one member")
     for config in configs:
@@ -623,11 +414,8 @@ def _run_batch(
     pinv, structured, factorizations = ([0] * count for _ in range(3))
     stops: list[Optional[int]] = [None] * count
     gammas = [complex(c.gamma.re, c.gamma.im) for c in configs]
-    dense = m * n < assembly.STRUCTURED_SOLVE_MIN_UNKNOWNS
-    if dense:
-        solver = DenseSolver(lead.pinv_tolerance)
-    else:
-        solvers = [StructuredSolver(lead.pinv_tolerance) for _ in configs]
+    thresholds = [c.divergence_threshold for c in configs]
+    solver = assembly.solver_class(m, n)(lead.pinv_tolerance)
     # Each member takes its run's blocks, whose edges can move a structured
     # run's last bits, and a row's outcome when a provider raises.
     size = block_records(m, n)
@@ -653,40 +441,25 @@ def _run_batch(
             block = _Block.evaluate(
                 problem, taus[start:start + records], steps, has_solution
             )
-            rows = operators = None
             if steps:
-                # Below the crossover the step groups take the bits of all
-                # six stacks, whose rows begin with those of F and A.
-                stacks = block[:6] if dense else block[:2]
-                rows = assembly._bit_rows(*(z[:steps] for z in stacks))
+                # The solver's stacks, whose rows begin with F and A.
+                rows = assembly._bit_rows(
+                    *(z[:steps] for z in block[:solver.stacks]))
                 operators = assembly.find_operators(
                     rows[:, :width], row, block.f[:steps], block.a[:steps]
                 )
                 row = rows[-1, :width].copy()
-                if not dense:
-                    terms = assembly.sylvester_terms(operators)
-                    for i in active:
-                        solvers[i].block(operators, terms)
-            block_states = states[:, start:start + steps + 1]
-            if dense:
-                advanced = block.advance_dense(
-                    block_states, active, solver, operators, rows,
-                    np.array([gammas[i] for i in active]), epsilon,
-                )
-            else:
-                advanced = (
-                    block.advance_structured(
-                        block_states[i], solvers[i], gammas[i], epsilon,
-                        configs[i].divergence_threshold,
-                    )
-                    for i in active
-                )
+                solver.block(operators, rows)
+            advanced = solver.advance(
+                block, states[:, start:start + steps + 1], active, gammas,
+                epsilon, thresholds,
+            )
             for i, (paths, made, eq, error) in zip(active, advanced):
                 kept = slice(start, start + len(eq))
                 residuals[i, kept], errors[i, kept] = eq, error
                 finite = np.isfinite(states[i, kept]).all(axis=1)
-                stop = np.flatnonzero(_stops(finite & np.isfinite(eq), eq,
-                                             configs[i].divergence_threshold))
+                stop = np.flatnonzero(
+                    _stops(finite & np.isfinite(eq), eq, thresholds[i]))
                 taken = int(stop[0]) if stop.size else steps
                 # list.count compares by identity in C: no Enum hash per
                 # step.

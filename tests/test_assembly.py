@@ -199,8 +199,7 @@ def _structured(f, a, tolerance=None):
     """A structured solver holding the block whose steps have the stacks
     of F and A."""
     solver = StructuredSolver(tolerance)
-    operators = _operators(f, a)
-    solver.block(operators, sylvester_terms(operators))
+    solver.block(_operators(f, a))
     return solver
 
 
@@ -339,8 +338,8 @@ class TestSolveOperator:
                                    atol=1e-12 * np.linalg.norm(g))
         noise = np.random.default_rng(7).standard_normal(factors.u.shape)
         for relative in (1e-5, 1e-10):
-            perturbed = factors._replace(u=factors.u * (1.0 + relative * noise))
-            assert perturbed.apply(f, a, g) is None
+            u = factors.u * (1.0 + relative * noise)
+            assert factors._replace(u=u).apply(f, a, g) is None
 
     @pytest.mark.parametrize("m,n,structured", [
         (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),

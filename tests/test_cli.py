@@ -286,15 +286,15 @@ class TestSweepCommand:
         # more than one member raises ends the batch's members: their
         # rows read ERROR(RuntimeWarning), not the outcome of a run of
         # one that would not warn.
-        advance_dense = dznd.solvers._Block.advance_dense
+        advance = dznd.assembly.DenseSolver.advance
 
         def warning(self, *args):
-            # The gains are the last argument but the step size.
-            if len(args[-2]) > 1:
+            # The gains come before the step size and the thresholds.
+            if len(args[-3]) > 1:
                 warnings.warn("batch of several members", RuntimeWarning)
-            return advance_dense(self, *args)
+            return advance(self, *args)
 
-        monkeypatch.setattr(dznd.solvers._Block, "advance_dense", warning)
+        monkeypatch.setattr(dznd.assembly.DenseSolver, "advance", warning)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = run_sweep(example2(), "example2", [Model.DZND1_2I],

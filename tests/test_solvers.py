@@ -737,6 +737,30 @@ def _one_shot_run(problem, config, initial):
     return states, residuals, errors, outcome, diverged_at, counts
 
 
+def _bracket_sizes(monkeypatch):
+    """The list to which each real form of the brackets of dense steps
+    appends its stack's length: the ``real_operator`` calls made outside
+    ``DenseSolver.inverses``, which forms the real forms W."""
+    sizes, inverses = [], dznd.assembly.DenseSolver.inverses
+    forming = []
+
+    def counting(f, a):
+        if not forming:
+            sizes.append(len(f))
+        return real_operator(f, a)
+
+    def marked(self, operators):
+        forming.append(True)
+        try:
+            return inverses(self, operators)
+        finally:
+            forming.pop()
+
+    monkeypatch.setattr(dznd.assembly, "real_operator", counting)
+    monkeypatch.setattr(dznd.assembly.DenseSolver, "inverses", marked)
+    return sizes
+
+
 def _assert_runs_as_one_shot_steps(problem, config, initial):
     trajectory = run(problem, config, initial)
     states, residuals, errors, outcome, diverged_at, counts = (
@@ -1033,16 +1057,10 @@ class TestBlocks:
         # F, A, C and derivatives share P and q.  The 4x6
         # problem has 24 unknowns, so it takes the dense path with one P
         # for every block.  Each run takes two full blocks of steps.
-        sizes = []
-
-        def counting(f, a):
-            sizes.append(len(f))
-            return real_operator(f, a)
-
         problem = factory()
         records = block_records(problem.m, problem.n)
         config = _config(epsilon=0.01, duration=0.01 * 2 * records)
-        monkeypatch.setattr(dznd.solvers, "real_operator", counting)
+        sizes = _bracket_sizes(monkeypatch)
         trajectory = _assert_runs_as_one_shot_steps(
             problem, config, random_initial_state(problem, 8))
         assert trajectory.outcome is Outcome.COMPLETED
@@ -1077,15 +1095,9 @@ class TestBlocks:
         # Steps group by their provider values, not by the shifted
         # coefficients: at gain 10 those repeat bitwise while C moves,
         # and each step still forms its own S, as at any other gain.
-        sizes = []
-
-        def counting(f, a):
-            sizes.append(len(f))
-            return real_operator(f, a)
-
         problem = self._decaying_c_problem()
         config = _config(gamma=gamma, epsilon=0.01, duration=1.0)
-        monkeypatch.setattr(dznd.solvers, "real_operator", counting)
+        sizes = _bracket_sizes(monkeypatch)
         trajectory = _assert_runs_as_one_shot_steps(
             problem, config, random_initial_state(problem, 8))
         assert trajectory.outcome is Outcome.COMPLETED
@@ -1464,12 +1476,14 @@ class TestRaisingBlock:
             self, monkeypatch):
         # From the crossover up the members step one after another: the
         # first stops in the block where the second's steps raise.
-        advance = dznd.solvers._Block.advance_structured
+        advance = dznd.assembly.StructuredSolver.advance
 
-        def raising(self, states, solver, gamma, *args):
-            if gamma == 10.0:
-                raise RuntimeError("solve failed")
-            return advance(self, states, solver, gamma, *args)
+        def raising(self, block, states, members, gammas, *args):
+            advanced = advance(self, block, states, members, gammas, *args)
+            for i in members:
+                if gammas[i] == 10.0:
+                    raise RuntimeError("solve failed")
+                yield next(advanced)
 
         problem = make_shifted_trig_problem(6, 6, 2)
         initial = random_initial_state(problem, 2)
@@ -1478,7 +1492,7 @@ class TestRaisingBlock:
                            divergence_threshold=first * 10.0),
                    _config(duration=2.0)]
         want = run(problem, configs[0], initial)
-        monkeypatch.setattr(dznd.solvers._Block, "advance_structured",
+        monkeypatch.setattr(dznd.assembly.StructuredSolver, "advance",
                             raising)
         (stopped, running), error = dznd.solvers._run_batch(
             problem, configs, initial)
