@@ -20,14 +20,15 @@ and :func:`real_operator` writes its entries straight into place by
 index scatter, without forming either Kronecker product.
 
 :class:`DenseSolver` and :class:`StructuredSolver` take the steps of a
-run, which picks one of them once by :func:`solver_class`.  They share
-one interface: ``block`` takes a block's operators once, for every
-member of a batch, and forms what they need; ``advance`` takes the
-block's steps of the members and solves L(D) = G in them.
-:func:`find_operators` decides once per block which steps share an
-operator: those whose F and A stay bitwise the same, also across the
-edge from the block before.  Steps only move forward from one operator
-to the next, so a solver keeps only the current operator's factors.
+run, which picks one of them once by :func:`solver_class`.  The run
+calls one method, ``advance``, once per block for every member of a
+batch; each solver owns the rest.  It finds the block's operators by
+:func:`find_operators`, once per block: the steps whose F and A stay
+bitwise the same share one, also across the edge from the block
+before, whose last bits the solver keeps.  It takes the steps, solving
+L(D) = G in them, finds where each member stops and marks the steps
+that factored L.  Steps only move forward from one operator to the
+next, so a solver keeps only the current operator's factors.
 Below mn = :data:`STRUCTURED_SOLVE_MIN_UNKNOWNS` unknowns the factor is
 W^+ from :func:`~dznd.linalg.pseudo_inverses`: the certified inverse of
 W, or its SVD pseudo-inverse.  From it up the factors are those of the
@@ -235,6 +236,7 @@ class Operators(NamedTuple):
     a: np.ndarray
     new: np.ndarray  # not the previous block's last; only the first can be
     finite: np.ndarray  # whether its W is finite (_finite_operators)
+    last: np.ndarray  # the bits of F and A at the last step
 
 
 def find_operators(
@@ -242,14 +244,28 @@ def find_operators(
 ) -> Operators:
     """The operators of a block's steps (at least one), from the stacks
     ``f`` and ``a`` of their F and A, the ``rows`` of their bits
-    (:func:`_bit_rows`) and the row ``previous`` of the step before the
-    block, or None: a step starts one when its F or A changes a bit."""
+    (:func:`_bit_rows`, which begin with F and A) and the bits ``previous``
+    of F and A at the step before the block, or None: a step starts one
+    when its F or A changes a bit."""
+    rows = rows[:, :2 * (f.shape[-1] ** 2 + a.shape[-1] ** 2)]
     starts = _changes(rows)
     f, a = f[starts], a[starts]
     new = np.ones(len(f), dtype=bool)
     new[0] = previous is None or bool((rows[0] != previous).any())
     finite = _finite_operators(f, a)
-    return Operators(np.cumsum(starts) - 1, starts, f, a, new, finite)
+    return Operators(
+        np.cumsum(starts) - 1, starts, f, a, new, finite, rows[-1].copy()
+    )
+
+
+def _block_operators(stacks, steps: int, before: Operators | None):
+    """The bit rows of a block's ``stacks``, which begin with F and A, at
+    its first ``steps`` records, and the operators of those steps after
+    the operators ``before`` of the block before, or None."""
+    stacks = [z[:steps] for z in stacks]
+    rows = _bit_rows(*stacks)
+    previous = None if before is None else before.last
+    return rows, find_operators(rows, previous, stacks[0], stacks[1])
 
 
 def sylvester_terms(operators: Operators) -> tuple[np.ndarray, ...]:
@@ -290,14 +306,15 @@ class DenseSolver:
     S_k = [[I - epsilon P_k, epsilon q_k], [0^T, 1]].  At these sizes the
     Python overhead of each numpy call costs more than the arithmetic.
 
-    :meth:`block` forms, for every member of a batch, the W^+ of a block's
-    new finite operators in one :meth:`inverses` call.  The solver keeps
-    only the last operator's W^+ and path, which serve a block whose first
-    operator repeats it: a run with constant coefficients forms W^+ once.
+    :meth:`advance` finds a block's operators from the bits of its F, A,
+    C, Fdot, Adot and Cdot and of F and A at the step before it, and forms
+    the W^+ of its new finite operators in one :meth:`inverses` call, for
+    every member of a batch.  The solver keeps only the last operator's
+    W^+ and path, which serve a block whose first operator repeats it: a
+    run with constant coefficients forms W^+ once.  It takes every step of
+    the block for every member and then finds where each stops, in one
+    pass over them all.
     """
-
-    # The step groups compare the bits of F, A, C, Fdot, Adot and Cdot.
-    stacks = 6
 
     @staticmethod
     def block_bytes(m: int, n: int) -> tuple[int, int]:
@@ -309,13 +326,7 @@ class DenseSolver:
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
         self._kept: tuple[RealMatrix, SolvePath | None] | None = None
-
-    def block(self, operators: Operators, rows: np.ndarray) -> None:
-        """Take a block's operators and the bit rows of its steps' stacks
-        (:func:`_bit_rows`, which begin with F and A), and form their W^+."""
-        self._operators, self._rows = operators, rows
-        with np.errstate(all="ignore"):
-            self._inverses = self.inverses(operators)
+        self._operators: Operators | None = None
 
     def inverses(self, operators: Operators) -> tuple[np.ndarray, ...]:
         """For each of a block's operators: its ``pinv(W_i, tolerance)``,
@@ -352,8 +363,10 @@ class DenseSolver:
         ``gammas[i]``, writing the state after step j into
         ``states[i, j + 1]``.  Return for each member each step's path
         (None for a step that solves nothing) and whether it factored L,
-        which the members share, and ||E||_F and ||X - X*||_F at the
-        block's records.
+        which the members share, ||E||_F and ||X - X*||_F at the block's
+        records, and whether it stopped, every list cut at its stop: the
+        first record whose state or ||E||_F is non-finite, or whose ||E||_F
+        passes ``thresholds[i]``.
 
         Consecutive steps with bitwise the same F, A, C, Fdot, Adot and
         Cdot (their rows) form a group; a group shares one operator, and
@@ -364,10 +377,10 @@ class DenseSolver:
         matrix-vector product per step into its lifted buffer, and
         releases both before the next member's, as a block's budget holds
         a run's.  The norms follow for the whole stack, equal bitwise to
-        ``np.linalg.norm``.  All the steps are taken, whatever
-        ``thresholds`` say, without warnings: those past a stop are the
-        caller's to discard.  An operator that is not finite has a nan
-        W^+, hence a nan S, so the state after its step is non-finite.
+        ``np.linalg.norm``.  All the steps are taken, without warnings:
+        those past a stop are discarded.  An operator that is not finite
+        has a nan W^+, hence a nan S, so the state after its step is
+        non-finite.
         """
         records, steps = len(block.f), states.shape[1] - 1
         count, size = len(members), states.shape[-1]
@@ -377,8 +390,10 @@ class DenseSolver:
         lifted[:, 0, :size], lifted[:, 0, size] = states[members, 0], 1.0
         with np.errstate(all="ignore"):
             if steps:
-                operators, rows = self._operators, self._rows
-                inverses, operator_paths, formed = self._inverses
+                rows, operators = _block_operators(
+                    block[:6], steps, self._operators)
+                self._operators = operators
+                inverses, operator_paths, formed = self.inverses(operators)
                 firsts = _changes(rows)
                 group = (np.cumsum(firsts) - 1).tolist()
                 firsts = np.flatnonzero(firsts)
@@ -423,7 +438,18 @@ class DenseSolver:
             x = unstack(recorded, m, n)
             eq = frobenius_norms(block.equation_error(x, slice(records)))
         errors = block.solution_errors(recorded)
-        return [(paths, made, *member) for member in zip(eq, errors)]
+        stopping = _stops(
+            np.isfinite(recorded).all(axis=-1) & np.isfinite(eq), eq,
+            np.array(thresholds)[members, None],
+        )
+        # Each member's stop, or ``records`` for none.
+        stops = np.where(
+            stopping.any(axis=1), stopping.argmax(axis=1), records).tolist()
+        return [
+            (paths[:k], made[:k], eq[i, :k + 1], errors[i, :k + 1],
+             k < records)
+            for i, k in enumerate(stops)
+        ]
 
 
 @dataclass
@@ -446,13 +472,14 @@ class StructuredSolver:
     step forms E and G and solves L(D) = G with the Sylvester factors, as
     P would cost O((mn)^3) per step against the O(m^3 + n^3) of a solve.
 
-    :meth:`block` takes a block's operators (:func:`find_operators`) and
-    forms their :func:`sylvester_terms` once for all members.  Each member
-    keeps its base, the operator whose Sylvester form it factored and
-    certified last, across block edges too; the Sylvester forms of a
-    window of :data:`REUSE_WINDOW` coming operators in the base's
-    eigenbases, with their certificates (:func:`_reuses`); and, until a
-    step starts a new operator, what served the current one.
+    :meth:`advance` finds a block's operators from the bits of its F and A
+    and of F and A at the step before it, and :meth:`block` forms their
+    :func:`sylvester_terms` once for all members.  Each member keeps its
+    base, the operator whose Sylvester form it factored and certified
+    last, across block edges too; the Sylvester forms of a window of
+    :data:`REUSE_WINDOW` coming operators in the base's eigenbases, with
+    their certificates (:func:`_reuses`); and, until a step starts a new
+    operator, what served the current one.
 
     A new operator's first solve takes the base's eigenbases when their
     certificate holds for it.  When it does not, or the sweeps reach
@@ -467,9 +494,6 @@ class StructuredSolver:
     nothing: its state goes to nan.
     """
 
-    # The step groups compare the bits of F and A.
-    stacks = 2
-
     @staticmethod
     def block_bytes(m: int, n: int) -> tuple[int, int]:
         """The bytes a block adds per record, P = F conj F and
@@ -481,11 +505,11 @@ class StructuredSolver:
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
         self._held: dict[int, _Held] = collections.defaultdict(_Held)
+        self._operators: Operators | None = None
 
-    def block(self, operators: Operators, rows: np.ndarray | None = None):
+    def block(self, operators: Operators):
         """Take a block's operators and form their Sylvester terms; its
-        steps are then solved in order.  The steps' bit ``rows`` are not
-        needed."""
+        steps are then solved in order."""
         self._operators = operators
         self._steps = operators.index.tolist()
         self._p, self._q, self._s = sylvester_terms(operators)
@@ -502,14 +526,17 @@ class StructuredSolver:
         turn, from its state ``states[i, 0]`` at its gain ``gammas[i]``,
         writing the state after step j into ``states[i, j + 1]``, and
         yield, as :meth:`DenseSolver.advance` returns, each step's path and
-        whether it factored L, and ||E||_F and ||X - X*||_F at each record
-        filled.  A member's steps stop at the first record whose state or
-        ||E||_F is non-finite, or whose ||E||_F passes ``thresholds[i]``.
-        A member's records are yielded before the next member steps, so
-        they are kept when a later one raises.
+        whether it factored L, ||E||_F and ||X - X*||_F at each record
+        filled, and whether it stopped.  A member's steps stop at the first
+        record whose state or ||E||_F is non-finite, or whose ||E||_F
+        passes ``thresholds[i]``.  A member's records are yielded before
+        the next member steps, so they are kept when a later one raises.
         """
         steps, records = states.shape[1] - 1, len(block.f)
         m, n = block.a.shape[-1], block.f.shape[-1]
+        if steps:
+            _, operators = _block_operators(block[:2], steps, self._operators)
+            self.block(operators)
         for i in members:
             x_states, paths, made, eqs = states[i], [], [], []
             # A record past overflow is recorded, not warned about.
@@ -519,10 +546,11 @@ class StructuredSolver:
                     x_conj = np.conj(x)
                     e = x @ block.f[j] - block.a[j] @ x_conj - block.c[j]
                     eqs.append(np.linalg.norm(e))
-                    if j == steps or _stops(
+                    stopped = _stops(
                         np.isfinite(x_states[j]).all()
                         and math.isfinite(eqs[-1]), eqs[-1], thresholds[i],
-                    ):
+                    )
+                    if stopped or j == steps:
                         break
                     drive = (
                         block.cd[j] + block.ad[j] @ x_conj - x @ block.fd[j]
@@ -533,16 +561,17 @@ class StructuredSolver:
                     paths.append(path)
                     made.append(factored)
             yield paths, made, np.array(eqs), block.solution_errors(
-                x_states[:len(eqs)])
+                x_states[:len(eqs)]), bool(stopped)
 
     def solve(
         self, step: int, g: np.ndarray, member: int = 0
     ) -> tuple[RealVector, SolvePath | None, bool]:
         """``pinv(W_k, tolerance) @ stack(G)`` for step k of the block,
         i.e. stack(D) with D F_k - A_k conj(D) = G, by a ``member``; the
-        path that gave it; and whether this solve factored L, its own
-        Sylvester form eigendecomposed or its W^+ formed (counted once per
-        operator).
+        path that gave it; and whether this solve factored L, that is
+        formed the operator's own Sylvester factors (counted once per
+        operator).  It tries the base's eigenbases, then the operator's
+        own Sylvester factors, then its W^+.
 
         When W_k (see :func:`_finite_operators`) or G is not finite, the
         answer is nan and the path None, without a solve."""
@@ -553,44 +582,31 @@ class StructuredSolver:
             held.factors, held.own, held.dense = None, False, None
         if not (self._operators.finite[operator] and np.isfinite(g).all()):
             return np.full(2 * g.size, math.nan), None, False
-        factored = held.own or held.dense is not None
         f, a = self._operators.f[operator], self._operators.a[operator]
-        d = self._sylvester_solve(held, f, a, g)
-        if d is not None:
-            direction, path = stack(d), SolvePath.STRUCTURED
-        else:
-            if held.dense is None:
-                w_plus, fell_back = pseudo_inverses(
-                    real_operator(f, a)[None], self._tolerance
-                )
-                held.dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
-            matrix, path = held.dense
-            direction = matrix @ stack(g)
-        return direction, path, not factored and (
-            held.own or held.dense is not None
-        )
-
-    def _sylvester_solve(
-        self, held: _Held, f: np.ndarray, a: np.ndarray, g: np.ndarray
-    ) -> np.ndarray | None:
-        """D from the Sylvester form of the current operator, or None for
-        the dense path."""
-        factors = held.factors
+        factored = False
         if not held.own:
-            if factors is None:
-                factors = self._reused(held)
+            factors = held.factors or self._reused(held)
             d = None if factors is None else factors.apply(f, a, g)
             if d is not None:
                 held.factors = factors
-                return d
-            held.own = True
-            i = held.operator
-            factors = held.factors = _sylvester_factors(
-                self._p[i], self._q[i], float(self._s[i]), self._cutoff
+                return stack(d), SolvePath.STRUCTURED, False
+            held.own = factored = True
+            held.factors = _sylvester_factors(
+                self._p[operator], self._q[operator],
+                float(self._s[operator]), self._cutoff,
             )
-            if factors is not None:
-                held.base, held.reuses = factors, None
-        return None if factors is None else factors.apply(f, a, g)
+            if held.factors is not None:
+                held.base, held.reuses = held.factors, None
+        d = None if held.factors is None else held.factors.apply(f, a, g)
+        if d is not None:
+            return stack(d), SolvePath.STRUCTURED, factored
+        if held.dense is None:
+            w_plus, fell_back = pseudo_inverses(
+                real_operator(f, a)[None], self._tolerance
+            )
+            held.dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
+        matrix, path = held.dense
+        return matrix @ stack(g), path, factored
 
     def _reused(self, held: _Held) -> _SylvesterFactors | None:
         """The factors of the current operator's Sylvester form in the

@@ -169,7 +169,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
     report = run_sweep(
         problem,
-        args.problem,
         models=models,
         gammas=gammas,
         epsilons=epsilons,

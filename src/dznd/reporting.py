@@ -193,7 +193,6 @@ class SweepReport:
 
 def run_sweep(
     problem: SylvesterConjugateProblem,
-    problem_name: str,
     models: Sequence[Model],
     gammas: Sequence[ComplexGain],
     epsilons: Sequence[float],

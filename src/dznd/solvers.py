@@ -31,13 +31,13 @@ one tau when it is built), called once per block with the block's array
 of tau.  The run picks its solver once, by
 :func:`~dznd.assembly.solver_class`: a
 :class:`~dznd.assembly.DenseSolver` below the structured crossover, a
-:class:`~dznd.assembly.StructuredSolver` from it up.  Both take a block
-alike.  :func:`~dznd.assembly.find_operators` finds its operators once,
-from the bits of its F and A and of the last step before it, which the
-run carries; the solver's ``block`` forms what it needs of them, and its
-``advance`` takes the block's steps for every member, giving each
-member's paths and factorizations and its records' ||E||_F and
-||X - X*||_F.  How each solver steps is told in its own docstring.
+:class:`~dznd.assembly.StructuredSolver` from it up.  Each block the run
+calls the solver's ``advance`` once, for every member, and nothing
+else.  The solver owns the rest: it finds the block's operators from
+the bits of its F and A and of the last step before it, which it keeps;
+takes the steps; and finds where each member stops.  It gives each member's paths and
+factorizations and its records' ||E||_F and ||X - X*||_F, cut at that
+member's stop.  How each solver steps is told in its own docstring.
 
 Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
@@ -45,12 +45,11 @@ model, gain or divergence threshold, go in lockstep as one batch,
 equal it bitwise.  They share each block's provider values, its
 operators and what the solver forms of them alone.  The batch keeps its
 records as rows of stacked arrays, one row per member, and after each
-block one loop over the members still running keeps their residuals,
-finds where each stops and counts its paths and factorizations.  A
-member that stops keeps its records and leaves the batch.  An exception
-raised in a block (by a provider, a solve, or a warning made an error)
-ends the members still running there; those that stopped before keep
-their records.
+block one loop over the members still running keeps their residuals and
+counts their paths and factorizations.  A member that stops keeps its
+records and leaves the batch.  An exception raised in a block (by a
+provider, a solve, or a warning made an error) ends the members still
+running there; those that stopped before keep their records.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -78,7 +77,6 @@ from . import assembly
 from .assembly import (
     ComplexGain,
     SolvePath,
-    _stops,
     frobenius_norms,
     state_from_matrix,
     unstack,
@@ -431,8 +429,6 @@ def _run_batch(
             stop, pinv[i], structured[i], factorizations[i],
         )
 
-    # The bits of F and A at the last step taken.
-    width, row = 2 * (n * n + m * m), None
     active = list(range(count))
     try:
         for start in range(0, k_total + 1, size):
@@ -441,34 +437,20 @@ def _run_batch(
             block = _Block.evaluate(
                 problem, taus[start:start + records], steps, has_solution
             )
-            if steps:
-                # The solver's stacks, whose rows begin with F and A.
-                rows = assembly._bit_rows(
-                    *(z[:steps] for z in block[:solver.stacks]))
-                operators = assembly.find_operators(
-                    rows[:, :width], row, block.f[:steps], block.a[:steps]
-                )
-                row = rows[-1, :width].copy()
-                solver.block(operators, rows)
             advanced = solver.advance(
                 block, states[:, start:start + steps + 1], active, gammas,
                 epsilon, thresholds,
             )
-            for i, (paths, made, eq, error) in zip(active, advanced):
-                kept = slice(start, start + len(eq))
-                residuals[i, kept], errors[i, kept] = eq, error
-                finite = np.isfinite(states[i, kept]).all(axis=1)
-                stop = np.flatnonzero(
-                    _stops(finite & np.isfinite(eq), eq, thresholds[i]))
-                taken = int(stop[0]) if stop.size else steps
+            for i, (paths, made, eq, error, stopped) in zip(active, advanced):
+                end = start + len(eq)
+                residuals[i, start:end], errors[i, start:end] = eq, error
                 # list.count compares by identity in C: no Enum hash per
                 # step.
-                taken_paths = paths[:taken]
-                pinv[i] += taken_paths.count(SolvePath.PINV)
-                structured[i] += taken_paths.count(SolvePath.STRUCTURED)
-                factorizations[i] += made[:taken].count(True)
-                if stop.size:
-                    stops[i] = start + taken
+                pinv[i] += paths.count(SolvePath.PINV)
+                structured[i] += paths.count(SolvePath.STRUCTURED)
+                factorizations[i] += made.count(True)
+                if stopped:
+                    stops[i] = end - 1
             active = [i for i in active if stops[i] is None]
             if not active:
                 break

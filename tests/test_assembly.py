@@ -233,6 +233,14 @@ def test_find_operators_compares_bits_across_the_block_edge():
         np.testing.assert_array_equal(operators.a.view(np.uint64),
                                       as_[[0, 2]].view(np.uint64))
         np.testing.assert_array_equal(operators.f, fs[[0, 2]])
+    # Rows with more stacks after F and A, here a C that moves every
+    # step, are cut to F and A, whose bits at the last step are kept.
+    cs = rng.normal(size=(4, 2, 3)) + 0j
+    operators = find_operators(_bit_rows(fs, as_, cs), previous, fs, as_)
+    assert operators.index.tolist() == [0, 0, 1, 1]
+    assert operators.new.tolist() == [False, True]
+    assert (operators.last.tobytes()
+            == _bit_rows(fs[-1:], as_[-1:])[0].tobytes())
 
 
 class TestSolveOperator:

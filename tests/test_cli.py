@@ -169,7 +169,7 @@ class TestSweepCommand:
         counted = dataclasses.replace(
             p, derivatives=lambda tau: calls.append(tau) or p.derivatives(tau)
         )
-        report = run_sweep(counted, "example2", list(Model),
+        report = run_sweep(counted, list(Model),
                            [ComplexGain(10.0)], [0.1, 0.05], duration=1.0)
         assert len(report.rows) == 4
         # One derivative evaluation per step: 10 steps at 0.1 and 20 at
@@ -182,7 +182,7 @@ class TestSweepCommand:
         counted = dataclasses.replace(
             p, derivatives=lambda tau: calls.append(tau) or p.derivatives(tau)
         )
-        report = run_sweep(counted, "example2", list(Model),
+        report = run_sweep(counted, list(Model),
                            [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
                            [0.1, 0.05], duration=1.0)
         assert len(report.rows) == 8
@@ -201,8 +201,7 @@ class TestSweepCommand:
 
         gains = [ComplexGain(10.0), ComplexGain(10.0, 20.0)]
         report = run_sweep(dataclasses.replace(p, derivatives=failing),
-                           "example2", [Model.DZND1_2I], gains, [0.1, 0.05],
-                           duration=1.0)
+                           [Model.DZND1_2I], gains, [0.1, 0.05], duration=1.0)
         outcomes = {(row.gamma, row.epsilon): (row.outcome, row.steps)
                     for row in report.rows}
         assert outcomes == {
@@ -221,7 +220,7 @@ class TestSweepCommand:
             return p.derivatives(tau)
 
         report = run_sweep(dataclasses.replace(p, derivatives=failing),
-                           "example2", [Model.DZND1_2I],
+                           [Model.DZND1_2I],
                            [ComplexGain(10.0), ComplexGain(2500.0)], [0.001],
                            duration=1.0)
         assert [(row.gamma, row.outcome, row.steps) for row in report.rows] == [
@@ -250,7 +249,7 @@ class TestSweepCommand:
             run(problem, config, random_initial_state(problem, 42))
         gains = [gain, ComplexGain(10.0), ComplexGain(5.0), ComplexGain(20.0)]
         for count in range(1, len(gains) + 1):
-            report = run_sweep(problem, "trig", [Model.DZND1_2I],
+            report = run_sweep(problem, [Model.DZND1_2I],
                                gains[:count], [0.01], duration=2.0, seed=42,
                                divergence_threshold=1e3)
             row, = (row for row in report.rows if row.gamma == gain)
@@ -264,7 +263,7 @@ class TestSweepCommand:
             return random_initial_state(problem, seed)
 
         monkeypatch.setattr(dznd.reporting, "random_initial_state", drawing)
-        report = run_sweep(example2(), "example2", [Model.DZND1_2I],
+        report = run_sweep(example2(), [Model.DZND1_2I],
                            [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
                            [0.1, 0.05], duration=1.0, seed=5)
         assert len(report.rows) == 4
@@ -275,7 +274,7 @@ class TestSweepCommand:
             raise ValueError("no state")
 
         monkeypatch.setattr(dznd.reporting, "random_initial_state", failing)
-        report = run_sweep(example2(), "example2", list(Model),
+        report = run_sweep(example2(), list(Model),
                            [ComplexGain(10.0)], [0.1, 0.05], duration=1.0)
         assert [row.outcome for row in report.rows] == ["ERROR(ValueError)"] * 4
         assert [row.steps for row in report.rows] == [0] * 4
@@ -297,7 +296,7 @@ class TestSweepCommand:
         monkeypatch.setattr(dznd.assembly.DenseSolver, "advance", warning)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run_sweep(example2(), "example2", [Model.DZND1_2I],
+            report = run_sweep(example2(), [Model.DZND1_2I],
                                [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
                                [0.1], duration=1.0)
         assert [(row.outcome, row.steps) for row in report.rows] == [
@@ -314,7 +313,7 @@ class TestSweepCommand:
             return run_batch(problem, configs, initial)
 
         monkeypatch.setattr(dznd.reporting, "_run_batch", counting)
-        report = run_sweep(example2(), "example2", list(Model),
+        report = run_sweep(example2(), list(Model),
                            [ComplexGain(10.0), ComplexGain(10.0, 20.0)],
                            [0.1], duration=1.0)
         outcomes = {(row.model, row.gamma): row.outcome
