@@ -219,12 +219,14 @@ def _operator_plan(m: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(plan)
 
 
-class SolvePath(enum.Enum):
-    """How the solve of a step obtained its direction."""
+class SolvePath(enum.IntEnum):
+    """How the solve of a step obtained its direction, by the code a
+    trajectory stores for the step as a uint8."""
 
-    STRUCTURED = "structured"  # the eigendecomposed Sylvester form
-    INVERSE = "inverse"  # the certified inverse of W
-    PINV = "pinv"  # the SVD pseudo-inverse of W
+    NONE = 0  # no solve: the operator or the drive is not finite
+    STRUCTURED = 1  # the eigendecomposed Sylvester form
+    INVERSE = 2  # the certified inverse of W
+    PINV = 3  # the SVD pseudo-inverse of W
 
 
 class Operators(NamedTuple):
@@ -325,15 +327,14 @@ class DenseSolver:
 
     def __init__(self, tolerance: float | None = None):
         self._tolerance = tolerance
-        self._kept: tuple[RealMatrix, SolvePath | None] | None = None
+        self._kept: tuple[RealMatrix, int] | None = None
         self._operators: Operators | None = None
 
     def inverses(self, operators: Operators) -> tuple[np.ndarray, ...]:
         """For each of a block's operators: its ``pinv(W_i, tolerance)``,
-        stacked; its path, the certified inverse of W or its SVD
-        pseudo-inverse, in an object array (an operator whose W is not
-        finite has a nan W^+ and path None); and whether this block formed
-        its W^+."""
+        stacked; the uint8 code of its path, the certified inverse of W or
+        its SVD pseudo-inverse (an operator whose W is not finite has a nan
+        W^+ and path NONE); and whether this block formed its W^+."""
         f, a = operators.f, operators.a
         formed = operators.new & operators.finite
         if formed.all():
@@ -341,11 +342,11 @@ class DenseSolver:
             w_plus, fell_back = pseudo_inverses(
                 real_operator(f, a), self._tolerance
             )
-            paths = _DENSE_PATHS[fell_back.astype(np.intp)]
+            paths = (SolvePath.INVERSE + fell_back).astype(np.uint8)
         else:
             size = 2 * f.shape[-1] * a.shape[-1]
             w_plus = np.full((len(f), size, size), math.nan)
-            paths = np.full(len(f), None, dtype=object)
+            paths = np.full(len(f), SolvePath.NONE, dtype=np.uint8)
             if not operators.new[0]:
                 w_plus[0], paths[0] = self._kept
             todo = np.flatnonzero(formed)
@@ -353,7 +354,7 @@ class DenseSolver:
                 w_plus[todo], fell_back = pseudo_inverses(
                     real_operator(f[todo], a[todo]), self._tolerance
                 )
-                paths[todo] = _DENSE_PATHS[fell_back.astype(np.intp)]
+                paths[todo] = SolvePath.INVERSE + fell_back
         self._kept = w_plus[-1].copy(), paths[-1]
         return w_plus, paths, formed
 
@@ -361,12 +362,12 @@ class DenseSolver:
         """Take the block's steps for the ``members`` of a batch, rows of
         ``states``, each from its state ``states[i, 0]`` at its gain
         ``gammas[i]``, writing the state after step j into
-        ``states[i, j + 1]``.  Return for each member each step's path
-        (None for a step that solves nothing) and whether it factored L,
-        which the members share, ||E||_F and ||X - X*||_F at the block's
-        records, and whether it stopped, every list cut at its stop: the
-        first record whose state or ||E||_F is non-finite, or whose ||E||_F
-        passes ``thresholds[i]``.
+        ``states[i, j + 1]``.  Return for each member each step's
+        :class:`SolvePath` code and whether it factored L, which the
+        members share, ||E||_F and ||X - X*||_F at the block's records, and
+        whether it stopped, every array cut at its stop: the first record
+        whose state or ||E||_F is non-finite, or whose ||E||_F passes
+        ``thresholds[i]``.
 
         Consecutive steps with bitwise the same F, A, C, Fdot, Adot and
         Cdot (their rows) form a group; a group shares one operator, and
@@ -385,7 +386,7 @@ class DenseSolver:
         records, steps = len(block.f), states.shape[1] - 1
         count, size = len(members), states.shape[-1]
         m, n = block.a.shape[-1], block.f.shape[-1]
-        paths, made = [], []
+        paths, made = np.zeros(0, np.uint8), np.zeros(0, bool)
         lifted = np.zeros((count, steps + 1, size + 1))
         lifted[:, 0, :size], lifted[:, 0, size] = states[members, 0], 1.0
         with np.errstate(all="ignore"):
@@ -415,8 +416,8 @@ class DenseSolver:
                         shifted.shape[:2] + z.shape[1:])
                     for lo, hi, z in zip(edges, edges[1:], block[:3])
                 )
-                paths = operator_paths[operators.index].tolist()
-                made = (operators.starts & formed[operators.index]).tolist()
+                paths = operator_paths[operators.index]
+                made = operators.starts & formed[operators.index]
                 columns = -stack(cs)[..., None]
                 for i, buffer in enumerate(lifted):
                     # [R | -c] before S, as in a run, which bounds the peak.
@@ -565,7 +566,7 @@ class StructuredSolver:
 
     def solve(
         self, step: int, g: np.ndarray, member: int = 0
-    ) -> tuple[RealVector, SolvePath | None, bool]:
+    ) -> tuple[RealVector, SolvePath, bool]:
         """``pinv(W_k, tolerance) @ stack(G)`` for step k of the block,
         i.e. stack(D) with D F_k - A_k conj(D) = G, by a ``member``; the
         path that gave it; and whether this solve factored L, that is
@@ -574,14 +575,14 @@ class StructuredSolver:
         own Sylvester factors, then its W^+.
 
         When W_k (see :func:`_finite_operators`) or G is not finite, the
-        answer is nan and the path None, without a solve."""
+        answer is nan and the path NONE, without a solve."""
         held = self._held[member]
         operator = self._steps[step]
         if operator != held.operator:
             held.operator = operator
             held.factors, held.own, held.dense = None, False, None
         if not (self._operators.finite[operator] and np.isfinite(g).all()):
-            return np.full(2 * g.size, math.nan), None, False
+            return np.full(2 * g.size, math.nan), SolvePath.NONE, False
         f, a = self._operators.f[operator], self._operators.a[operator]
         factored = False
         if not held.own:
@@ -604,7 +605,8 @@ class StructuredSolver:
             w_plus, fell_back = pseudo_inverses(
                 real_operator(f, a)[None], self._tolerance
             )
-            held.dense = w_plus[0], _DENSE_PATHS[int(fell_back[0])]
+            held.dense = w_plus[0], (
+                SolvePath.PINV if fell_back[0] else SolvePath.INVERSE)
         matrix, path = held.dense
         return matrix @ stack(g), path, factored
 
@@ -630,10 +632,6 @@ class StructuredSolver:
             gaps=reuses.gaps[k], s=float(self._s[i]),
             off=(reuses.p_off[k], reuses.q_off[k]),
         )
-
-
-# The path of a W^+ from pseudo_inverses, indexed by whether it fell back.
-_DENSE_PATHS = np.array([SolvePath.INVERSE, SolvePath.PINV], dtype=object)
 
 
 def _bit_rows(*stacks: np.ndarray) -> np.ndarray:

@@ -18,9 +18,11 @@ Each solve equals pinv(W) stack(G) for the 2mn x 2mn real form W of L.
 Above a size crossover it comes, when certified and checked, from the
 Sylvester form of L; otherwise from the inverse of W whenever its
 condition number proves the pseudo-inverse would cut no singular value,
-and from the SVD pseudo-inverse when not.  A run counts the steps that
-took the first path, those that needed the last, and the factorizations
-of L made for the steps it took.
+and from the SVD pseudo-inverse when not.  A run records, for each step
+it took, the :class:`~dznd.assembly.SolvePath` of its solve and whether
+it factored L; its counts of the steps that took the first path, of
+those that needed the last, and of the factorizations of L are derived
+from these.
 
 A run works one block of records at a time: :data:`BLOCK_RECORDS`, or
 fewer for a problem whose stacks would pass :data:`BLOCK_BYTES`
@@ -35,9 +37,10 @@ of tau.  The run picks its solver once, by
 calls the solver's ``advance`` once, for every member, and nothing
 else.  The solver owns the rest: it finds the block's operators from
 the bits of its F and A and of the last step before it, which it keeps;
-takes the steps; and finds where each member stops.  It gives each member's paths and
-factorizations and its records' ||E||_F and ||X - X*||_F, cut at that
-member's stop.  How each solver steps is told in its own docstring.
+takes the steps; and finds where each member stops.  It gives each
+member's paths and factored flags and its records' ||E||_F and
+||X - X*||_F, cut at that member's stop.  How each solver steps is told
+in its own docstring.
 
 Runs that share epsilon, duration and the pinv tolerance, and differ in
 model, gain or divergence threshold, go in lockstep as one batch,
@@ -45,11 +48,12 @@ model, gain or divergence threshold, go in lockstep as one batch,
 equal it bitwise.  They share each block's provider values, its
 operators and what the solver forms of them alone.  The batch keeps its
 records as rows of stacked arrays, one row per member, and after each
-block one loop over the members still running keeps their residuals and
-counts their paths and factorizations.  A member that stops keeps its
-records and leaves the batch.  An exception raised in a block (by a
-provider, a solve, or a warning made an error) ends the members still
-running there; those that stopped before keep their records.
+block one loop over the members still running keeps their residuals,
+paths and factored flags, one slice of each a member.  A member that
+stops keeps its records and leaves the batch.  An exception raised in a
+block (by a provider, a solve, or a warning made an error) ends the
+members still running there; those that stopped before keep their
+records.
 
 There is one way to integrate: :func:`run` is a batch of one, and a
 single step is :func:`run` with duration = epsilon.
@@ -58,7 +62,7 @@ A run records, at every sample time, the state together with the
 equation residual ||E||_F and the solution error ||X - X*||_F (nan when
 the problem has no known solution).  It stops at the first record whose
 state or residual is non-finite or whose residual passes the divergence
-threshold; that record is kept, and path and factorization counts cover
+threshold; that record is kept, and the paths and factored flags cover
 the steps taken before it.  An operator whose real form W is not finite
 is never factored: a step with it goes to a nan state, so a run ends
 DIVERGED rather than raising.
@@ -105,11 +109,12 @@ class Outcome(enum.Enum):
 
 # Relative slack when deciding whether duration/epsilon is an integer.
 _STEP_COUNT_SLACK = 1e-9
-# A run allocates all k+1 records up front, 32 + 16mn bytes each (a step
-# index, a time, two residuals and 2mn state floats): about 0.1 kB for a
-# 2x2 problem, so the 10^7-record cap bounds a 2x2 run at about 1 GB and
-# a 16x16 run at about 41 GB.  Past it a run is refused rather than left
-# to exhaust memory.
+# A run allocates all k+1 records up front, 24 + 16mn bytes each (a time,
+# two residuals and 2mn state floats), and 2 bytes for each step (its
+# solve path and whether it factored): about 0.1 kB for a 2x2 problem, so
+# the 10^7-record cap bounds a 2x2 run at about 1 GB and a 16x16 run at
+# about 41 GB.  Past it a run is refused rather than left to exhaust
+# memory.
 MAX_STEP_COUNT = 10**7
 # A run evaluates its providers, converts their values to complex128 and
 # has its solver take its steps a block of records at a time:
@@ -196,15 +201,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step records of a run, stored as aligned arrays.
+    """What a run produced, as aligned arrays: per record and per step.
 
-    Record i holds step index ``steps[i]``, sample time ``taus[i]``
-    (= steps[i] * epsilon), the stacked state ``states[i]`` and both
-    residuals.  A run stops at its first record whose state or equation
-    residual is non-finite, so only the last record can be.
-    ``structured_solve_steps`` counts the steps solved through the
-    Sylvester form, and ``pinv_fallback_steps`` those whose solve needed
-    the SVD pseudo-inverse because no other path could be certified.
+    Record i holds sample time ``taus[i]`` (= i * epsilon), the stacked
+    state ``states[i]`` and both residuals.  A run stops at its first
+    record whose state or equation residual is non-finite, so only the
+    last record can be.  Step i, from record i to record i + 1, holds the
+    uint8 :class:`~dznd.assembly.SolvePath` code ``paths[i]`` of its
+    solve and ``factored[i]``, whether it factored L: one entry for each
+    step taken, one fewer than records.
+
+    The counts are derived from these.  ``structured_solve_steps`` counts
+    the steps solved through the Sylvester form, and
+    ``pinv_fallback_steps`` those whose solve needed the SVD
+    pseudo-inverse because no other path could be certified.
     ``operator_factorizations`` counts the factorizations of L actually
     made for the steps taken, each operator's at most once: below the
     structured crossover the W^+ formed, one for each new operator (once
@@ -214,35 +224,57 @@ class Trajectory:
     fewer factorizations than structured steps.
     """
 
-    steps: np.ndarray
     taus: np.ndarray
     states: np.ndarray
     equation_residuals: np.ndarray
     solution_errors: np.ndarray
     outcome: Outcome
-    diverged_at: Optional[int] = None
-    pinv_fallback_steps: int = 0
-    structured_solve_steps: int = 0
-    operator_factorizations: int = 0
+    paths: np.ndarray
+    factored: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.taus)
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The step index of each record."""
+        return np.arange(len(self), dtype=np.int64)
+
+    @property
+    def diverged_at(self) -> Optional[int]:
+        """The last record of a DIVERGED run, where it stopped; else None."""
+        return len(self) - 1 if self.outcome is Outcome.DIVERGED else None
+
+    @property
+    def pinv_fallback_steps(self) -> int:
+        return int(np.count_nonzero(self.paths == SolvePath.PINV))
+
+    @property
+    def structured_solve_steps(self) -> int:
+        return int(np.count_nonzero(self.paths == SolvePath.STRUCTURED))
+
+    @property
+    def operator_factorizations(self) -> int:
+        return int(np.count_nonzero(self.factored))
 
 
 def tail_max_equation_residual(trajectory: Trajectory, tau_from: float) -> float:
     """Largest equation residual over records with tau >= tau_from."""
-    mask = trajectory.taus >= tau_from
-    if not mask.any():
-        return math.nan
-    return float(trajectory.equation_residuals[mask].max())
+    return _tail_max(trajectory.taus, trajectory.equation_residuals, tau_from)
 
 
 def tail_max_solution_error(trajectory: Trajectory, tau_from: float) -> float:
     """Largest solution error over records with tau >= tau_from."""
-    mask = trajectory.taus >= tau_from
+    return _tail_max(trajectory.taus, trajectory.solution_errors, tau_from)
+
+
+def _tail_max(taus: np.ndarray, values: np.ndarray, tau_from: float) -> float:
+    """Largest of the per-record ``values`` over records with
+    tau >= tau_from; nan when there is none."""
+    mask = taus >= tau_from
     if not mask.any():
         return math.nan
-    return float(trajectory.solution_errors[mask].max())
+    return float(values[mask].max())
 
 
 def scalar_error_modulus(gamma: ComplexGain, epsilon: float) -> float:
@@ -353,7 +385,7 @@ def run_batch(
 ) -> list[Trajectory]:
     """Integrate one run of ``problem`` from ``initial`` for each of
     ``configs`` (at least one), in lockstep; trajectory i equals
-    ``run(problem, configs[i], initial)`` bitwise, counts included.
+    ``run(problem, configs[i], initial)`` bitwise, paths included.
 
     The members may differ in model, gain and divergence threshold, and
     must share epsilon, duration and the pinv tolerance.  Every config is
@@ -408,8 +440,8 @@ def _run_batch(
     states[:, 0] = state_from_matrix(initial.x0)
     residuals = np.empty((count, k_total + 1))
     errors = np.empty((count, k_total + 1))
-    # Each member's pinv and structured steps and factorizations.
-    pinv, structured, factorizations = ([0] * count for _ in range(3))
+    paths = np.empty((count, k_total), dtype=np.uint8)
+    factored = np.empty((count, k_total), dtype=bool)
     stops: list[Optional[int]] = [None] * count
     gammas = [complex(c.gamma.re, c.gamma.im) for c in configs]
     thresholds = [c.divergence_threshold for c in configs]
@@ -423,10 +455,10 @@ def _run_batch(
         stop = stops[i]
         records = k_total + 1 if stop is None else stop + 1
         return Trajectory(
-            np.arange(records, dtype=np.int64), taus[:records],
-            states[i, :records], residuals[i, :records], errors[i, :records],
+            taus[:records], states[i, :records], residuals[i, :records],
+            errors[i, :records],
             Outcome.COMPLETED if stop is None else Outcome.DIVERGED,
-            stop, pinv[i], structured[i], factorizations[i],
+            paths[i, :records - 1], factored[i, :records - 1],
         )
 
     active = list(range(count))
@@ -441,14 +473,10 @@ def _run_batch(
                 block, states[:, start:start + steps + 1], active, gammas,
                 epsilon, thresholds,
             )
-            for i, (paths, made, eq, error, stopped) in zip(active, advanced):
-                end = start + len(eq)
+            for i, (solved, made, eq, error, stopped) in zip(active, advanced):
+                end, taken = start + len(eq), start + len(solved)
                 residuals[i, start:end], errors[i, start:end] = eq, error
-                # list.count compares by identity in C: no Enum hash per
-                # step.
-                pinv[i] += paths.count(SolvePath.PINV)
-                structured[i] += paths.count(SolvePath.STRUCTURED)
-                factorizations[i] += made.count(True)
+                paths[i, start:taken], factored[i, start:taken] = solved, made
                 if stopped:
                     stops[i] = end - 1
             active = [i for i in active if stops[i] is None]

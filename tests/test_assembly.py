@@ -326,7 +326,7 @@ class TestSolveOperator:
         monkeypatch.setattr(dznd.assembly, "pseudo_inverses", _refuse)
         got, path, made = _structured(f[None], a[None]).solve(0, g)
         assert np.isnan(got).all() and got.shape == (72,)
-        assert path is None
+        assert path is SolvePath.NONE
         assert not made
 
     @pytest.mark.parametrize("m,n", [(6, 6), (4, 8)])
@@ -349,9 +349,38 @@ class TestSolveOperator:
             u = factors.u * (1.0 + relative * noise)
             assert factors._replace(u=u).apply(f, a, g) is None
 
+    @pytest.mark.parametrize("m,n", [(6, 6), (4, 8)])
+    def test_solve_falls_back_when_held_factors_fail_the_check(
+            self, monkeypatch, m, n):
+        # The solver has certified and factored its operator's own
+        # Sylvester form; then the U it holds drifts by a relative 1e-10,
+        # which the backward-error check refuses (above).  The next G
+        # takes the operator's W^+ without factoring again, as a one-shot
+        # pseudo_inverses gives it, and that W^+ is held for the G after.
+        f, a, g = _shifted_coefficients(m, n)
+        solver = _structured(f[None], a[None])
+        _, path, factored = solver.solve(0, g)
+        assert path is SolvePath.STRUCTURED and factored
+        held = solver._held[0]
+        noise = np.random.default_rng(7).standard_normal(held.factors.u.shape)
+        held.factors = held.factors._replace(
+            u=held.factors.u * (1.0 + 1e-10 * noise))
+        w_plus, fell_back = pseudo_inverses(real_operator(f, a)[None])
+        assert not fell_back[0]
+        rng = np.random.default_rng(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(2):
+                rhs = random_split(rng, m, n).to_complex()
+                got, path, factored = solver.solve(0, rhs)
+                assert path is SolvePath.INVERSE and not factored
+                np.testing.assert_array_equal(got, w_plus[0] @ stack(rhs))
+                # The W^+ is held: the next G forms none.
+                monkeypatch.setattr(dznd.assembly, "pseudo_inverses", _refuse)
+
     @pytest.mark.parametrize("m,n,structured", [
         (6, 6, SolvePath.STRUCTURED), (2, 3, SolvePath.INVERSE),
-    ])
+    ], ids=["6-6-SolvePath.STRUCTURED", "2-3-SolvePath.INVERSE"])
     def test_kept_factors_solve_as_one_shot_solves(self, monkeypatch, m, n,
                                                    structured):
         f, a, g = _shifted_coefficients(m, n)
@@ -388,7 +417,7 @@ class TestSolveOperator:
             assert path is want_path
             paths.append(path)
             made.append(factored)
-        assert paths == [structured, structured, None, structured]
+        assert paths == [structured, structured, SolvePath.NONE, structured]
         assert made == [True, False, False, False]
 
     @pytest.mark.parametrize("singular", [False, True])
@@ -417,12 +446,12 @@ class TestSolveOperator:
             np.testing.assert_array_equal(w_plus[member], want[0])
             np.testing.assert_array_equal(w_plus[member] @ stack(g),
                                           want[0] @ stack(g))
-            assert paths[member] is (SolvePath.PINV if fell_back[0]
+            assert paths[member] == (SolvePath.PINV if fell_back[0]
                                      else SolvePath.INVERSE)
-            assert paths[member] is (SolvePath.PINV if singular and member == 1
+            assert paths[member] == (SolvePath.PINV if singular and member == 1
                                      else SolvePath.INVERSE)
         assert np.isnan(w_plus[2]).all()
-        assert paths[2] is None
+        assert paths[2] == SolvePath.NONE
 
 
 class TestFiniteOperators:

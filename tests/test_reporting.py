@@ -11,6 +11,7 @@ from dznd import ComplexGain, Model, Outcome, SolverConfig
 from dznd import svgplot
 from dznd.cli import main
 from dznd.reporting import write_residual_svg, write_trajectory_csv
+from dznd.assembly import SolvePath
 from dznd.solvers import Trajectory
 
 # Values whose shortest round-trip text is not the obvious one.
@@ -21,12 +22,13 @@ _ODD = [0.0, -0.0, 0.1, 1e-300, 5e-324, 1.7976931348623157e308, math.inf,
 def _trajectory(equation_residuals, solution_errors, states):
     records = len(equation_residuals)
     return Trajectory(
-        steps=np.arange(records, dtype=np.int64),
         taus=np.arange(records) * 0.01,
         states=np.asarray(states, dtype=np.float64),
         equation_residuals=np.asarray(equation_residuals, dtype=np.float64),
         solution_errors=np.asarray(solution_errors, dtype=np.float64),
         outcome=Outcome.COMPLETED,
+        paths=np.full(records - 1, SolvePath.INVERSE, dtype=np.uint8),
+        factored=np.zeros(records - 1, dtype=bool),
     )
 
 

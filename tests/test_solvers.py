@@ -355,6 +355,42 @@ class TestRun:
         assert stopped.outcome is Outcome.DIVERGED
         assert stopped.diverged_at == int(np.argmax(first.equation_residuals))
 
+    @pytest.mark.parametrize("factory", [
+        example2, lambda: make_shifted_trig_problem(6, 6, 2),
+    ], ids=["example2-dense", "shifted-trig-6x6-structured"])
+    def test_one_path_and_flag_per_step_taken(self, factory, monkeypatch):
+        # A completed run, a run stopped mid-block and a run stopped at
+        # record 0 each hold one path and one factored flag per step
+        # taken, one fewer than records.  In blocks of 8 records, a gain
+        # of 10+20i at epsilon 0.1 grows the residual past 10^3 times its
+        # first value at record 10, the third of the second block; the
+        # steps before it are those of the same run at the default
+        # threshold.
+        monkeypatch.setattr(dznd.solvers, "BLOCK_RECORDS", 8)
+        problem = factory()
+        initial = random_initial_state(problem, 42)
+        config = _config(epsilon=0.01, duration=0.5)
+        completed = run(problem, config, initial)
+        first = float(completed.equation_residuals[0])
+        at_zero = run(problem, dataclasses.replace(
+            config, divergence_threshold=float(np.nextafter(first, 0.0))),
+            initial)
+        growing = _config(gamma=ComplexGain(10.0, 20.0), duration=5.0)
+        further = run(problem, growing, initial)
+        mid = run(problem, dataclasses.replace(
+            growing, divergence_threshold=first * 1e3), initial)
+        assert completed.outcome is Outcome.COMPLETED
+        assert len(completed) == config.step_count + 1
+        assert at_zero.diverged_at == 0
+        assert mid.diverged_at == 10 < further.diverged_at
+        for trajectory in (completed, mid, at_zero):
+            assert trajectory.paths.dtype == np.uint8
+            assert trajectory.factored.dtype == bool
+            assert (len(trajectory.paths) == len(trajectory.factored)
+                    == len(trajectory) - 1)
+        assert mid.paths.tobytes() == further.paths[:10].tobytes()
+        assert mid.factored.tobytes() == further.factored[:10].tobytes()
+
     def test_divergence_predictor_matches_outcomes(self):
         problem = example2()
         for gamma in (GAMMA10, ComplexGain(10.0, 20.0), ComplexGain(10.0, -20.0)):
@@ -1296,7 +1332,7 @@ class TestNorms:
 
 
 _TRAJECTORY_ARRAYS = ("steps", "taus", "states", "equation_residuals",
-                      "solution_errors")
+                      "solution_errors", "paths", "factored")
 _TRAJECTORY_SCALARS = ("outcome", "diverged_at", "pinv_fallback_steps",
                        "structured_solve_steps", "operator_factorizations")
 
